@@ -18,6 +18,7 @@ import numpy as np
 LN2 = math.log(2.0)
 _GAIN_SUM_TOL = 1e-8
 _BISECT_CAP = 200
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,11 +45,6 @@ class PowerAllocation:
         if not self.effective_power >= 0:
             raise ValueError("effective_power must be nonnegative")
         object.__setattr__(self, "p", p)
-
-
-def f_of_x(x, c, d, a, mu):
-    """Marginal secrecy rate (bits) minus the power price at symbol power x."""
-    return (c / (1.0 + x * c) - d / (1.0 + x * d)) / LN2 - mu * a
 
 
 def _check_gain_pair(c, d, a):
@@ -97,12 +93,12 @@ def power_for_mu(gains, mu):
     return PowerAllocation(p=p, mu=float(mu), effective_power=float(a @ p))
 
 
-def solve_mu(gains, budget, rel_tol=1e-10):
+def solve_mu(gains, budget):
     """Find mu so the closed-form allocation radiates the whole budget.
 
     Returns the matching PowerAllocation. With no secure subchannel the
     optimum is silence and any multiplier certifies it; mu = 1.0 is stored.
-    Bisection stops when |effective - budget| <= rel_tol * budget, or when
+    Bisection stops when |effective - budget| <= 1e-10 * budget, or when
     the mu bracket collapses to floating-point resolution (for extreme
     budgets the power evaluation's own rounding noise exceeds the relative
     criterion; the returned mu is then the best representable double).
@@ -134,7 +130,7 @@ def solve_mu(gains, budget, rel_tol=1e-10):
         gap = abs(cand.effective_power - budget)
         if gap < best_gap:
             best, best_gap = cand, gap
-        if gap <= rel_tol * budget:
+        if gap <= _REL_TOL * budget:
             return cand
         if cand.effective_power > budget:
             lo = mid

@@ -96,14 +96,12 @@ def matrix_rate(channels, qx):
     return float((logdet_r - logdet_e) / LN2)
 
 
-def classify_subspaces(gains, eps_null=NULL_EPS):
+def classify_subspaces(gains):
     """Partition subchannel indices by which receivers can see them."""
-    if not eps_null > 0:
-        raise ValueError("eps_null must be positive")
     c, d = gains.c, gains.d
-    excluded = np.flatnonzero(c < eps_null)
-    s1 = np.flatnonzero((c >= eps_null) & (d < eps_null))
-    s2 = np.flatnonzero((c >= eps_null) & (d >= eps_null))
+    excluded = np.flatnonzero(c < NULL_EPS)
+    s1 = np.flatnonzero((c >= NULL_EPS) & (d < NULL_EPS))
+    s2 = np.flatnonzero((c >= NULL_EPS) & (d >= NULL_EPS))
     return SubspacePartition(s1=s1, s2=s2, excluded=excluded)
 
 

@@ -62,44 +62,25 @@ def _rho_range(text):
     return values
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _bounded(kind, accept, requirement):
+    """argparse type: parse text as kind, then require accept(value)."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}")
+        return value
+    return parse
 
 
-def _nonneg_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _nonneg_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+_positive_int = _bounded(int, lambda v: v >= 1, "at least 1")
+_nonneg_int = _bounded(int, lambda v: v >= 0, "nonnegative")
+_positive_float = _bounded(float, lambda v: v > 0, "positive")
+_nonneg_float = _bounded(float, lambda v: v >= 0, "nonnegative")
 
 
 def _add_dims(parser):
@@ -159,7 +140,7 @@ def build_parser():
     p.add_argument("--rho-grid", type=_rho_range, default=parse_range("0:0.01:1"),
                    metavar="START:STEP:STOP")
     _add_sweep_common(p)
-    p.set_defaults(func=_cmd_sweep_fraction)
+    p.set_defaults(func=_cmd_sweep, campaign="fraction")
 
     p = sub.add_parser("sweep-snr",
                        help="optimal vs secure-uniform rates across SNR")
@@ -167,7 +148,7 @@ def build_parser():
     p.add_argument("--snr-db", type=parse_range, required=True,
                    metavar="START:STEP:STOP")
     _add_sweep_common(p)
-    p.set_defaults(func=_cmd_sweep_snr)
+    p.set_defaults(func=_cmd_sweep, campaign="snr")
 
     p = sub.add_parser("oracle-verify",
                        help="closed form vs grid search on synthetic gains")
@@ -230,43 +211,32 @@ def _cmd_allocate(args):
     return 0
 
 
-def _cmd_sweep_fraction(args):
+def _cmd_sweep(args):
+    fraction = args.campaign == "fraction"
+    if fraction:
+        grid = dict(budget=args.power, rho_grid=args.rho_grid)
+        run, column = experiments.run_fraction_experiment, "rho"
+    else:
+        grid = dict(snr_db_grid=args.snr_db)
+        run, column = experiments.run_snr_sweep, "snr_db"
     config = ExperimentConfig(
         n_t=args.nt, n_r=args.nr, n_e=args.ne, sigma_r2=args.sigma_r2,
-        sigma_e2=args.sigma_e2, budget=args.power, trials=args.trials,
-        seed=args.seed, rho_grid=args.rho_grid)
-    result = experiments.run_fraction_experiment(
-        config, mode=args.uniform_mode, threads=args.threads)
+        sigma_e2=args.sigma_e2, trials=args.trials, seed=args.seed, **grid)
+    result = run(config, mode=args.uniform_mode, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
-    trials_path = os.path.join(args.out, "fraction_trials.csv")
-    agg_path = os.path.join(args.out, "fraction_aggregate.csv")
-    experiments.write_csv(result.records, trials_path, "rho")
-    experiments.write_aggregate_csv(result.aggregates, agg_path)
-    best = int(np.argmax(result.curve.rate_bits))
-    print(f"wrote {trials_path}", file=sys.stderr)
-    print(f"wrote {agg_path}", file=sys.stderr)
-    print(f"mean optimal rate {result.mean_optimal:.6g} bits; best uniform "
-          f"rho {result.curve.param[best]:.4g} "
-          f"({result.curve.rate_bits[best]:.6g} bits); "
-          f"{result.resampled} resampled draws", file=sys.stderr)
-    return 0
-
-
-def _cmd_sweep_snr(args):
-    config = ExperimentConfig(
-        n_t=args.nt, n_r=args.nr, n_e=args.ne, sigma_r2=args.sigma_r2,
-        sigma_e2=args.sigma_e2, trials=args.trials, seed=args.seed,
-        snr_db_grid=args.snr_db)
-    result = experiments.run_snr_sweep(
-        config, mode=args.uniform_mode, threads=args.threads)
-    os.makedirs(args.out, exist_ok=True)
-    trials_path = os.path.join(args.out, "snr_trials.csv")
-    agg_path = os.path.join(args.out, "snr_aggregate.csv")
-    experiments.write_csv(result.records, trials_path, "snr_db")
+    trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
+    agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")
+    experiments.write_csv(result.records, trials_path, column)
     experiments.write_aggregate_csv(result.aggregates, agg_path)
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {agg_path}", file=sys.stderr)
-    print(f"{result.resampled} resampled draws", file=sys.stderr)
+    summary = f"{result.resampled} resampled draws"
+    if fraction:
+        best = int(np.argmax(result.curve.rate_bits))
+        summary = (f"mean optimal rate {result.aggregates[0].mean_optimal:.6g} "
+                   f"bits; best uniform rho {result.curve.param[best]:.4g} "
+                   f"({result.curve.rate_bits[best]:.6g} bits); {summary}")
+    print(summary, file=sys.stderr)
     return 0
 
 

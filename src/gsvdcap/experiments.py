@@ -5,7 +5,7 @@ own Philox stream, so trial t is byte-for-byte identical whether it runs
 first, last, or on another thread. Two campaigns are provided: a sweep over
 the uniform baseline's power-split fraction rho at fixed budget, and a sweep
 over SNR comparing the closed-form optimum against a secure-set uniform
-baseline. Both emit deterministic CSV.
+baseline. Both run on one engine and emit deterministic CSV.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -51,6 +52,10 @@ class ExperimentConfig:
     snr_db_grid: Optional[tuple] = None
 
     def __post_init__(self):
+        for name in ("n_t", "n_r", "n_e", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n_t", "n_r", "n_e"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -98,17 +103,12 @@ class AggregateRow:
 
 
 @dataclass
-class FractionExperimentResult:
+class CampaignResult:
+    """Trial records, the mean uniform-rate curve over the campaign's grid,
+    aggregate rows per grid point, and the count of resampled draws."""
+
     records: list
     curve: RateCurve
-    mean_optimal: float
-    aggregates: list
-    resampled: int
-
-
-@dataclass
-class SnrSweepResult:
-    records: list
     aggregates: list
     resampled: int
 
@@ -151,9 +151,8 @@ def _factor_trial(config, trial):
     resamples = 0
     while True:
         t = trial + config.trials * resamples
-        channels = sample_channel(config, t)
         try:
-            return gsvd(channels), channels, resamples
+            return gsvd(sample_channel(config, t)), resamples
         except DegenerateChannelError:
             resamples += 1
             if resamples > _MAX_RESAMPLE:
@@ -169,11 +168,44 @@ def _map_trials(fn, trials, threads):
     return [fn(t) for t in range(trials)]
 
 
+def _run_campaign(config, grid, rates, threads):
+    """Factor every trial and evaluate rates(gains, partition) on the grid.
+
+    rates returns the trial's (uniform, optimal) secrecy rates, one per grid
+    point; a scalar optimal rate holds at every point.
+    """
+    def one_trial(trial):
+        factors, resamples = _factor_trial(config, trial)
+        gains = subchannel_gains(factors)
+        partition = classify_subspaces(gains)
+        uniform, optimal = rates(gains, partition)
+        records = [
+            TrialRecord(trial=trial, parameter=float(x), uniform_rate=float(u),
+                        optimal_rate=float(o), q=gains.q,
+                        dim_s1=partition.dim_s1, dim_s2=partition.dim_s2)
+            for x, u, o in zip(grid, uniform, np.broadcast_to(optimal, grid.shape))
+        ]
+        return records, resamples
+
+    outcomes = _map_trials(one_trial, config.trials, threads)
+    records = [rec for recs, _ in outcomes for rec in recs]
+    uniform = np.array([[r.uniform_rate for r in recs] for recs, _ in outcomes])
+    optimal = np.array([[r.optimal_rate for r in recs] for recs, _ in outcomes])
+    aggregates = [
+        _aggregate(float(grid[j]), uniform[:, j], optimal[:, j])
+        for j in range(grid.size)
+    ]
+    return CampaignResult(
+        records=records,
+        curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
+        aggregates=aggregates,
+        resampled=sum(n for _, n in outcomes))
+
+
 def run_fraction_experiment(config, mode="transmit", threads=None):
     """Sweep the uniform baseline's rho grid and solve the optimum per trial.
 
-    Returns trial records (one per trial per rho), the mean uniform-rate
-    curve, the mean optimal rate, aggregate rows, and the resample count.
+    Each trial's optimal rate is budget-fixed, so it repeats at every rho.
     """
     if config.budget is None or config.rho_grid is None:
         raise ValueError("fraction campaign needs budget and rho_grid")
@@ -183,34 +215,12 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
             "degenerates to the all-S2 split", stacklevel=2)
     grid = np.asarray(config.rho_grid, dtype=float)
 
-    def one_trial(trial):
-        factors, _, resamples = _factor_trial(config, trial)
-        gains = subchannel_gains(factors)
-        partition = classify_subspaces(gains)
+    def rates(gains, partition):
         optimal = max(0.0, secrecy_rate(gains, solve_mu(gains, config.budget)))
         curve = fraction_sweep(gains, partition, config.budget, grid, mode)
-        records = [
-            TrialRecord(trial=trial, parameter=float(rho),
-                        uniform_rate=float(rate), optimal_rate=optimal,
-                        q=gains.q, dim_s1=partition.dim_s1,
-                        dim_s2=partition.dim_s2)
-            for rho, rate in zip(grid, curve.rate_bits)
-        ]
-        return records, resamples
+        return curve.rate_bits, optimal
 
-    outcomes = _map_trials(one_trial, config.trials, threads)
-    records = [rec for recs, _ in outcomes for rec in recs]
-    resampled = sum(n for _, n in outcomes)
-
-    uniform = np.array([[r.uniform_rate for r in recs] for recs, _ in outcomes])
-    optimal = np.array([recs[0].optimal_rate for recs, _ in outcomes])
-    mean_curve = RateCurve(param=grid, rate_bits=uniform.mean(axis=0))
-    aggregates = [
-        _aggregate(float(grid[j]), uniform[:, j], optimal) for j in range(grid.size)
-    ]
-    return FractionExperimentResult(
-        records=records, curve=mean_curve, mean_optimal=float(optimal.mean()),
-        aggregates=aggregates, resampled=resampled)
+    return _run_campaign(config, grid, rates, threads)
 
 
 def run_snr_sweep(config, mode="transmit", threads=None):
@@ -222,35 +232,18 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     if config.snr_db_grid is None:
         raise ValueError("snr campaign needs snr_db_grid")
     grid = np.asarray(config.snr_db_grid, dtype=float)
-    budgets = 10.0 ** (grid / 10.0)
+    budgets = (10.0 ** (grid / 10.0)).tolist()
 
-    def one_trial(trial):
-        factors, _, resamples = _factor_trial(config, trial)
-        gains = subchannel_gains(factors)
-        partition = classify_subspaces(gains)
-        records = []
-        for snr_db, budget in zip(grid, budgets):
-            optimal = max(0.0, secrecy_rate(gains, solve_mu(gains, float(budget))))
-            baseline = uniform_secure_allocation(gains, float(budget), mode)
-            uniform = max(0.0, secrecy_rate(gains, baseline))
-            records.append(TrialRecord(
-                trial=trial, parameter=float(snr_db), uniform_rate=uniform,
-                optimal_rate=optimal, q=gains.q, dim_s1=partition.dim_s1,
-                dim_s2=partition.dim_s2))
-        return records, resamples
+    def rates(gains, partition):
+        uniform, optimal = [], []
+        for budget in budgets:
+            optimal.append(
+                max(0.0, secrecy_rate(gains, solve_mu(gains, budget))))
+            baseline = uniform_secure_allocation(gains, budget, mode)
+            uniform.append(max(0.0, secrecy_rate(gains, baseline)))
+        return uniform, optimal
 
-    outcomes = _map_trials(one_trial, config.trials, threads)
-    records = [rec for recs, _ in outcomes for rec in recs]
-    resampled = sum(n for _, n in outcomes)
-
-    uniform = np.array([[r.uniform_rate for r in recs] for recs, _ in outcomes])
-    optimal = np.array([[r.optimal_rate for r in recs] for recs, _ in outcomes])
-    aggregates = [
-        _aggregate(float(grid[j]), uniform[:, j], optimal[:, j])
-        for j in range(grid.size)
-    ]
-    return SnrSweepResult(records=records, aggregates=aggregates,
-                          resampled=resampled)
+    return _run_campaign(config, grid, rates, threads)
 
 
 def _aggregate(param, uniform, optimal):
@@ -351,9 +344,6 @@ def load_config(path):
     unknown = set(obj) - set(_CONFIG_FIELDS)
     if unknown:
         raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
-    for grid in ("rho_grid", "snr_db_grid"):
-        if obj.get(grid) is not None:
-            obj[grid] = tuple(obj[grid])
     try:
         return ExperimentConfig(**obj)
     except TypeError as exc:

@@ -169,12 +169,12 @@ class FactorCheck:
         return self.ordering_ok and self.max_residual <= tol
 
 
-def gsvd(channels, tol=linalg.RANK_TOL):
+def gsvd(channels):
     """Factor a channel pair; see the module docstring for the identities.
 
     Args:
-        channels: ChannelPair with full-rank stacked matrix [hr; he].
-        tol: relative singular-value threshold for the rank test.
+        channels: ChannelPair with full-rank stacked matrix [hr; he]; the
+            rank test uses the relative threshold linalg.RANK_TOL.
 
     Raises:
         DegenerateChannelError: stacked rank below q = min(n_t, n_r + n_e).
@@ -188,7 +188,7 @@ def gsvd(channels, tol=linalg.RANK_TOL):
 
     stacked = np.vstack([hr, he])
     u, sig, v = linalg.svd(stacked)
-    rank = linalg.rank_with_tol(sig, tol)
+    rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
     if rank < q:
         raise DegenerateChannelError(rank, q)
     u, sig, v = u[:, :q], sig[:q], v[:, :q]
@@ -213,8 +213,8 @@ def gsvd(channels, tol=linalg.RANK_TOL):
     # normalization up to roundoff for well-separated columns but stays an
     # isometry even when the norms sit near the noise floor (then the
     # directions carry little information and any orthonormal choice
-    # reconstructs equally well). Dead columns keep their slot and are
-    # filled by completion.
+    # reconstructs equally well). A complete QR also spans the complement:
+    # its trailing columns fill the dead slots.
     m = u2 @ w
     ddiag = np.minimum(np.linalg.norm(m, axis=0), 1.0)
     live = ddiag > NULLSPACE_TOL
@@ -223,16 +223,17 @@ def gsvd(channels, tol=linalg.RANK_TOL):
         raise linalg.FactorizationError(
             "eavesdropper diagonal has live entries beyond its row count")
     idx = np.flatnonzero(live)
-    seed = np.zeros((n_e, n_e), dtype=np.complex128)
-    if idx.size:
-        qfac, rfac = np.linalg.qr(m[:, idx])
-        phases = rfac.diagonal().copy()
-        mags = np.abs(phases)
-        if np.any(mags == 0):
-            raise linalg.FactorizationError(
-                "eavesdropper block lost rank while orthonormalizing")
-        seed[:, idx] = qfac * (phases / mags)
-    psi_e = linalg.orthonormal_completion(seed, int(idx.size))
+    qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
+    phases = rfac.diagonal().copy()
+    mags = np.abs(phases)
+    if np.any(mags == 0):
+        raise linalg.FactorizationError(
+            "eavesdropper block lost rank while orthonormalizing")
+    slot = np.zeros(n_e, dtype=bool)
+    slot[idx] = True
+    psi_e = np.empty_like(qfac)
+    psi_e[:, slot] = qfac[:, :idx.size] * (phases / mags)
+    psi_e[:, ~slot] = qfac[:, idx.size:]
 
     a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)

@@ -13,28 +13,24 @@ import numpy as np
 
 FACTOR_TOL = 1e-10
 RANK_TOL = 1e-9
-ZERO_COLUMN_TOL = 1e-8
 
 
 class FactorizationError(RuntimeError):
     """A matrix factorization failed to converge or verify."""
 
 
-def as_matrix(values, rows=None, cols=None):
+def as_matrix(values):
     """Coerce to a 2-D complex128 array with finite entries.
 
     Args:
         values: anything ``np.asarray`` accepts.
-        rows, cols: optional expected shape.
 
     Raises:
-        ValueError: wrong dimensionality, wrong shape, or non-finite entries.
+        ValueError: wrong dimensionality or non-finite entries.
     """
     m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -58,43 +54,6 @@ def svd(m):
             f"SVD reconstruction residual {residual:.3e} exceeds tolerance"
         )
     return u, s, vh.conj().T
-
-
-def orthonormal_completion(q, k):
-    """Fill the zero columns of ``q`` so all columns become orthonormal.
-
-    ``q`` is n x m with m <= n, holding exactly k designated (nonzero)
-    columns that are already orthonormal; the remaining m - k columns must
-    be zero. Designated columns are kept bit-for-bit; the zero columns are
-    replaced with an orthonormal basis of (part of) the complement of their
-    span.
-    """
-    q = as_matrix(q)
-    n, m = q.shape
-    if m > n:
-        raise ValueError(f"cannot complete {m} columns in dimension {n}")
-    norms = np.linalg.norm(q, axis=0)
-    designated = norms > 0.5
-    found = int(designated.sum())
-    if found != k:
-        raise ValueError(f"expected {k} designated columns, found {found}")
-    if np.any(norms[~designated] > ZERO_COLUMN_TOL):
-        raise ValueError("non-designated columns must be zero")
-    block = q[:, designated]
-    if k:
-        gram = block.conj().T @ block
-        if np.linalg.norm(gram - np.eye(k)) > ZERO_COLUMN_TOL:
-            raise ValueError("designated columns are not orthonormal")
-    out = q.copy()
-    if k == m:
-        return out
-    if k:
-        # Left singular vectors beyond index k span the orthogonal complement.
-        basis = np.linalg.svd(block, full_matrices=True)[0][:, k:]
-    else:
-        basis = np.eye(n, dtype=np.complex128)
-    out[:, ~designated] = basis[:, : m - k]
-    return out
 
 
 def rank_with_tol(s, tol):

@@ -20,6 +20,8 @@ from .gsvd import SubchannelGains
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GRID_Q = 4
 _BUDGET_SLACK = 1e-12
+# Philox stream id; experiments keys channel draws with streams 0 and 1.
+_RNG_STREAM = 2
 
 
 def _chan_rate(x, c, d):
@@ -210,7 +212,7 @@ def kkt_check(gains, alloc, budget, tol=1e-6):
     )
 
 
-def random_gains(q, seed, trial=0, rng_stream=2):
+def random_gains(q, seed, trial=0):
     """Seeded synthetic gain tuples for oracle and KKT exercises.
 
     Counter-based (Philox) so instances are reproducible and independent
@@ -219,7 +221,7 @@ def random_gains(q, seed, trial=0, rng_stream=2):
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    key = (int(seed) << 64) | (int(trial) << 8) | rng_stream
+    key = (int(seed) << 64) | (int(trial) << 8) | _RNG_STREAM
     gen = np.random.Generator(np.random.Philox(key=key))
     c = 0.02 + 0.96 * gen.random(q)
     a = np.exp(gen.random(q) * math.log(25.0)) * 0.2

@@ -1,7 +1,5 @@
 """Unit tests for the closed-form power allocation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gsvdcap import (
     PowerAllocation,
     SubchannelGains,
-    f_of_x,
     gsvd,
     input_covariance,
     largest_root,
@@ -46,25 +43,6 @@ class TestPowerAllocation:
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ValueError):
             PowerAllocation(p=[1.0], mu=0.0, effective_power=1.0)
-
-
-class TestMarginalFunction:
-    def test_matches_rate_derivative(self):
-        # f_of_x is the derivative of log2(1+xc) - log2(1+xd) minus mu*a;
-        # check against a central difference of the explicit rate.
-        c, d, a, mu = 0.9, 0.1, 2.0, 0.05
-        x0, h = 1.3, 1e-6
-
-        def rate(x):
-            return math.log2(1.0 + x * c) - math.log2(1.0 + x * d)
-
-        numeric = (rate(x0 + h) - rate(x0 - h)) / (2 * h)
-        assert f_of_x(x0, c, d, a, mu) == pytest.approx(numeric - mu * a, abs=1e-8)
-
-    def test_decreasing_in_x_for_secure_channel(self):
-        xs = np.linspace(0.0, 50.0, 200)
-        vals = [f_of_x(x, 0.8, 0.2, 1.0, 0.1) for x in xs]
-        assert np.all(np.diff(vals) < 0)
 
 
 class TestLargestRoot:

@@ -115,10 +115,6 @@ class TestClassifySubspaces:
             assert part.excluded.size == max(0, q - n_r)
             assert part.dim_s1 + part.dim_s2 + part.excluded.size == q
 
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            classify_subspaces(mixed_gains(), eps_null=0.0)
-
 
 class TestUniformAllocation:
     def test_all_power_to_nullspace_at_rho_zero(self):

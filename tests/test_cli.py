@@ -162,3 +162,16 @@ class TestUsageErrors:
     def test_negative_seed(self):
         self.assert_usage_exit(["gsvd-check", "--nt", "4", "--nr", "4",
                                 "--ne", "4", "--trials", "1", "--seed", "-1"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "x"), ("--power", "0"),
+        ("--power", "nan"), ("--sigma-r2", "-1"), ("--tol", "abc")])
+    def test_out_of_range_number(self, flag, value, tmp_path):
+        argv = ["--nt", "4", "--nr", "4", "--ne", "4", "--trials", "1",
+                "--seed", "0"]
+        if flag == "--tol":
+            argv = ["gsvd-check"] + argv
+        else:
+            argv = ["sweep-fraction", "--power", "1", "--out", str(tmp_path)] + argv
+        self.assert_usage_exit(argv + [flag, value])
+        assert not any(tmp_path.iterdir())

@@ -56,6 +56,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             fraction_config(budget=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("n_t", 4.5), ("n_r", "4"), ("n_e", True),
+        ("seed", 1.0)])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fraction_config(**{field: value})
+
     def test_zero_variance_allowed(self):
         assert fraction_config(sigma_e2=0.0).sigma_e2 == 0.0
 
@@ -123,7 +130,9 @@ class TestFractionExperiment:
             assert rec.q == 5
             assert rec.dim_s1 == 1
             assert rec.dim_s1 + rec.dim_s2 <= rec.q
-        assert result.mean_optimal >= float(np.max(result.curve.rate_bits)) - 1e-9
+        mean_optimal = result.aggregates[0].mean_optimal
+        assert all(row.mean_optimal == mean_optimal for row in result.aggregates)
+        assert mean_optimal >= float(np.max(result.curve.rate_bits)) - 1e-9
         assert np.array_equal(result.curve.param, cfg.rho_grid)
         assert all(row.trials == cfg.trials for row in result.aggregates)
 
@@ -198,6 +207,9 @@ class TestSnrSweep:
             assert rec.optimal_rate >= rec.uniform_rate - 1e-9
         for row in result.aggregates:
             assert row.mean_optimal > row.mean_uniform
+        assert np.array_equal(result.curve.param, cfg.snr_db_grid)
+        assert np.array_equal(result.curve.rate_bits,
+                              [row.mean_uniform for row in result.aggregates])
 
     def test_vanishing_power(self):
         cfg = ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=2, seed=10,
@@ -289,6 +301,20 @@ class TestConfigIo:
         path.write_text('{"n_t": 4, "n_r": 4, "n_e": 4, "gamma": 1}',
                         encoding="utf-8")
         with pytest.raises(ValueError, match="gamma"):
+            load_config(path)
+
+    def test_scalar_grid_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n_t": 4, "n_r": 4, "n_e": 4, "rho_grid": 5}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="bad config"):
+            load_config(path)
+
+    def test_fractional_trials_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n_t": 4, "n_r": 4, "n_e": 4, "trials": 2.5}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="trials"):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):

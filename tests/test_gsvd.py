@@ -226,6 +226,14 @@ class TestNearNullEavesdropper:
         check = verify_factors(f, pair)
         assert check.passed(1e-8), vars(check)
 
+    def test_silent_eavesdropper_gets_unitary_psi_e(self):
+        rng = np.random.default_rng(53)
+        hr = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        pair = pair_from_arrays(hr, np.zeros((3, 4)))
+        f = gsvd(pair)
+        assert np.linalg.norm(f.psi_e.conj().T @ f.psi_e - np.eye(3)) <= 1e-12
+        assert verify_factors(f, pair).passed(1e-8)
+
     def test_dead_directions_zeroed(self):
         rng = np.random.default_rng(52)
         hr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

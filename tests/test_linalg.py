@@ -18,10 +18,6 @@ class TestAsMatrix:
         assert m.shape == (2, 2)
         assert m[1, 0] == 3.0
 
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            linalg.as_matrix([[1, 2], [3, 4]], rows=3, cols=2)
-
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             linalg.as_matrix([1, 2, 3])
@@ -51,54 +47,6 @@ class TestSvd:
         bad = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=np.complex128)
         with pytest.raises(ValueError):
             linalg.svd(bad)
-
-
-class TestOrthonormalCompletion:
-    def test_fills_missing_columns(self):
-        rng = np.random.default_rng(5)
-        base = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        qfull, _ = np.linalg.qr(base)
-        seed = np.zeros((5, 5), dtype=np.complex128)
-        seed[:, :2] = qfull[:, :2]
-        out = linalg.orthonormal_completion(seed, 2)
-        assert np.linalg.norm(out.conj().T @ out - np.eye(5)) <= 1e-10
-        assert np.linalg.norm(out[:, :2] - seed[:, :2]) == 0.0
-
-    def test_designated_columns_anywhere(self):
-        rng = np.random.default_rng(6)
-        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        qfull, _ = np.linalg.qr(base)
-        seed = np.zeros((4, 4), dtype=np.complex128)
-        seed[:, 1] = qfull[:, 0]
-        seed[:, 3] = qfull[:, 1]
-        out = linalg.orthonormal_completion(seed, 2)
-        assert np.linalg.norm(out.conj().T @ out - np.eye(4)) <= 1e-10
-        assert np.array_equal(out[:, 1], seed[:, 1])
-        assert np.array_equal(out[:, 3], seed[:, 3])
-
-    def test_zero_designated_returns_unitary(self):
-        out = linalg.orthonormal_completion(np.zeros((3, 3), dtype=np.complex128), 0)
-        assert np.linalg.norm(out.conj().T @ out - np.eye(3)) <= 1e-10
-
-    def test_already_complete_is_identity_operation(self):
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        qfull, _ = np.linalg.qr(base)
-        out = linalg.orthonormal_completion(qfull, 3)
-        assert np.array_equal(out, qfull)
-
-    def test_rejects_wrong_count(self):
-        seed = np.zeros((3, 3), dtype=np.complex128)
-        seed[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            linalg.orthonormal_completion(seed, 2)
-
-    def test_rejects_non_orthonormal_designated(self):
-        seed = np.zeros((3, 3), dtype=np.complex128)
-        seed[:, 0] = [1.0, 0.0, 0.0]
-        seed[:, 1] = [0.9, 0.1, 0.0]
-        with pytest.raises(ValueError):
-            linalg.orthonormal_completion(seed, 2)
 
 
 class TestRankWithTol:
