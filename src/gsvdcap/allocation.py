@@ -6,19 +6,36 @@ subchannel to the largest root of its marginal-rate condition. A single
 multiplier mu prices radiated power; bisecting it matches the budget
 sum_i a_i p_i = P. Power is strictly decreasing in mu, which makes the
 bisection bracket trivial to find.
+
+Validation happens at the boundary, once per call: SubchannelGains checks
+the gains when it is built, and power_for_mu and solve_mu check the
+multiplier or budget on entry. Both then evaluate the closed form through
+one check-free core (_root, _power_curve) that builds no objects; solve_mu
+builds one PowerAllocation at the end. largest_root is the checked scalar
+form of the same root.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
 _GAIN_SUM_TOL = 1e-8
-_BISECT_CAP = 200
 _REL_TOL = 1e-10
+# Bracketing halves mu from mu_hi = max (c - d)/a at most k times. Then every
+# lead (c - d)/(mu a) is at most about 2**k and every mu a at least
+# (c - d) 2**-k >= 2**-(mant_dig + 1 + k), since secure pairs with c + d = 1
+# differ by at least 2**-(mant_dig + 1). The cap keeps that above the
+# smallest subnormal 2**(min_exp - mant_dig), so the roots stay finite and no
+# product underflows to zero: 1019 halvings for IEEE doubles.
+_HALVING_CAP = -sys.float_info.min_exp - 2
+# Bisection steps beyond k: the bracket [mu_hi 2**-k, mu_hi] collapses to
+# 4 ulp of its low end after k + mant_dig - 2 halvings.
+_BISECT_EXTRA = 60
 
 
 @dataclass(frozen=True)
@@ -56,6 +73,13 @@ def _check_gain_pair(c, d, a):
         raise ValueError("beamformer column power a must be positive")
 
 
+def _root(c, d, a, mu):
+    """largest_root's arithmetic with no checks."""
+    lead = (c - d) / (mu * a)
+    radicand = max(1.0 - 4.0 * c * d + 4.0 * c * d * lead, 0.0)
+    return 2.0 * (lead - 1.0) / (1.0 + math.sqrt(radicand))
+
+
 def largest_root(c, d, a, mu):
     """Largest root of c/(1+xc) - d/(1+xd) = mu*a for a secure pair c > d.
 
@@ -72,9 +96,28 @@ def largest_root(c, d, a, mu):
         raise ValueError("largest_root needs a secure pair (c > d)")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    lead = (c - d) / (mu * a)
-    radicand = max(1.0 - 4.0 * c * d + 4.0 * c * d * lead, 0.0)
-    return 2.0 * (lead - 1.0) / (1.0 + math.sqrt(radicand))
+    return _root(c, d, a, mu)
+
+
+def _power_curve(gains):
+    """power(mu) -> (p, sum_i a_i p_i) for gains that SubchannelGains checked.
+
+    Secure entries are kept as Python floats; insecure ones get exactly zero.
+    The radiated total is the full-length dot product a @ p: a Python sum
+    over the secure entries rounds differently.
+    """
+    c, d, a = gains.c, gains.d, gains.a
+    secure = [(i, float(c[i]), float(d[i]), float(a[i]))
+              for i in np.flatnonzero(c > d).tolist()]
+    q = gains.q
+
+    def power(mu):
+        p = np.zeros(q)
+        for i, ci, di, ai in secure:
+            p[i] = max(0.0, _root(ci, di, ai, mu))
+        return p, float(a.dot(p))
+
+    return power
 
 
 def power_for_mu(gains, mu):
@@ -85,12 +128,8 @@ def power_for_mu(gains, mu):
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    c, d, a = gains.c, gains.d, gains.a
-    p = np.zeros(gains.q)
-    secure = np.flatnonzero(c > d)
-    for i in secure:
-        p[i] = max(0.0, largest_root(c[i], d[i], a[i], mu))
-    return PowerAllocation(p=p, mu=float(mu), effective_power=float(a @ p))
+    p, effective = _power_curve(gains)(mu)
+    return PowerAllocation(p=p, mu=float(mu), effective_power=effective)
 
 
 def solve_mu(gains, budget):
@@ -102,43 +141,52 @@ def solve_mu(gains, budget):
     the mu bracket collapses to floating-point resolution (for extreme
     budgets the power evaluation's own rounding noise exceeds the relative
     criterion; the returned mu is then the best representable double).
+    A finite budget that no representable multiplier reaches raises
+    ValueError.
     """
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
     c, d, a = gains.c, gains.d, gains.a
     secure = c > d
     if not np.any(secure):
         return PowerAllocation(p=np.zeros(gains.q), mu=1.0, effective_power=0.0)
+    power = _power_curve(gains)
 
     # Power hits zero at mu_hi = max marginal rate per unit radiated power
     # (ln2-free convention) and grows without bound as mu -> 0+.
     mu_hi = float(np.max((c[secure] - d[secure]) / a[secure]))
-    mu_lo = mu_hi
-    for _ in range(_BISECT_CAP):
+    mu_lo, halvings = mu_hi, 0
+    while True:
         mu_lo *= 0.5
-        if power_for_mu(gains, mu_lo).effective_power >= budget:
+        halvings += 1
+        if halvings > _HALVING_CAP or mu_lo == 0.0:
+            raise ValueError(
+                f"power budget {budget:g} is beyond what any representable "
+                "multiplier reaches on these gains")
+        if power(mu_lo)[1] >= budget:
             break
-    else:
-        raise RuntimeError("could not bracket the power budget from below")
 
     lo, hi = mu_lo, mu_hi
     best = None
     best_gap = math.inf
-    for _ in range(_BISECT_CAP):
+    for _ in range(halvings + _BISECT_EXTRA):
         mid = 0.5 * (lo + hi)
-        cand = power_for_mu(gains, mid)
-        gap = abs(cand.effective_power - budget)
+        p, effective = power(mid)
+        gap = abs(effective - budget)
         if gap < best_gap:
-            best, best_gap = cand, gap
+            best, best_gap = (p, mid, effective), gap
         if gap <= _REL_TOL * budget:
-            return cand
-        if cand.effective_power > budget:
+            break
+        if effective > budget:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 4.0 * math.ulp(mid):
-            return best
-    raise RuntimeError("power-budget bisection failed to converge")
+            break
+    else:
+        raise RuntimeError("power-budget bisection failed to converge")
+    p, mu, effective = best
+    return PowerAllocation(p=p, mu=mu, effective_power=effective)
 
 
 def input_covariance(factors, alloc):

@@ -5,6 +5,11 @@ Rates come in two equivalent forms: the diagonal sum over subchannel gains
 an explicit transmit covariance (cross-check path). The uniform baselines
 split the budget between the eavesdropper's nullspace (S1, where d = 0) and
 the remaining live directions (S2) according to a fraction rho.
+
+The uniform baselines check their inputs once per call. fraction_sweep
+validates the budget, the whole rho grid and the partition once, then
+computes every grid point's powers and rates as array expressions, with no
+per-point allocation object.
 """
 
 from __future__ import annotations
@@ -105,16 +110,43 @@ def classify_subspaces(gains):
     return SubspacePartition(s1=s1, s2=s2, excluded=excluded)
 
 
-def _spread(p, indices, share, a, mode):
-    """Distribute radiated power `share` evenly over `indices`."""
+def _spread(indices, share, a, mode):
+    """Powers that radiate `share` evenly over `indices`; share may be a
+    column of shares, one per row."""
     if mode == "transmit":
         # Equal radiated power per direction.
-        p[indices] = share / indices.size / a[indices]
-    elif mode == "symbol":
+        return share / indices.size / a[indices]
+    if mode == "symbol":
         # Equal symbol power per direction, scaled to radiate `share`.
-        p[indices] = share / float(np.sum(a[indices]))
-    else:
-        raise ValueError(f"unknown uniform mode {mode!r}")
+        return share / float(np.sum(a[indices]))
+    raise ValueError(f"unknown uniform mode {mode!r}")
+
+
+def _uniform_powers(gains, partition, budget, rho, mode, secure_only):
+    """Checked once, the powers of uniform_allocation for each entry of the
+    1-D array rho: one row per rho, one column per subchannel."""
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):
+        raise ValueError("rho must lie in [0, 1]")
+    s1, s2 = partition.s1, partition.s2
+    if s1.size == 0 and s2.size == 0:
+        raise ValueError("no usable transmit directions")
+    target2 = s2
+    if secure_only and s2.size:
+        secure = s2[gains.c[s2] > gains.d[s2]]
+        if secure.size:
+            target2 = secure
+    if s1.size == 0:
+        rho = np.ones_like(rho)
+    elif s2.size == 0:
+        rho = np.zeros_like(rho)
+    # A zero share spreads to exact zeros, so every row can fill both sets.
+    p = np.zeros((rho.size, gains.q))
+    for indices, share in ((s1, (1.0 - rho) * budget), (target2, rho * budget)):
+        if indices.size:
+            p[:, indices] = _spread(indices, share[:, None], gains.a, mode)
+    return p
 
 
 def uniform_allocation(gains, partition, budget, rho, mode="transmit",
@@ -129,27 +161,8 @@ def uniform_allocation(gains, partition, budget, rho, mode="transmit",
     the eavesdropper hears better. (Falls back to all of S2 when none of it
     is secure, so the budget is always radiated in full.)
     """
-    if not budget > 0:
-        raise ValueError("budget must be positive")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    s1, s2 = partition.s1, partition.s2
-    if s1.size == 0 and s2.size == 0:
-        raise ValueError("no usable transmit directions")
-    target2 = s2
-    if secure_only and s2.size:
-        secure = s2[gains.c[s2] > gains.d[s2]]
-        if secure.size:
-            target2 = secure
-    if s1.size == 0:
-        rho = 1.0
-    elif s2.size == 0:
-        rho = 0.0
-    p = np.zeros(gains.q)
-    if s1.size and rho < 1.0:
-        _spread(p, s1, (1.0 - rho) * budget, gains.a, mode)
-    if s2.size and rho > 0.0:
-        _spread(p, target2, rho * budget, gains.a, mode)
+    p = _uniform_powers(gains, partition, budget, np.array([rho], dtype=float),
+                        mode, secure_only)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
@@ -166,7 +179,7 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     secure = np.flatnonzero(gains.c > gains.d)
     p = np.zeros(gains.q)
     if secure.size:
-        _spread(p, secure, budget, gains.a, mode)
+        p[secure] = _spread(secure, budget, gains.a, mode)
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
@@ -177,16 +190,12 @@ def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
     The S2 share goes to its secure members by default (see
     uniform_allocation); that is the curve whose peak tracks the capacity.
     Negative sums are clamped to zero: silence always achieves zero secrecy,
-    so a negative value is never the achievable rate of the scheme.
+    so a negative value is never the achievable rate of the scheme. Each
+    point equals max(0, secrecy_rate) of that rho's uniform_allocation.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty 1-D array")
-    if np.any(grid < 0) or np.any(grid > 1):
-        raise ValueError("rho grid must lie in [0, 1]")
-    rates = np.empty(grid.size)
-    for j, rho in enumerate(grid):
-        alloc = uniform_allocation(gains, partition, budget, float(rho), mode,
-                                   secure_only=secure_only)
-        rates[j] = max(0.0, secrecy_rate(gains, alloc))
-    return RateCurve(param=grid, rate_bits=rates)
+    p = _uniform_powers(gains, partition, budget, grid, mode, secure_only)
+    rates = np.sum(np.log1p(p * gains.c) - np.log1p(p * gains.d), axis=1) / LN2
+    return RateCurve(param=grid, rate_bits=np.maximum(rates, 0.0))

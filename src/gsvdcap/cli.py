@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -40,6 +41,8 @@ def parse_range(text):
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric range {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise argparse.ArgumentTypeError(f"range {text!r} must be finite")
     if not step > 0:
         raise argparse.ArgumentTypeError("range step must be positive")
     if stop < start:
@@ -79,8 +82,10 @@ def _bounded(kind, accept, requirement):
 
 _positive_int = _bounded(int, lambda v: v >= 1, "at least 1")
 _nonneg_int = _bounded(int, lambda v: v >= 0, "nonnegative")
-_positive_float = _bounded(float, lambda v: v > 0, "positive")
-_nonneg_float = _bounded(float, lambda v: v >= 0, "nonnegative")
+_positive_float = _bounded(float, lambda v: 0 < v < math.inf,
+                           "positive and finite")
+_nonneg_float = _bounded(float, lambda v: 0 <= v < math.inf,
+                         "nonnegative and finite")
 
 
 def _add_dims(parser):

@@ -59,10 +59,11 @@ class ExperimentConfig:
         for name in ("n_t", "n_r", "n_e"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.sigma_r2 < 0 or self.sigma_e2 < 0:
-            raise ValueError("channel variances must be nonnegative")
-        if self.budget is not None and not self.budget > 0:
-            raise ValueError("budget must be positive")
+        for name in ("sigma_r2", "sigma_e2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if self.budget is not None and not 0 < self.budget < math.inf:
+            raise ValueError("budget must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -74,7 +75,19 @@ class ExperimentConfig:
             grid = tuple(float(g) for g in grid)
             if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be nonempty and strictly increasing")
+            if not all(math.isfinite(g) for g in grid):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, grid)
+        rho = self.rho_grid
+        if rho is not None and not (rho[0] >= 0 and rho[-1] <= 1):
+            raise ValueError("rho_grid must lie in [0, 1]")
+        if self.snr_db_grid is not None:
+            with np.errstate(over="ignore", under="ignore"):
+                budgets = _snr_budgets(self.snr_db_grid)
+            if not np.all((budgets > 0) & (budgets < math.inf)):
+                raise ValueError(
+                    "snr_db_grid points must give budgets 10**(snr_db/10) "
+                    "that are positive and finite")
 
 
 @dataclass(frozen=True)
@@ -223,6 +236,11 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
     return _run_campaign(config, grid, rates, threads)
 
 
+def _snr_budgets(snr_db):
+    """Radiated power budgets 10**(snr_db/10) of an SNR grid."""
+    return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+
+
 def run_snr_sweep(config, mode="transmit", threads=None):
     """Compare optimal and secure-set-uniform rates across an SNR grid.
 
@@ -232,7 +250,7 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     if config.snr_db_grid is None:
         raise ValueError("snr campaign needs snr_db_grid")
     grid = np.asarray(config.snr_db_grid, dtype=float)
-    budgets = (10.0 ** (grid / 10.0)).tolist()
+    budgets = _snr_budgets(grid).tolist()
 
     def rates(gains, partition):
         uniform, optimal = [], []

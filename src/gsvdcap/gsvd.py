@@ -129,12 +129,12 @@ class SubchannelGains:
         a = np.asarray(self.a, dtype=float)
         if not (c.shape == d.shape == a.shape) or c.ndim != 1:
             raise ValueError("c, d, a must be 1-D arrays of equal length")
-        if np.any(c < 0) or np.any(d < 0) or np.any(c > 1) or np.any(d > 1):
+        if not np.all((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)):
             raise ValueError("gains must lie in [0, 1]")
         if np.any(np.abs(c + d - 1.0) > 1e-8):
             raise ValueError("gain pairs must satisfy c + d = 1")
-        if np.any(a <= 0):
-            raise ValueError("beamformer column power a must be positive")
+        if not np.all((a > 0) & (a < np.inf)):
+            raise ValueError("beamformer column power a must be positive and finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "a", a)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from gsvdcap import ChannelPair, ExperimentConfig, sample_channel
+from gsvdcap import ChannelPair, ExperimentConfig, SubchannelGains, sample_channel
 
 
 def random_pair(n_t, n_r, n_e, seed, trial=0, sigma_r2=1.0, sigma_e2=1.0):
@@ -38,3 +39,23 @@ def shape_classes():
         (5, 3, 4),
         (2, 2, 2),
     ]
+
+
+# Receiver gains c that cover generic directions, eavesdropper-null ones
+# (d = 0), exact ties (c = d) and receiver-null (excluded) ones.
+_receiver_gain = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.just(1.0),
+    st.just(0.5),
+    st.floats(min_value=0.0, max_value=1e-10),
+)
+
+
+@st.composite
+def gains_st(draw, max_q=16):
+    """SubchannelGains with 1..max_q entries, d = 1 - c."""
+    q = draw(st.integers(min_value=1, max_value=max_q))
+    c = draw(st.lists(_receiver_gain, min_size=q, max_size=q))
+    a = draw(st.lists(st.floats(min_value=0.05, max_value=20.0),
+                      min_size=q, max_size=q))
+    return SubchannelGains(c=c, d=[1.0 - x for x in c], a=a)

@@ -14,7 +14,7 @@ from gsvdcap import (
     solve_mu,
 )
 
-from conftest import random_pair
+from conftest import gains_st, random_pair
 
 # Reference values computed with an independent high-precision bisection on
 # the marginal-rate function before the closed form existed.
@@ -160,6 +160,26 @@ class TestSolveMu:
         with pytest.raises(ValueError):
             solve_mu(single_gain(), 0.0)
 
+    def test_nonfinite_budget_rejected(self):
+        for budget in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="budget"):
+                solve_mu(single_gain(), budget)
+
+    def test_huge_budget_met(self):
+        # Every direction is heard by the eavesdropper, so power grows only
+        # like mu**-1/2 and the bracket needs far more than 200 halvings.
+        gains = SubchannelGains(
+            c=[0.6, 0.8, 0.95], d=[0.4, 0.2, 0.05], a=[1.0, 0.5, 2.0]
+        )
+        alloc = solve_mu(gains, 1e30)
+        assert alloc.effective_power == pytest.approx(1e30, rel=1e-10)
+
+    def test_unreachable_budget_named(self):
+        # With a = 1e-300 the largest finite root radiates far below 1e10.
+        gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-300])
+        with pytest.raises(ValueError, match="1e\\+10"):
+            solve_mu(gains, 1e10)
+
     def test_insecure_entries_stay_silent(self):
         gains = SubchannelGains(
             c=[0.1, 0.4, 0.9], d=[0.9, 0.6, 0.1], a=[1.0, 1.0, 1.0]
@@ -167,6 +187,21 @@ class TestSolveMu:
         alloc = solve_mu(gains, 50.0)
         assert alloc.p[0] == 0.0 and alloc.p[1] == 0.0
         assert alloc.p[2] > 0
+
+
+class TestOneCore:
+    @settings(max_examples=150, derandomize=True)
+    @given(gains=gains_st(),
+           budget=st.floats(min_value=1e-6, max_value=1e12))
+    def test_solve_mu_matches_power_for_mu(self, gains, budget):
+        alloc = solve_mu(gains, budget)
+        assert np.array_equal(alloc.p, power_for_mu(gains, alloc.mu).p)
+        assert alloc.effective_power == float(gains.a @ alloc.p)
+        # The checked scalar root, entry by entry on numpy scalars.
+        c, d, a = gains.c, gains.d, gains.a
+        reference = [max(0.0, largest_root(c[i], d[i], a[i], alloc.mu))
+                     if c[i] > d[i] else 0.0 for i in range(gains.q)]
+        assert np.array_equal(alloc.p, reference)
 
 
 class TestInputCovariance:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gsvdcap import (
     PowerAllocation,
@@ -21,7 +22,7 @@ from gsvdcap import (
     uniform_secure_allocation,
 )
 
-from conftest import random_pair
+from conftest import gains_st, random_pair
 
 RATE_AT_REFERENCE_POWER = 0.15322472820876368
 
@@ -32,6 +33,30 @@ def mixed_gains():
         d=[1.0, 0.7, 0.2, 0.0],
         a=[1.0, 2.0, 0.5, 1.5],
     )
+
+
+def reference_uniform_p(gains, part, budget, rho, mode, secure_only):
+    """uniform_allocation's powers for one rho, set by set, as a loop would
+    assign them: a set whose share is zero is left untouched."""
+    s1, s2 = part.s1, part.s2
+    target2 = s2
+    if secure_only and s2.size:
+        secure = s2[gains.c[s2] > gains.d[s2]]
+        if secure.size:
+            target2 = secure
+    if s1.size == 0:
+        rho = 1.0
+    elif s2.size == 0:
+        rho = 0.0
+    p = np.zeros(gains.q)
+    for indices, share, live in ((s1, (1.0 - rho) * budget, rho < 1.0),
+                                 (target2, rho * budget, rho > 0.0)):
+        if indices.size and live:
+            if mode == "transmit":
+                p[indices] = share / indices.size / gains.a[indices]
+            else:
+                p[indices] = share / float(np.sum(gains.a[indices]))
+    return p
 
 
 class TestSecrecyRate:
@@ -253,6 +278,28 @@ class TestFractionSweep:
             fraction_sweep(gains, part, 1.0, [])
         with pytest.raises(ValueError):
             fraction_sweep(gains, part, 1.0, [0.0, 1.2])
+
+    @settings(max_examples=150, derandomize=True)
+    @given(
+        gains=gains_st(),
+        budget=st.floats(min_value=1e-6, max_value=1e6),
+        rhos=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                      min_size=1, max_size=12, unique=True),
+        mode=st.sampled_from(["transmit", "symbol"]),
+        secure_only=st.booleans(),
+    )
+    def test_each_point_is_the_uniform_allocation_rate(
+            self, gains, budget, rhos, mode, secure_only):
+        part = classify_subspaces(gains)
+        assume(part.dim_s1 + part.dim_s2 > 0)
+        grid = sorted(rhos)
+        curve = fraction_sweep(gains, part, budget, grid, mode, secure_only)
+        for j, rho in enumerate(grid):
+            alloc = uniform_allocation(gains, part, budget, rho, mode,
+                                       secure_only)
+            assert np.array_equal(alloc.p, reference_uniform_p(
+                gains, part, budget, rho, mode, secure_only))
+            assert curve.rate_bits[j] == max(0, secrecy_rate(gains, alloc))
 
 
 class TestRateCurve:

@@ -27,7 +27,8 @@ class TestParseRange:
         values = parse_range("0:0.3:1")
         assert values == pytest.approx((0.0, 0.3, 0.6, 0.9))
 
-    @pytest.mark.parametrize("bad", ["0:0:1", "1:2", "a:b:c", "2:1:1", ""])
+    @pytest.mark.parametrize("bad", ["0:0:1", "1:2", "a:b:c", "2:1:1", "",
+                                     "0:5:inf", "nan:1:2", "0:inf:1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range(bad)
@@ -122,6 +123,15 @@ class TestSweeps:
         for name in ("fraction_trials.csv", "fraction_aggregate.csv"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
+    def test_snr_sweep_at_300_db(self, tmp_path):
+        # Budget 1e30: the multiplier bracket needs over 200 halvings.
+        assert main(["sweep-snr", "--nt", "2", "--nr", "2", "--ne", "2",
+                     "--snr-db", "300:1:300", "--trials", "20", "--seed", "0",
+                     "--out", str(tmp_path), "--threads", "1"]) == 0
+        records = read_trial_csv(tmp_path / "snr_trials.csv")
+        assert len(records) == 20
+        assert all(r.optimal_rate >= r.uniform_rate - 1e-9 for r in records)
+
 
 class TestOracleVerify:
     def test_agreement(self, capsys):
@@ -165,7 +175,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "x"), ("--power", "0"),
-        ("--power", "nan"), ("--sigma-r2", "-1"), ("--tol", "abc")])
+        ("--power", "nan"), ("--power", "inf"), ("--sigma-r2", "-1"),
+        ("--sigma-r2", "inf"), ("--tol", "abc")])
     def test_out_of_range_number(self, flag, value, tmp_path):
         argv = ["--nt", "4", "--nr", "4", "--ne", "4", "--trials", "1",
                 "--seed", "0"]

@@ -70,6 +70,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             fraction_config(sigma_r2=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_r2", float("nan")), ("sigma_e2", float("inf")),
+        ("budget", float("inf")), ("rho_grid", (0.0, 1.5)),
+        ("snr_db_grid", (0.0, 4000.0)), ("snr_db_grid", (float("nan"),))])
+    def test_rejects_values_that_would_fail_later(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fraction_config(**{field: value})
+
 
 class TestSampleChannel:
     def test_deterministic(self):
@@ -315,6 +323,16 @@ class TestConfigIo:
         path.write_text('{"n_t": 4, "n_r": 4, "n_e": 4, "trials": 2.5}',
                         encoding="utf-8")
         with pytest.raises(ValueError, match="trials"):
+            load_config(path)
+
+    @pytest.mark.parametrize("field, text", [
+        ("sigma_r2", "NaN"), ("sigma_e2", "Infinity"), ("budget", "1e999"),
+        ("snr_db_grid", "[0, 4000]")])
+    def test_nonfinite_values_rejected(self, field, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"n_t": 4, "n_r": 4, "n_e": 4, "{field}": {text}}}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=field):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):

@@ -173,6 +173,15 @@ class TestSubchannelGains:
         with pytest.raises(ValueError, match="equal length"):
             SubchannelGains(c=[0.7, 0.3], d=[0.3], a=[1.0])
 
+    @pytest.mark.parametrize("c, d, a", [
+        (float("nan"), 0.3, 1.0), (0.7, float("nan"), 1.0),
+        (0.7, 0.3, float("inf")), (0.7, 0.3, float("nan"))])
+    def test_rejects_nonfinite_entries(self, c, d, a):
+        from gsvdcap import SubchannelGains
+
+        with pytest.raises(ValueError):
+            SubchannelGains(c=[c], d=[d], a=[a])
+
 
 class TestVerifyFactors:
     def test_detects_wrong_unitary(self):
