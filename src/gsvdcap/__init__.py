@@ -12,7 +12,7 @@ from .experiments import (AggregateRow, CampaignResult, ExperimentConfig,
                           TrialRecord, load_config, read_trial_csv,
                           run_fraction_experiment, run_snr_sweep,
                           sample_channel, save_config, write_aggregate_csv,
-                          write_csv)
+                          write_campaign_csv, write_csv)
 from .gsvd import (ChannelPair, DegenerateChannelError, FactorCheck,
                    GsvdFactors, SubchannelGains, gsvd, subchannel_gains,
                    verify_factors)
@@ -34,5 +34,5 @@ __all__ = [
     "sample_channel", "save_config", "save_matrix", "secrecy_rate",
     "solve_mu", "subchannel_gains", "svd", "uniform_allocation",
     "uniform_secure_allocation", "verify_factors", "write_aggregate_csv",
-    "write_csv",
+    "write_campaign_csv", "write_csv",
 ]

@@ -9,10 +9,12 @@ bisection bracket trivial to find.
 
 Validation happens at the boundary, once per call: SubchannelGains checks
 the gains when it is built, and power_for_mu and solve_mu check the
-multiplier or budget on entry. Both then evaluate the closed form through
-one check-free core (_root, _power_curve) that builds no objects; solve_mu
-builds one PowerAllocation at the end. largest_root is the checked scalar
-form of the same root.
+multiplier or budget on entry. solve_mu evaluates the closed form through a
+check-free scalar core (_root, _power_curve) that builds no objects and
+builds one PowerAllocation at the end; largest_root is the checked scalar
+form of the same root. _roots is the same arithmetic over arrays: it serves
+power_for_mu and _solve_batch, which replays solve_mu over the rows of a
+whole campaign at once.
 """
 
 from __future__ import annotations
@@ -120,16 +122,37 @@ def _power_curve(gains):
     return power
 
 
+def _roots(cd, fcd, mu_a):
+    """_root's arithmetic over arrays of cd = c - d, fcd = 4.0 * c * d and
+    mu_a = mu * a, in the same operation order."""
+    lead = cd / mu_a
+    radicand = np.maximum(1.0 - fcd + fcd * lead, 0.0)
+    return 2.0 * (lead - 1.0) / (1.0 + np.sqrt(radicand))
+
+
 def power_for_mu(gains, mu):
     """Evaluate the closed-form allocation at a fixed multiplier.
 
     Insecure subchannels (c <= d) get exactly zero; secure ones get the
-    largest root of their marginal condition, clamped at zero.
+    largest root of their marginal condition, clamped at zero. A multiplier
+    so small that some secure root is not a finite number raises ValueError.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    p, effective = _power_curve(gains)(mu)
-    return PowerAllocation(p=p, mu=float(mu), effective_power=effective)
+    c, d, a = gains.c, gains.d, gains.a
+    secure = c > d
+    cs, ds = c[secure], d[secure]
+    # mu * a may underflow to zero or the lead overflow; both show as a
+    # root that is not finite, which is reported rather than clamped.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = _roots(cs - ds, 4.0 * cs * ds, mu * a[secure])
+    if not np.all(np.isfinite(root)):
+        raise ValueError(
+            f"mu = {mu:g} is too small for these gains: the power of a "
+            "secure subchannel is not a finite number")
+    p = np.zeros(gains.q)
+    p[secure] = np.where(root > 0.0, root, 0.0)
+    return PowerAllocation(p=p, mu=float(mu), effective_power=float(a.dot(p)))
 
 
 def solve_mu(gains, budget):
@@ -187,6 +210,90 @@ def solve_mu(gains, budget):
         raise RuntimeError("power-budget bisection failed to converge")
     p, mu, effective = best
     return PowerAllocation(p=p, mu=mu, effective_power=effective)
+
+
+def _batch_power(cd, fcd, a_den, a, mu):
+    """Clamped powers and radiated totals of gain rows at a column of mu.
+
+    The total is the stacked matmul a @ p per row: it rounds as the 1-D
+    a.dot(p) of _power_curve does, where a row sum would not.
+    """
+    root = _roots(cd, fcd, mu[:, None] * a_den)
+    p = np.where(root > 0.0, root, 0.0)  # clamps NaN to 0 like max(0.0, .)
+    return p, (a[:, None, :] @ p[:, :, None])[:, 0, 0]
+
+
+def _solve_batch(c, d, a, budgets):
+    """solve_mu over every row of (n, q) gains, row r at budgets[r].
+
+    Rows must be gains that SubchannelGains accepts and budgets positive
+    and finite. Each row replays solve_mu's bracket, caps, midpoints, stop
+    rule, ulp exit and best-gap choice in array arithmetic, so p, mu and the
+    effective power equal solve_mu's bit for bit; rows leave the arrays as
+    they finish. Returns (p, mu, effective), shaped (n, q), (n,), (n,). The
+    first row that solve_mu would reject raises its error.
+    """
+    secure = c > d
+    # Insecure entries get a zero lead at unit column power: their roots are
+    # negative, clamp to zero, and never overflow.
+    cd = np.where(secure, c - d, 0.0)
+    fcd = np.where(secure, 4.0 * c * d, 0.0)
+    a_den = np.where(secure, a, 1.0)
+    mu = np.ones(c.shape[0])  # silence's multiplier, as in solve_mu
+
+    # Bracket each row with a secure entry: halve mu from mu_hi until the
+    # power reaches the budget.
+    rows = np.flatnonzero(secure.any(axis=1))
+    mu_hi = np.max(cd[rows] / a[rows], axis=1)
+    lo = np.empty_like(mu)
+    cap = np.empty(c.shape[0], dtype=int)
+    state = [rows, mu_hi, budgets[rows], cd[rows], fcd[rows], a_den[rows], a[rows]]
+    halvings, unreachable = 0, []
+    while state[0].size:
+        state[1] = state[1] * 0.5
+        halvings += 1
+        live = (state[1] != 0.0) & (halvings <= _HALVING_CAP)
+        if not live.all():
+            unreachable.extend(state[0][~live].tolist())
+            state = [x[live] for x in state]
+        at, mu_lo, budget, *gains = state
+        reached = _batch_power(*gains, mu_lo)[1] >= budget
+        if reached.any():
+            lo[at[reached]] = mu_lo[reached]
+            cap[at[reached]] = halvings + _BISECT_EXTRA
+            state = [x[~reached] for x in state]
+    if unreachable:
+        raise ValueError(
+            f"power budget {float(budgets[min(unreachable)]):g} is beyond "
+            "what any representable multiplier reaches on these gains")
+
+    # Bisect each row's bracket; mu takes a row's best midpoint as it ends.
+    best_gap = np.full(rows.size, math.inf)
+    state = [rows, lo[rows], mu_hi, budgets[rows], cap[rows], mu_hi, best_gap,
+             cd[rows], fcd[rows], a_den[rows], a[rows]]
+    steps = 0
+    while state[0].size:
+        at, lo_, hi, budget, cap_, best_mu, best_gap, *gains = state
+        mid = 0.5 * (lo_ + hi)
+        effective = _batch_power(*gains, mid)[1]
+        gap = np.abs(effective - budget)
+        better = gap < best_gap
+        best_mu = np.where(better, mid, best_mu)
+        best_gap = np.where(better, gap, best_gap)
+        over = effective > budget
+        lo_ = np.where(over, mid, lo_)
+        hi = np.where(over, hi, mid)
+        done = (gap <= _REL_TOL * budget) | (hi - lo_ <= 4.0 * np.spacing(mid))
+        steps += 1
+        if np.any(~done & (steps >= cap_)):
+            raise RuntimeError("power-budget bisection failed to converge")
+        state = [at, lo_, hi, budget, cap_, best_mu, best_gap, *gains]
+        if done.any():
+            mu[at[done]] = best_mu[done]
+            state = [x[~done] for x in state]
+
+    p, effective = _batch_power(cd, fcd, a_den, a, mu)
+    return p, mu, effective
 
 
 def input_covariance(factors, alloc):

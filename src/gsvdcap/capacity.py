@@ -9,7 +9,9 @@ the remaining live directions (S2) according to a fraction rho.
 The uniform baselines check their inputs once per call. fraction_sweep
 validates the budget, the whole rho grid and the partition once, then
 computes every grid point's powers and rates as array expressions, with no
-per-point allocation object.
+per-point allocation object; _uniform_secure_powers does the same for the
+secure-set baseline over a column of budgets. _rate_bits is the one rate
+expression, over the last axis of any stack of allocations.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class RateCurve:
         object.__setattr__(self, "rate_bits", rates)
 
 
+def _rate_bits(p, c, d):
+    """Sum over the last axis of log2(1 + p c) - log2(1 + p d)."""
+    return np.sum(np.log1p(p * c) - np.log1p(p * d), axis=-1) / LN2
+
+
 def secrecy_rate(gains, alloc):
     """Sum of log2(1 + p c) - log2(1 + p d) over subchannels, in bits.
 
@@ -76,7 +83,7 @@ def secrecy_rate(gains, alloc):
     p = alloc.p
     if p.shape[0] != gains.q:
         raise ValueError(f"allocation has {p.shape[0]} powers, gains have {gains.q}")
-    return float(np.sum(np.log1p(p * gains.c) - np.log1p(p * gains.d)) / LN2)
+    return float(_rate_bits(p, gains.c, gains.d))
 
 
 def matrix_rate(channels, qx):
@@ -176,11 +183,18 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    secure = np.flatnonzero(gains.c > gains.d)
-    p = np.zeros(gains.q)
-    if secure.size:
-        p[secure] = _spread(secure, budget, gains.a, mode)
+    p = _uniform_secure_powers(gains, np.array([budget], dtype=float), mode)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
+
+
+def _uniform_secure_powers(gains, budgets, mode):
+    """The powers of uniform_secure_allocation for each entry of the 1-D
+    array of positive budgets: one row per budget."""
+    secure = np.flatnonzero(gains.c > gains.d)
+    p = np.zeros((budgets.size, gains.q))
+    if secure.size:
+        p[:, secure] = _spread(secure, budgets[:, None], gains.a, mode)
+    return p
 
 
 def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
@@ -197,5 +211,5 @@ def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty 1-D array")
     p = _uniform_powers(gains, partition, budget, grid, mode, secure_only)
-    rates = np.sum(np.log1p(p * gains.c) - np.log1p(p * gains.d), axis=1) / LN2
+    rates = _rate_bits(p, gains.c, gains.d)
     return RateCurve(param=grid, rate_bits=np.maximum(rates, 0.0))

@@ -25,13 +25,16 @@ from .gsvd import ChannelPair, gsvd, subchannel_gains, verify_factors
 from .oracle import grid_maximize, random_gains
 
 RANGE_EPS = 1e-12
+MAX_RANGE_POINTS = 10**6
 
 
 def parse_range(text):
     """Parse start:step:stop into an inclusive tuple of floats.
 
     stop is included when it lands within 1e-12 of a grid point; the last
-    value is clamped to stop exactly so 0:0.01:1 really ends at 1.0.
+    value is clamped to stop exactly so 0:0.01:1 really ends at 1.0. A
+    range of more than MAX_RANGE_POINTS points is rejected before any is
+    built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -47,15 +50,19 @@ def parse_range(text):
         raise argparse.ArgumentTypeError("range step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError("range stop must be >= start")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + RANGE_EPS:
-            break
-        values.append(min(v, stop))
-        k += 1
-    return tuple(values)
+    # Point k is start + k * step, which never decreases in k, so the points
+    # are the first `count` k. The quotient estimates count - 1; the loops
+    # correct its rounding, and the cap keeps a huge quotient finite.
+    last = stop + RANGE_EPS
+    count = int(min((last - start) / step, MAX_RANGE_POINTS)) + 1
+    while count <= MAX_RANGE_POINTS and start + count * step <= last:
+        count += 1
+    while start + (count - 1) * step > last:
+        count -= 1
+    if count > MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    return tuple(min(start + k * step, stop) for k in range(count))
 
 
 def _rho_range(text):
@@ -111,7 +118,8 @@ def _add_sweep_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=_positive_int,
                         default=os.cpu_count() or 1,
-                        help="worker threads (does not affect results)")
+                        help="accepted for compatibility and ignored: "
+                             "campaigns run in one thread")
 
 
 def build_parser():
@@ -231,7 +239,7 @@ def _cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")
-    experiments.write_csv(result.records, trials_path, column)
+    experiments.write_campaign_csv(result, trials_path, column)
     experiments.write_aggregate_csv(result.aggregates, agg_path)
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {agg_path}", file=sys.stderr)

@@ -1,11 +1,15 @@
 """Monte Carlo campaigns over random Rayleigh channel pairs.
 
 Channel draws are counter-based: every (seed, trial, matrix) triple keys its
-own Philox stream, so trial t is byte-for-byte identical whether it runs
-first, last, or on another thread. Two campaigns are provided: a sweep over
-the uniform baseline's power-split fraction rho at fixed budget, and a sweep
-over SNR comparing the closed-form optimum against a secure-set uniform
-baseline. Both run on one engine and emit deterministic CSV.
+own Philox stream, so trial t is byte-for-byte identical whatever else the
+campaign holds. Two campaigns are provided: a sweep over the uniform
+baseline's power-split fraction rho at fixed budget, and a sweep over SNR
+comparing the closed-form optimum against a secure-set uniform baseline.
+Both run on one columnar engine and emit deterministic CSV: trials are
+sampled and factored one by one, then the optimum of every (trial, budget)
+pair is one batched bisection over fixed row chunks, and records,
+aggregates and the trial CSV come from (trials, grid) arrays. Campaigns run
+in one thread; the threads argument is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -15,20 +19,25 @@ import json
 import math
 import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .allocation import solve_mu
-from .capacity import (RateCurve, classify_subspaces, fraction_sweep,
-                       secrecy_rate, uniform_secure_allocation)
+# solve_mu, secrecy_rate and uniform_secure_allocation are the scalar forms
+# of what the engine computes in batches. Nothing here calls them; they stay
+# bound because perfbench/tracer.py wraps them under this module's names.
+from .allocation import _solve_batch, solve_mu  # noqa: F401
+from .capacity import (RateCurve, _rate_bits,  # noqa: F401
+                       _uniform_secure_powers, classify_subspaces,
+                       fraction_sweep, secrecy_rate, uniform_secure_allocation)
 from .gsvd import ChannelPair, DegenerateChannelError, gsvd, subchannel_gains
 
 _STREAM_HR = 0
 _STREAM_HE = 1
 _MAX_RESAMPLE = 64
+# Rows of (trial, budget) pairs per batched solve: bounds its working set.
+_SOLVE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -117,13 +126,40 @@ class AggregateRow:
 
 @dataclass
 class CampaignResult:
-    """Trial records, the mean uniform-rate curve over the campaign's grid,
-    aggregate rows per grid point, and the count of resampled draws."""
+    """A campaign's outcome as columns over trials and grid points.
 
-    records: list
+    uniform is the (trials, grid) array of uniform-baseline rates; optimal
+    holds the optimal rates, (trials, grid) on the SNR sweep and
+    (trials, 1) on the fraction sweep, whose optimum is budget-fixed. q,
+    dim_s1 and dim_s2 are per-trial integer arrays. curve is the mean
+    uniform-rate curve over the grid, aggregates one AggregateRow per grid
+    point, and resampled the count of degenerate draws replaced.
+    """
+
+    grid: np.ndarray
+    uniform: np.ndarray
+    optimal: np.ndarray
+    q: np.ndarray
+    dim_s1: np.ndarray
+    dim_s2: np.ndarray
     curve: RateCurve
     aggregates: list
     resampled: int
+
+    @property
+    def records(self):
+        """One TrialRecord per (trial, grid point), trial-major, built on
+        each access."""
+        grid = self.grid.tolist()
+        optimal = np.broadcast_to(self.optimal, self.uniform.shape)
+        return [
+            TrialRecord(trial=t, parameter=x, uniform_rate=u, optimal_rate=o,
+                        q=q, dim_s1=s1, dim_s2=s2)
+            for t, (us, opts, q, s1, s2) in enumerate(zip(
+                self.uniform.tolist(), optimal.tolist(), self.q.tolist(),
+                self.dim_s1.tolist(), self.dim_s2.tolist()))
+            for x, u, o in zip(grid, us, opts)
+        ]
 
 
 def _rayleigh(seed, trial, stream, rows, cols, variance):
@@ -174,51 +210,60 @@ def _factor_trial(config, trial):
                 )
 
 
-def _map_trials(fn, trials, threads):
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+def _run_campaign(config, grid, uniform_rates, budgets):
+    """Factor every trial, take its uniform-baseline rates over the grid,
+    and solve the optimum at each of budgets for every trial in batches.
 
-
-def _run_campaign(config, grid, rates, threads):
-    """Factor every trial and evaluate rates(gains, partition) on the grid.
-
-    rates returns the trial's (uniform, optimal) secrecy rates, one per grid
-    point; a scalar optimal rate holds at every point.
+    uniform_rates(gains, partition) returns the trial's uniform-baseline
+    rates, one per grid point. The optimum has one column per budget.
     """
-    def one_trial(trial):
-        factors, resamples = _factor_trial(config, trial)
+    trials = config.trials
+    q = min(config.n_t, config.n_r + config.n_e)
+    c, d, a = (np.empty((trials, q)) for _ in range(3))
+    dims = np.empty((3, trials), dtype=int)
+    uniform = np.empty((trials, grid.size))
+    resampled = 0
+    for t in range(trials):
+        factors, resamples = _factor_trial(config, t)
+        resampled += resamples
         gains = subchannel_gains(factors)
         partition = classify_subspaces(gains)
-        uniform, optimal = rates(gains, partition)
-        records = [
-            TrialRecord(trial=trial, parameter=float(x), uniform_rate=float(u),
-                        optimal_rate=float(o), q=gains.q,
-                        dim_s1=partition.dim_s1, dim_s2=partition.dim_s2)
-            for x, u, o in zip(grid, uniform, np.broadcast_to(optimal, grid.shape))
-        ]
-        return records, resamples
-
-    outcomes = _map_trials(one_trial, config.trials, threads)
-    records = [rec for recs, _ in outcomes for rec in recs]
-    uniform = np.array([[r.uniform_rate for r in recs] for recs, _ in outcomes])
-    optimal = np.array([[r.optimal_rate for r in recs] for recs, _ in outcomes])
-    aggregates = [
-        _aggregate(float(grid[j]), uniform[:, j], optimal[:, j])
-        for j in range(grid.size)
-    ]
+        c[t], d[t], a[t] = gains.c, gains.d, gains.a
+        dims[:, t] = gains.q, partition.dim_s1, partition.dim_s2
+        uniform[t] = uniform_rates(gains, partition)
+    optimal = _optimal_rates(c, d, a, budgets)
     return CampaignResult(
-        records=records,
+        grid=grid, uniform=uniform, optimal=optimal,
+        q=dims[0], dim_s1=dims[1], dim_s2=dims[2],
         curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
-        aggregates=aggregates,
-        resampled=sum(n for _, n in outcomes))
+        aggregates=_aggregates(grid, uniform, optimal),
+        resampled=resampled)
+
+
+def _optimal_rates(c, d, a, budgets):
+    """(trials, budgets) optimal secrecy rates, clamped at zero as
+    max(0.0, .) would, solved _SOLVE_CHUNK (trial, budget) rows at a time."""
+    n = c.shape[0] * budgets.size
+    rates = np.empty(n)
+    for start in range(0, n, _SOLVE_CHUNK):
+        rows = np.arange(start, min(start + _SOLVE_CHUNK, n))
+        trial = rows // budgets.size
+        cs, ds = c[trial], d[trial]
+        p = _solve_batch(cs, ds, a[trial], budgets[rows % budgets.size])[0]
+        rates[rows] = _rate_bits(p, cs, ds)
+    return _clamp(rates).reshape(c.shape[0], budgets.size)
+
+
+def _clamp(rates):
+    """max(0.0, r) per entry: negative, zero and NaN rates become 0."""
+    return np.where(rates > 0.0, rates, 0.0)
 
 
 def run_fraction_experiment(config, mode="transmit", threads=None):
     """Sweep the uniform baseline's rho grid and solve the optimum per trial.
 
-    Each trial's optimal rate is budget-fixed, so it repeats at every rho.
+    Each trial's optimal rate is budget-fixed, so the result's optimal
+    column has one entry per trial. threads is accepted and ignored.
     """
     if config.budget is None or config.rho_grid is None:
         raise ValueError("fraction campaign needs budget and rho_grid")
@@ -228,12 +273,11 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
             "degenerates to the all-S2 split", stacklevel=2)
     grid = np.asarray(config.rho_grid, dtype=float)
 
-    def rates(gains, partition):
-        optimal = max(0.0, secrecy_rate(gains, solve_mu(gains, config.budget)))
-        curve = fraction_sweep(gains, partition, config.budget, grid, mode)
-        return curve.rate_bits, optimal
+    def uniform_rates(gains, partition):
+        return fraction_sweep(gains, partition, config.budget, grid, mode).rate_bits
 
-    return _run_campaign(config, grid, rates, threads)
+    return _run_campaign(config, grid, uniform_rates,
+                         np.array([config.budget], dtype=float))
 
 
 def _snr_budgets(snr_db):
@@ -245,52 +289,62 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     """Compare optimal and secure-set-uniform rates across an SNR grid.
 
     The factorization is SNR-independent, so each trial factors once and
-    re-solves the allocation per budget 10**(snr_db/10).
+    the allocation is solved per budget 10**(snr_db/10). threads is
+    accepted and ignored.
     """
     if config.snr_db_grid is None:
         raise ValueError("snr campaign needs snr_db_grid")
     grid = np.asarray(config.snr_db_grid, dtype=float)
-    budgets = _snr_budgets(grid).tolist()
+    budgets = _snr_budgets(grid)
 
-    def rates(gains, partition):
-        uniform, optimal = [], []
-        for budget in budgets:
-            optimal.append(
-                max(0.0, secrecy_rate(gains, solve_mu(gains, budget))))
-            baseline = uniform_secure_allocation(gains, budget, mode)
-            uniform.append(max(0.0, secrecy_rate(gains, baseline)))
-        return uniform, optimal
+    def uniform_rates(gains, partition):
+        p = _uniform_secure_powers(gains, budgets, mode)
+        return _clamp(_rate_bits(p, gains.c, gains.d))
 
-    return _run_campaign(config, grid, rates, threads)
+    return _run_campaign(config, grid, uniform_rates, budgets)
 
 
-def _aggregate(param, uniform, optimal):
-    return AggregateRow(
-        param=param,
-        mean_uniform=float(uniform.mean()),
-        se_uniform=_stderr(uniform),
-        mean_optimal=float(optimal.mean()),
-        se_optimal=_stderr(optimal),
-        trials=int(uniform.size),
-    )
-
-
-def _stderr(values):
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+def _aggregates(grid, uniform, optimal):
+    """One AggregateRow per grid point: across-trial means and standard
+    errors, reduced along the rows of contiguous (grid, trials) arrays."""
+    trials = uniform.shape[0]
+    columns = []
+    for rates in (uniform, optimal):
+        by_point = np.ascontiguousarray(rates.T)
+        mean = by_point.mean(axis=1)
+        if trials < 2:
+            se = np.zeros_like(mean)
+        else:
+            se = by_point.std(axis=1, ddof=1) / math.sqrt(trials)
+        columns += [np.broadcast_to(x, grid.shape).tolist() for x in (mean, se)]
+    return [AggregateRow(param=x, mean_uniform=mu, se_uniform=su,
+                         mean_optimal=mo, se_optimal=so, trials=trials)
+            for x, mu, su, mo, so in zip(grid.tolist(), *columns)]
 
 
 def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _write_lines(path, lines):
+def _write_chunks(path, chunks):
+    """Write an iterable of text chunks to path, in order."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _trial_header(param_column):
+    if param_column not in ("rho", "snr_db"):
+        raise ValueError(f"unknown parameter column {param_column!r}")
+    return f"trial,{param_column},uniform_rate_bits,optimal_rate_bits,q,dim_s1,dim_s2\n"
+
+
+def _trial_line(trial, param, uniform, optimal, dims):
+    """One trial CSV row from formatted fields; dims is "q,dim_s1,dim_s2"."""
+    return f"{trial},{param},{uniform},{optimal},{dims}\n"
 
 
 def write_csv(records, path, param_column):
@@ -298,24 +352,47 @@ def write_csv(records, path, param_column):
 
     param_column names the second column ("rho" or "snr_db").
     """
-    if param_column not in ("rho", "snr_db"):
-        raise ValueError(f"unknown parameter column {param_column!r}")
-    lines = [f"trial,{param_column},uniform_rate_bits,optimal_rate_bits,q,dim_s1,dim_s2"]
-    for r in records:
-        lines.append(
-            f"{r.trial},{_fmt(r.parameter)},{_fmt(r.uniform_rate)},"
-            f"{_fmt(r.optimal_rate)},{r.q},{r.dim_s1},{r.dim_s2}")
-    _write_lines(path, lines)
+    header = _trial_header(param_column)
+    lines = (_trial_line(r.trial, _fmt(r.parameter), _fmt(r.uniform_rate),
+                         _fmt(r.optimal_rate), f"{r.q},{r.dim_s1},{r.dim_s2}")
+             for r in records)
+    _write_chunks(path, [header, "".join(lines)])
+
+
+def write_campaign_csv(result, path, param_column):
+    """Write a CampaignResult's trial records as write_csv does, bytes and
+    all, from its columns, one trial at a time.
+
+    Each grid value is formatted once, and a budget-fixed optimal rate once
+    per trial.
+    """
+    header = _trial_header(param_column)
+    params = [_fmt(x) for x in result.grid.tolist()]
+
+    def chunks():
+        yield header
+        for t, (us, opts, q, s1, s2) in enumerate(zip(
+                result.uniform.tolist(), result.optimal.tolist(),
+                result.q.tolist(), result.dim_s1.tolist(),
+                result.dim_s2.tolist())):
+            dims = f"{q},{s1},{s2}"
+            optimal = [_fmt(o) for o in opts]
+            if len(optimal) == 1:
+                optimal *= len(params)
+            yield "".join(_trial_line(t, x, _fmt(u), o, dims)
+                          for x, u, o in zip(params, us, optimal))
+
+    _write_chunks(path, chunks())
 
 
 def write_aggregate_csv(rows, path):
     """Write aggregate rows (means and standard errors) as CSV."""
-    lines = ["param,mean_uniform,se_uniform,mean_optimal,se_optimal,trials"]
+    lines = ["param,mean_uniform,se_uniform,mean_optimal,se_optimal,trials\n"]
     for r in rows:
         lines.append(
             f"{_fmt(r.param)},{_fmt(r.mean_uniform)},{_fmt(r.se_uniform)},"
-            f"{_fmt(r.mean_optimal)},{_fmt(r.se_optimal)},{r.trials}")
-    _write_lines(path, lines)
+            f"{_fmt(r.mean_optimal)},{_fmt(r.se_optimal)},{r.trials}\n")
+    _write_chunks(path, lines)
 
 
 def read_trial_csv(path):

@@ -52,9 +52,9 @@ _receiver_gain = st.one_of(
 
 
 @st.composite
-def gains_st(draw, max_q=16):
-    """SubchannelGains with 1..max_q entries, d = 1 - c."""
-    q = draw(st.integers(min_value=1, max_value=max_q))
+def gains_st(draw, max_q=16, min_q=1):
+    """SubchannelGains with min_q..max_q entries, d = 1 - c."""
+    q = draw(st.integers(min_value=min_q, max_value=max_q))
     c = draw(st.lists(_receiver_gain, min_size=q, max_size=q))
     a = draw(st.lists(st.floats(min_value=0.05, max_value=20.0),
                       min_size=q, max_size=q))

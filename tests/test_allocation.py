@@ -14,6 +14,8 @@ from gsvdcap import (
     solve_mu,
 )
 
+from gsvdcap.allocation import _solve_batch
+
 from conftest import gains_st, random_pair
 
 # Reference values computed with an independent high-precision bisection on
@@ -104,6 +106,14 @@ class TestPowerForMu:
         alloc = power_for_mu(gains, 0.7)
         assert alloc.p[0] == 0.0
         assert alloc.effective_power == 0.0
+
+    @pytest.mark.parametrize("mu", [1e-320, 1e-300])
+    def test_root_that_is_not_finite_rejected(self, mu):
+        # mu * a underflows to zero at 1e-320 and is subnormal at 1e-300,
+        # where the lead overflows: neither root is a number to clamp.
+        gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-10])
+        with pytest.raises(ValueError, match=f"mu = {mu:g}"):
+            power_for_mu(gains, mu)
 
     def test_monotone_in_mu(self):
         gains = SubchannelGains(
@@ -202,6 +212,34 @@ class TestOneCore:
         reference = [max(0.0, largest_root(c[i], d[i], a[i], alloc.mu))
                      if c[i] > d[i] else 0.0 for i in range(gains.q)]
         assert np.array_equal(alloc.p, reference)
+
+
+class TestBatchSolve:
+    @settings(max_examples=60, derandomize=True)
+    @given(data=st.data())
+    def test_each_row_equals_solve_mu(self, data):
+        q = data.draw(st.integers(min_value=1, max_value=16))
+        rows = data.draw(st.lists(gains_st(min_q=q, max_q=q), min_size=1,
+                                  max_size=40))
+        budgets = np.array(data.draw(st.lists(
+            st.floats(min_value=-9.0, max_value=29.0),
+            min_size=len(rows), max_size=len(rows))))
+        budgets = 10.0 ** budgets
+        c, d, a = (np.array([getattr(g, name) for g in rows])
+                   for name in "cda")
+        p, mu, effective = _solve_batch(c, d, a, budgets)
+        for r, gains in enumerate(rows):
+            alloc = solve_mu(gains, budgets[r])
+            assert np.array_equal(p[r], alloc.p)
+            assert mu[r] == alloc.mu
+            assert effective[r] == alloc.effective_power
+
+    def test_unreachable_budget_named(self):
+        # Row 1 is TestSolveMu's unreachable case; row 0 solves.
+        c = np.array([[0.8], [0.8]])
+        a = np.array([[1.0], [1e-300]])
+        with pytest.raises(ValueError, match="1e\\+10"):
+            _solve_batch(c, 1.0 - c, a, np.array([1.0, 1e10]))
 
 
 class TestInputCovariance:

@@ -28,7 +28,8 @@ class TestParseRange:
         assert values == pytest.approx((0.0, 0.3, 0.6, 0.9))
 
     @pytest.mark.parametrize("bad", ["0:0:1", "1:2", "a:b:c", "2:1:1", "",
-                                     "0:5:inf", "nan:1:2", "0:inf:1"])
+                                     "0:5:inf", "nan:1:2", "0:inf:1",
+                                     "0:1e-9:1"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range(bad)
@@ -176,12 +177,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "x"), ("--power", "0"),
         ("--power", "nan"), ("--power", "inf"), ("--sigma-r2", "-1"),
-        ("--sigma-r2", "inf"), ("--tol", "abc")])
+        ("--sigma-r2", "inf"), ("--tol", "abc"), ("--snr-db", "0:1e-12:30")])
     def test_out_of_range_number(self, flag, value, tmp_path):
         argv = ["--nt", "4", "--nr", "4", "--ne", "4", "--trials", "1",
                 "--seed", "0"]
         if flag == "--tol":
             argv = ["gsvd-check"] + argv
+        elif flag == "--snr-db":
+            argv = ["sweep-snr", "--out", str(tmp_path)] + argv
         else:
             argv = ["sweep-fraction", "--power", "1", "--out", str(tmp_path)] + argv
         self.assert_usage_exit(argv + [flag, value])

@@ -1,5 +1,8 @@
 """Unit tests for channel sampling, campaigns, and CSV plumbing."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,12 +11,19 @@ from gsvdcap import (
     DegenerateChannelError,
     ExperimentConfig,
     TrialRecord,
+    classify_subspaces,
+    fraction_sweep,
+    gsvd,
     load_config,
     read_trial_csv,
     run_fraction_experiment,
     run_snr_sweep,
     sample_channel,
     save_config,
+    secrecy_rate,
+    solve_mu,
+    subchannel_gains,
+    uniform_secure_allocation,
     write_aggregate_csv,
     write_csv,
 )
@@ -232,6 +242,79 @@ class TestSnrSweep:
             run_snr_sweep(fraction_config())
 
 
+def scalar_reference(cfg, mode):
+    """Per-trial (uniform, optimal) rate arrays and (q, dim_s1, dim_s2)
+    from the public scalar calls, each rate clamped with max(0, .)."""
+    uniform, optimal, dims = [], [], []
+    for t in range(cfg.trials):
+        gains = subchannel_gains(gsvd(sample_channel(cfg, t)))
+        partition = classify_subspaces(gains)
+        dims.append((gains.q, partition.dim_s1, partition.dim_s2))
+        if cfg.rho_grid is not None:
+            uniform.append(fraction_sweep(gains, partition, cfg.budget,
+                                          cfg.rho_grid, mode).rate_bits)
+            optimal.append(
+                [max(0.0, secrecy_rate(gains, solve_mu(gains, cfg.budget)))])
+            continue
+        budgets = [10.0 ** (snr / 10.0) for snr in cfg.snr_db_grid]
+        uniform.append([max(0.0, secrecy_rate(
+            gains, uniform_secure_allocation(gains, b, mode))) for b in budgets])
+        optimal.append([max(0.0, secrecy_rate(gains, solve_mu(gains, b)))
+                        for b in budgets])
+    return np.array(uniform), np.array(optimal), np.array(dims).T
+
+
+SNR_GRID = (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 60.0)
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("campaign, shape, mode, extra", [
+        ("fraction", (5, 5, 4), "transmit", {}),
+        ("fraction", (8, 3, 2), "symbol", {}),
+        ("fraction", (3, 2, 5), "transmit", {}),
+        ("fraction", (4, 3, 4), "symbol", {}),
+        ("fraction", (5, 5, 4), "symbol", {"sigma_e2": 0.0}),
+        ("snr", (4, 4, 4), "transmit", {}),
+        ("snr", (8, 3, 2), "symbol", {}),
+        ("snr", (3, 2, 5), "transmit", {}),
+        ("snr", (5, 5, 4), "transmit", {"sigma_e2": 0.0}),
+    ])
+    def test_campaign_equals_scalar_calls(self, campaign, shape, mode, extra):
+        n_t, n_r, n_e = shape
+        grid = ({"budget": 10.0, "rho_grid": (0.0, 0.3, 0.5, 0.9, 1.0)}
+                if campaign == "fraction" else {"snr_db_grid": SNR_GRID})
+        cfg = ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, trials=12, seed=21,
+                               **grid, **extra)
+        self.check(cfg, mode)
+
+    def test_snr_campaign_across_solve_chunks(self):
+        trials = experiments._SOLVE_CHUNK // len(SNR_GRID) + 2
+        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=3, trials=trials, seed=22,
+                               snr_db_grid=SNR_GRID)
+        assert trials * len(SNR_GRID) > experiments._SOLVE_CHUNK
+        self.check(cfg, "transmit")
+
+    @staticmethod
+    def check(cfg, mode):
+        run = run_fraction_experiment if cfg.rho_grid else run_snr_sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            result = run(cfg, mode=mode)
+        assert result.resampled == 0
+        uniform, optimal, dims = scalar_reference(cfg, mode)
+        assert np.array_equal(result.uniform, uniform)
+        assert np.array_equal(result.optimal, optimal)
+        assert np.array_equal([result.q, result.dim_s1, result.dim_s2], dims)
+        # Aggregates equal the per-column numpy calls.
+        optimal = np.broadcast_to(optimal, uniform.shape)
+        for j, row in enumerate(result.aggregates):
+            for rates, mean, se in ((uniform, row.mean_uniform, row.se_uniform),
+                                    (optimal, row.mean_optimal, row.se_optimal)):
+                column = np.array(rates[:, j])
+                assert mean == float(column.mean())
+                assert se == float(column.std(ddof=1) / math.sqrt(cfg.trials))
+
+
 class TestCsv:
     def records(self):
         return [
@@ -278,6 +361,20 @@ class TestCsv:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "param,mean_uniform,se_uniform,mean_optimal,se_optimal,trials"
         assert lines[1] == "0.5,1,0.1,2,0.2,100"
+
+    @pytest.mark.parametrize("cfg", [
+        fraction_config(trials=3),
+        ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=3, seed=9,
+                         snr_db_grid=(0.0, 10.0, 20.0))])
+    def test_campaign_writer_matches_record_writer(self, cfg, tmp_path):
+        run = run_fraction_experiment if cfg.rho_grid else run_snr_sweep
+        result = run(cfg)
+        column = "rho" if cfg.rho_grid else "snr_db"
+        write_csv(result.records, tmp_path / "records.csv", column)
+        experiments.write_campaign_csv(result, tmp_path / "columns.csv", column)
+        data = (tmp_path / "columns.csv").read_bytes()
+        assert data == (tmp_path / "records.csv").read_bytes()
+        assert data.count(b"\n") == 1 + cfg.trials * len(result.grid)
 
     def test_read_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
