@@ -10,8 +10,10 @@ The uniform baselines check their inputs once per call. fraction_sweep
 validates the budget, the whole rho grid and the partition once, then
 computes every grid point's powers and rates as array expressions, with no
 per-point allocation object; _uniform_secure_powers does the same for the
-secure-set baseline over a column of budgets. _rate_bits is the one rate
-expression, over the last axis of any stack of allocations.
+secure-set baseline over a column of budgets. Both work on boolean set
+masks over the last axis, so one pair's gains and a stack of trials' gains
+run the same code. _rate_bits is the one rate expression, over the last
+axis of any stack of allocations.
 """
 
 from __future__ import annotations
@@ -110,50 +112,74 @@ def matrix_rate(channels, qx):
 
 def classify_subspaces(gains):
     """Partition subchannel indices by which receivers can see them."""
-    c, d = gains.c, gains.d
-    excluded = np.flatnonzero(c < NULL_EPS)
-    s1 = np.flatnonzero((c >= NULL_EPS) & (d < NULL_EPS))
-    s2 = np.flatnonzero((c >= NULL_EPS) & (d >= NULL_EPS))
-    return SubspacePartition(s1=s1, s2=s2, excluded=excluded)
+    s1, s2 = _subspace_masks(gains.c, gains.d)
+    return SubspacePartition(s1=np.flatnonzero(s1), s2=np.flatnonzero(s2),
+                             excluded=np.flatnonzero(gains.c < NULL_EPS))
 
 
-def _spread(indices, share, a, mode):
-    """Powers that radiate `share` evenly over `indices`; share may be a
-    column of shares, one per row."""
+def _subspace_masks(c, d):
+    """classify_subspaces' S1 and S2 as boolean masks over the last axis of
+    c and d, for one pair's gains or a stack of them."""
+    seen = c >= NULL_EPS
+    return seen & (d < NULL_EPS), seen & (d >= NULL_EPS)
+
+
+def _index_mask(indices, q):
+    mask = np.zeros(q, dtype=bool)
+    mask[indices] = True
+    return mask
+
+
+def _spread(mask, share, a, mode):
+    """Powers that radiate `share` evenly over the entries of mask, zero
+    elsewhere. mask and a run over the last axis and may carry leading
+    axes; share holds one share per row, shaped (..., rows, 1). Returns
+    (..., rows, q)."""
     if mode == "transmit":
         # Equal radiated power per direction.
-        return share / indices.size / a[indices]
-    if mode == "symbol":
+        count = np.maximum(np.count_nonzero(mask, axis=-1), 1)
+        p = share / count[..., None, None] / a[..., None, :]
+    elif mode == "symbol":
         # Equal symbol power per direction, scaled to radiate `share`.
-        return share / float(np.sum(a[indices]))
-    raise ValueError(f"unknown uniform mode {mode!r}")
+        p = share / _subset_sums(a, mask)[..., None, None]
+    else:
+        raise ValueError(f"unknown uniform mode {mode!r}")
+    return np.where(mask[..., None, :], p, 0.0)
 
 
-def _uniform_powers(gains, partition, budget, rho, mode, secure_only):
+def _subset_sums(a, mask):
+    """np.sum(a[mask]) per row of the last axis, and 1 for an empty mask.
+
+    Each row sums its own subset: a masked sum over whole rows would let
+    numpy's pairwise summation group the terms differently.
+    """
+    q = a.shape[-1]
+    sums = [np.sum(x[m]) if m.any() else 1.0
+            for x, m in zip(a.reshape(-1, q), mask.reshape(-1, q))]
+    return np.reshape(sums, mask.shape[:-1])
+
+
+def _uniform_powers(c, d, a, s1, s2, budget, rho, mode, secure_only):
     """Checked once, the powers of uniform_allocation for each entry of the
-    1-D array rho: one row per rho, one column per subchannel."""
+    1-D array rho, over the last axis of the gains and of the boolean set
+    masks s1, s2, which may carry leading axes: (..., rho, q)."""
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
     if not np.all((rho >= 0.0) & (rho <= 1.0)):
         raise ValueError("rho must lie in [0, 1]")
-    s1, s2 = partition.s1, partition.s2
-    if s1.size == 0 and s2.size == 0:
+    has1, has2 = np.any(s1, axis=-1), np.any(s2, axis=-1)
+    if not np.all(has1 | has2):
         raise ValueError("no usable transmit directions")
     target2 = s2
-    if secure_only and s2.size:
-        secure = s2[gains.c[s2] > gains.d[s2]]
-        if secure.size:
-            target2 = secure
-    if s1.size == 0:
-        rho = np.ones_like(rho)
-    elif s2.size == 0:
-        rho = np.zeros_like(rho)
+    if secure_only:
+        secure = s2 & (c > d)
+        target2 = np.where(np.any(secure, axis=-1, keepdims=True), secure, s2)
+    rho = np.where(has1[..., None], np.where(has2[..., None], rho, 0.0), 1.0)
+    rho = rho[..., None]
     # A zero share spreads to exact zeros, so every row can fill both sets.
-    p = np.zeros((rho.size, gains.q))
-    for indices, share in ((s1, (1.0 - rho) * budget), (target2, rho * budget)):
-        if indices.size:
-            p[:, indices] = _spread(indices, share[:, None], gains.a, mode)
-    return p
+    p1 = _spread(s1, (1.0 - rho) * budget, a, mode)
+    p2 = _spread(target2, rho * budget, a, mode)
+    return np.where(target2[..., None, :], p2, p1)
 
 
 def uniform_allocation(gains, partition, budget, rho, mode="transmit",
@@ -168,8 +194,10 @@ def uniform_allocation(gains, partition, budget, rho, mode="transmit",
     the eavesdropper hears better. (Falls back to all of S2 when none of it
     is secure, so the budget is always radiated in full.)
     """
-    p = _uniform_powers(gains, partition, budget, np.array([rho], dtype=float),
-                        mode, secure_only)[0]
+    p = _uniform_powers(
+        gains.c, gains.d, gains.a, _index_mask(partition.s1, gains.q),
+        _index_mask(partition.s2, gains.q), budget,
+        np.array([rho], dtype=float), mode, secure_only)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
@@ -183,18 +211,16 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     """
     if not budget > 0:
         raise ValueError("budget must be positive")
-    p = _uniform_secure_powers(gains, np.array([budget], dtype=float), mode)[0]
+    p = _uniform_secure_powers(gains.c, gains.d, gains.a,
+                               np.array([budget], dtype=float), mode)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
-def _uniform_secure_powers(gains, budgets, mode):
+def _uniform_secure_powers(c, d, a, budgets, mode):
     """The powers of uniform_secure_allocation for each entry of the 1-D
-    array of positive budgets: one row per budget."""
-    secure = np.flatnonzero(gains.c > gains.d)
-    p = np.zeros((budgets.size, gains.q))
-    if secure.size:
-        p[:, secure] = _spread(secure, budgets[:, None], gains.a, mode)
-    return p
+    array of positive budgets, over the last axis of the gains, which may
+    carry leading axes: (..., budgets, q)."""
+    return _spread(c > d, budgets[:, None], a, mode)
 
 
 def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
@@ -210,6 +236,14 @@ def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty 1-D array")
-    p = _uniform_powers(gains, partition, budget, grid, mode, secure_only)
-    rates = _rate_bits(p, gains.c, gains.d)
-    return RateCurve(param=grid, rate_bits=np.maximum(rates, 0.0))
+    rates = _fraction_rates(
+        gains.c, gains.d, gains.a, _index_mask(partition.s1, gains.q),
+        _index_mask(partition.s2, gains.q), budget, grid, mode, secure_only)
+    return RateCurve(param=grid, rate_bits=rates)
+
+
+def _fraction_rates(c, d, a, s1, s2, budget, grid, mode, secure_only=True):
+    """fraction_sweep's clamped rates over the last axis of the gains and
+    set masks, which may carry leading axes: (..., grid)."""
+    p = _uniform_powers(c, d, a, s1, s2, budget, grid, mode, secure_only)
+    return np.maximum(_rate_bits(p, c[..., None, :], d[..., None, :]), 0.0)

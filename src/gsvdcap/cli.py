@@ -10,6 +10,7 @@ stderr. Exit codes: 0 success, 1 numerical/verification failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,6 +123,7 @@ def _add_sweep_common(parser):
                              "campaigns run in one thread")
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it is
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gsvdcap",
@@ -178,8 +180,7 @@ def build_parser():
 def _cmd_gsvd_check(args):
     config = ExperimentConfig(n_t=args.nt, n_r=args.nr, n_e=args.ne,
                               trials=args.trials, seed=args.seed)
-    worst = 0.0
-    failures = 0
+    worst, failures = 0.0, 0
     for trial in range(args.trials):
         channels = experiments.sample_channel(config, trial)
         check = verify_factors(gsvd(channels), channels, args.tol)
@@ -195,9 +196,8 @@ def _cmd_gsvd_check(args):
 
 
 def _cmd_allocate(args):
-    hr = linalg.load_matrix(args.hr)
-    he = linalg.load_matrix(args.he)
-    factors = gsvd(ChannelPair(hr=hr, he=he))
+    factors = gsvd(ChannelPair(hr=linalg.load_matrix(args.hr),
+                               he=linalg.load_matrix(args.he)))
     gains = subchannel_gains(factors)
     alloc = solve_mu(gains, args.power)
     rate = secrecy_rate(gains, alloc)

@@ -6,10 +6,13 @@ campaign holds. Two campaigns are provided: a sweep over the uniform
 baseline's power-split fraction rho at fixed budget, and a sweep over SNR
 comparing the closed-form optimum against a secure-set uniform baseline.
 Both run on one columnar engine and emit deterministic CSV: trials are
-sampled and factored one by one, then the optimum of every (trial, budget)
-pair is one batched bisection over fixed row chunks, and records,
-aggregates and the trial CSV come from (trials, grid) arrays. Campaigns run
-in one thread; the threads argument is accepted and ignored.
+sampled, factored, classified and swept a chunk at a time in stacked array
+calls, then the optimum of every (trial, budget) pair is one batched
+bisection over fixed row chunks, and records, aggregates and the trial CSV
+come from (trials, grid) arrays. Every stacked row equals the one-pair path
+sample_channel -> gsvd -> subchannel_gains -> classify_subspaces bit for
+bit. Campaigns run in one thread; the threads argument is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -24,19 +27,26 @@ from typing import Optional
 
 import numpy as np
 
-# solve_mu, secrecy_rate and uniform_secure_allocation are the scalar forms
-# of what the engine computes in batches. Nothing here calls them; they stay
-# bound because perfbench/tracer.py wraps them under this module's names.
+# gsvd, subchannel_gains, classify_subspaces, fraction_sweep, solve_mu,
+# secrecy_rate and uniform_secure_allocation are the one-pair forms of what
+# the engine computes on stacks of trials. Nothing here calls them; they
+# stay bound because perfbench/tracer.py wraps them under this module's
+# names.
 from .allocation import _solve_batch, solve_mu  # noqa: F401
-from .capacity import (RateCurve, _rate_bits,  # noqa: F401
-                       _uniform_secure_powers, classify_subspaces,
-                       fraction_sweep, secrecy_rate, uniform_secure_allocation)
-from .gsvd import ChannelPair, DegenerateChannelError, gsvd, subchannel_gains
+from .capacity import (RateCurve, _fraction_rates,  # noqa: F401
+                       _rate_bits, _subspace_masks, _uniform_secure_powers,
+                       classify_subspaces, fraction_sweep, secrecy_rate,
+                       uniform_secure_allocation)
+from .gsvd import (ChannelPair, _stacked_gains, gsvd,  # noqa: F401
+                   subchannel_gains)
 
 _STREAM_HR = 0
 _STREAM_HE = 1
+_U64 = 2**64 - 1
 _MAX_RESAMPLE = 64
-# Rows of (trial, budget) pairs per batched solve: bounds its working set.
+# Trials sampled, factored and swept per stacked call, and rows of
+# (trial, budget) pairs per batched solve: both bound the working set.
+_TRIAL_CHUNK = 256
 _SOLVE_CHUNK = 1024
 
 
@@ -162,79 +172,104 @@ class CampaignResult:
         ]
 
 
-def _rayleigh(seed, trial, stream, rows, cols, variance):
-    """One CN(0, variance) i.i.d. matrix from the (seed, trial, stream) key.
+def _draw(config, substreams):
+    """The channel pairs [hr; he] of the given substreams, as one
+    (len(substreams), n_r + n_e, n_t) complex stack.
 
-    Box-Muller over the generator's uniforms: u1, u2 are drawn as flat
-    arrays, radius = sqrt(-2 log1p(-u1)) (so u1 = 0 is safe), and the two
-    resulting standard normals become the real and imaginary parts.
+    Each (seed, substream, matrix) key seeds its own Philox stream, which
+    draws that matrix's uniforms u1 then u2 as flat arrays. Box-Muller then
+    runs once over the stack: radius = sqrt(-2 log1p(-u1)) (so u1 = 0 is
+    safe), and the two resulting standard normals become the real and
+    imaginary parts, scaled to each matrix's variance.
     """
-    key = (int(seed) << 64) | (int(trial) << 8) | stream
-    gen = np.random.Generator(np.random.Philox(key=key))
-    n = rows * cols
-    u1 = gen.random(n)
-    u2 = gen.random(n)
+    split = config.n_r * config.n_t
+    size = split + config.n_e * config.n_t
+    u1, u2 = np.empty((2, len(substreams), size))
+    # One generator serves every key: restoring a fresh Philox state with
+    # the key swapped in is the stream Philox(key=key) starts.
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for row, trial in enumerate(substreams):
+        for stream, part in ((_STREAM_HR, slice(0, split)),
+                             (_STREAM_HE, slice(split, size))):
+            key = (int(config.seed) << 64) | (int(trial) << 8) | stream
+            fresh["state"]["key"] = np.array([key & _U64, key >> 64],
+                                             dtype=np.uint64)
+            bits.state = fresh
+            gen.random(out=u1[row, part])
+            gen.random(out=u2[row, part])
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * np.pi * u2
     z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
-    return (math.sqrt(variance / 2.0) * z).reshape(rows, cols)
+    scale = np.repeat([math.sqrt(config.sigma_r2 / 2.0) + 0j,
+                       math.sqrt(config.sigma_e2 / 2.0) + 0j],
+                      [split, size - split])
+    return (scale * z).reshape(len(substreams), -1, config.n_t)
 
 
 def sample_channel(config, trial):
     """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
     if not 0 <= trial:
         raise ValueError("trial must be nonnegative")
-    hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
-                   config.sigma_r2)
-    he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
-                   config.sigma_e2)
-    return ChannelPair(hr=hr, he=he)
+    h = _draw(config, [trial])[0]
+    return ChannelPair(hr=h[:config.n_r], he=h[config.n_r:])
 
 
-def _factor_trial(config, trial):
-    """gsvd of the trial's channel, resampling degenerate draws.
+def _factor_trials(config, trials):
+    """(c, d, a, resampled): the gains of the given trials, one row each,
+    and the number of degenerate draws replaced.
 
-    Retry k swaps in the substream at trial + trials*k, which no other
-    trial uses, so resampling one trial never perturbs the rest.
+    Every draw of the chunk is factored at once. Retry k redraws only the
+    trials whose draws failed the rank test, each from the substream at
+    trial + trials*k, which no other trial uses, so resampling one trial
+    never perturbs the rest.
     """
-    resamples = 0
-    while True:
-        t = trial + config.trials * resamples
-        try:
-            return gsvd(sample_channel(config, t)), resamples
-        except DegenerateChannelError:
-            resamples += 1
-            if resamples > _MAX_RESAMPLE:
-                raise RuntimeError(
-                    f"trial {trial}: {resamples} degenerate channel draws in a row"
-                )
+    q = min(config.n_t, config.n_r + config.n_e)
+    c, d, a = (np.empty((trials.size, q)) for _ in range(3))
+    pending = np.arange(trials.size)
+    resampled = 0
+    for k in range(_MAX_RESAMPLE + 1):
+        full, *gains = _stacked_gains(
+            _draw(config, trials[pending] + config.trials * k), config.n_r)
+        done = pending[full]
+        c[done], d[done], a[done] = gains
+        pending = pending[~full]
+        if not pending.size:
+            return c, d, a, resampled
+        resampled += pending.size
+    raise RuntimeError(f"trial {trials[pending[0]]}: {_MAX_RESAMPLE + 1} "
+                       "degenerate channel draws in a row")
 
 
 def _run_campaign(config, grid, uniform_rates, budgets):
-    """Factor every trial, take its uniform-baseline rates over the grid,
-    and solve the optimum at each of budgets for every trial in batches.
+    """Factor the trials and take their uniform-baseline rates over the
+    grid chunk by chunk, then solve the optimum at each of budgets for
+    every trial in batches.
 
-    uniform_rates(gains, partition) returns the trial's uniform-baseline
-    rates, one per grid point. The optimum has one column per budget.
+    uniform_rates(c, d, a, s1, s2) returns the uniform-baseline rates of a
+    chunk of trials, from their (trials, q) gains and S1/S2 masks: one row
+    per trial, one column per grid point. The optimum has one column per
+    budget.
     """
     trials = config.trials
     q = min(config.n_t, config.n_r + config.n_e)
     c, d, a = (np.empty((trials, q)) for _ in range(3))
-    dims = np.empty((3, trials), dtype=int)
+    s1, s2 = (np.empty((trials, q), dtype=bool) for _ in range(2))
     uniform = np.empty((trials, grid.size))
     resampled = 0
-    for t in range(trials):
-        factors, resamples = _factor_trial(config, t)
-        resampled += resamples
-        gains = subchannel_gains(factors)
-        partition = classify_subspaces(gains)
-        c[t], d[t], a[t] = gains.c, gains.d, gains.a
-        dims[:, t] = gains.q, partition.dim_s1, partition.dim_s2
-        uniform[t] = uniform_rates(gains, partition)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        rows = np.arange(start, min(start + _TRIAL_CHUNK, trials))
+        c[rows], d[rows], a[rows], redrawn = _factor_trials(config, rows)
+        resampled += redrawn
+        s1[rows], s2[rows] = _subspace_masks(c[rows], d[rows])
+        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows], s1[rows],
+                                      s2[rows])
     optimal = _optimal_rates(c, d, a, budgets)
     return CampaignResult(
-        grid=grid, uniform=uniform, optimal=optimal,
-        q=dims[0], dim_s1=dims[1], dim_s2=dims[2],
+        grid=grid, uniform=uniform, optimal=optimal, q=np.full(trials, q),
+        dim_s1=np.count_nonzero(s1, axis=1),
+        dim_s2=np.count_nonzero(s2, axis=1),
         curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
         aggregates=_aggregates(grid, uniform, optimal),
         resampled=resampled)
@@ -273,8 +308,8 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
             "degenerates to the all-S2 split", stacklevel=2)
     grid = np.asarray(config.rho_grid, dtype=float)
 
-    def uniform_rates(gains, partition):
-        return fraction_sweep(gains, partition, config.budget, grid, mode).rate_bits
+    def uniform_rates(c, d, a, s1, s2):
+        return _fraction_rates(c, d, a, s1, s2, config.budget, grid, mode)
 
     return _run_campaign(config, grid, uniform_rates,
                          np.array([config.budget], dtype=float))
@@ -297,9 +332,9 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     grid = np.asarray(config.snr_db_grid, dtype=float)
     budgets = _snr_budgets(grid)
 
-    def uniform_rates(gains, partition):
-        p = _uniform_secure_powers(gains, budgets, mode)
-        return _clamp(_rate_bits(p, gains.c, gains.d))
+    def uniform_rates(c, d, a, s1, s2):
+        p = _uniform_secure_powers(c, d, a, budgets, mode)
+        return _clamp(_rate_bits(p, c[:, None, :], d[:, None, :]))
 
     return _run_campaign(config, grid, uniform_rates, budgets)
 

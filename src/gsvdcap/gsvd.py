@@ -6,7 +6,11 @@ is tall), and C, D are nonnegative diagonal-shaped with C^T C + D^T D = I.
 The nonzero diagonal of C ascends while D descends, so early subchannels
 favor the eavesdropper and late ones the legitimate receiver. Built from two
 dense SVDs: a thin SVD of the stacked channel followed by a full SVD of the
-receiver block of its left factor.
+receiver block of its left factor (Van Loan 1976; Paige & Saunders 1981).
+
+gsvd factors one pair. Campaigns take _stacked_gains instead, which runs
+the same arithmetic, with the same checks, on a whole stack of pairs in
+array calls and keeps only the subchannel gains.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from . import linalg
 
 NULLSPACE_TOL = 1e-8
 TIE_TOL = 1e-12
+_RANK_LOSS = "eavesdropper block lost rank while orthonormalizing"
 
 
 class DegenerateChannelError(ValueError):
@@ -129,12 +134,7 @@ class SubchannelGains:
         a = np.asarray(self.a, dtype=float)
         if not (c.shape == d.shape == a.shape) or c.ndim != 1:
             raise ValueError("c, d, a must be 1-D arrays of equal length")
-        if not np.all((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)):
-            raise ValueError("gains must lie in [0, 1]")
-        if np.any(np.abs(c + d - 1.0) > 1e-8):
-            raise ValueError("gain pairs must satisfy c + d = 1")
-        if not np.all((a > 0) & (a < np.inf)):
-            raise ValueError("beamformer column power a must be positive and finite")
+        _check_gains(c, d, a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "a", a)
@@ -142,6 +142,16 @@ class SubchannelGains:
     @property
     def q(self):
         return self.c.shape[0]
+
+
+def _check_gains(c, d, a):
+    """SubchannelGains' bounds, over arrays of any equal shape."""
+    if not np.all((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)):
+        raise ValueError("gains must lie in [0, 1]")
+    if np.any(np.abs(c + d - 1.0) > 1e-8):
+        raise ValueError("gain pairs must satisfy c + d = 1")
+    if not np.all((a > 0) & (a < np.inf)):
+        raise ValueError("beamformer column power a must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -181,30 +191,14 @@ def gsvd(channels):
         FactorizationError: an SVD failed, or the computed eavesdropper
             diagonal is not a clean descending prefix.
     """
-    hr, he = channels.hr, channels.he
-    n_r, n_t = hr.shape
-    n_e = he.shape[0]
-    q = min(n_t, n_r + n_e)
-
-    stacked = np.vstack([hr, he])
-    u, sig, v = linalg.svd(stacked)
+    n_r, n_e = channels.n_r, channels.n_e
+    u, sig, v = linalg.svd(np.vstack([channels.hr, channels.he]))
+    q = sig.size
     rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
     if rank < q:
         raise DegenerateChannelError(rank, q)
-    u, sig, v = u[:, :q], sig[:q], v[:, :q]
-
-    # Split the stacked left factor and diagonalize the receiver block. Its
-    # singular values are the cosines; reversing puts them in ascending order.
-    u1, u2 = u[:n_r], u[n_r:]
-    try:
-        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise linalg.FactorizationError(
-            f"SVD of the receiver block did not converge: {exc}"
-        ) from exc
+    pmat, cdiag, ddiag, live, m, a = _cosine_sine(u, sig, v, n_r)
     t = min(n_r, q)
-    w = wh.conj().T[:, ::-1]
-    cdiag = np.concatenate([np.zeros(q - t), np.minimum(sdesc[::-1], 1.0)])
     psi_r = np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1)
 
     # The rotated eavesdropper block has exactly orthogonal columns with
@@ -215,34 +209,58 @@ def gsvd(channels):
     # directions carry little information and any orthonormal choice
     # reconstructs equally well). A complete QR also spans the complement:
     # its trailing columns fill the dead slots.
-    m = u2 @ w
-    ddiag = np.minimum(np.linalg.norm(m, axis=0), 1.0)
-    live = ddiag > NULLSPACE_TOL
-    ddiag = np.where(live, ddiag, 0.0)  # below the threshold is a null direction
-    if np.any(live[min(n_e, q):]):
-        raise linalg.FactorizationError(
-            "eavesdropper diagonal has live entries beyond its row count")
     idx = np.flatnonzero(live)
     qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
     phases = rfac.diagonal().copy()
     mags = np.abs(phases)
     if np.any(mags == 0):
-        raise linalg.FactorizationError(
-            "eavesdropper block lost rank while orthonormalizing")
+        raise linalg.FactorizationError(_RANK_LOSS)
     slot = np.zeros(n_e, dtype=bool)
     slot[idx] = True
     psi_e = np.empty_like(qfac)
     psi_e[:, slot] = qfac[:, :idx.size] * (phases / mags)
     psi_e[:, ~slot] = qfac[:, idx.size:]
-
-    a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
 
 
-def subchannel_gains(factors):
-    """Squared diagonals and beamformer column powers of a factorization."""
-    c = np.minimum(factors.cdiag**2, 1.0)
-    d = np.minimum(factors.ddiag**2, 1.0)
+def _cosine_sine(u, sig, v, n_r):
+    """gsvd's step after the thin SVD (u, sig, v) of [hr; he], on one pair
+    or on a stack of them along leading axes.
+
+    Returns (pmat, cdiag, ddiag, live, m, a): the left singular vectors of
+    the receiver block, the ascending cosines, the descending sines with
+    null directions zeroed, the mask of the live sines, the rotated
+    eavesdropper block and the beamformer.
+    """
+    q = sig.shape[-1]
+    # Split the stacked left factor and diagonalize the receiver block. Its
+    # singular values are the cosines; reversing puts them in ascending order.
+    u1, u2 = u[..., :n_r, :], u[..., n_r:, :]
+    try:
+        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.FactorizationError(
+            f"SVD of the receiver block did not converge: {exc}"
+        ) from exc
+    w = wh.conj().swapaxes(-1, -2)[..., ::-1]
+    zeros = np.zeros(sdesc.shape[:-1] + (q - sdesc.shape[-1],))
+    cdiag = np.concatenate([zeros, np.minimum(sdesc[..., ::-1], 1.0)], axis=-1)
+    m = u2 @ w
+    ddiag = np.minimum(np.linalg.norm(m, axis=-2), 1.0)
+    live = ddiag > NULLSPACE_TOL
+    ddiag = np.where(live, ddiag, 0.0)  # below the threshold is a null direction
+    if np.any(live[..., min(u2.shape[-2], q):]):
+        raise linalg.FactorizationError(
+            "eavesdropper diagonal has live entries beyond its row count")
+    a = (v / sig[..., None, :]) @ w
+    return pmat, cdiag, ddiag, live, m, a
+
+
+def _gains(cdiag, ddiag, a):
+    """subchannel_gains' (c, d, a) arrays, over the last axis of the
+    diagonals and the beamformer columns, for one pair or a stack."""
+    c = np.minimum(cdiag**2, 1.0)
+    d = np.minimum(ddiag**2, 1.0)
     # Clean up roundoff so pairs sum to 1 exactly where one side dominates.
     d = np.where(c < 0.5, d, 1.0 - c)
     c = np.where(c < 0.5, 1.0 - d, c)
@@ -253,8 +271,46 @@ def subchannel_gains(factors):
     tie = np.abs(c - d) <= TIE_TOL
     c = np.where(tie, 0.5, c)
     d = np.where(tie, 0.5, d)
-    a = np.sum(np.abs(factors.a) ** 2, axis=0)
-    return SubchannelGains(c=c, d=d, a=a)
+    return c, d, np.sum(np.abs(a) ** 2, axis=-2)
+
+
+def subchannel_gains(factors):
+    """Squared diagonals and beamformer column powers of a factorization."""
+    return SubchannelGains(*_gains(factors.cdiag, factors.ddiag, factors.a))
+
+
+def _stacked_gains(h, n_r):
+    """subchannel_gains(gsvd(pair)) for every pair of a stack, in array calls.
+
+    h is a (T, n_r + n_e, n_t) stack of [hr; he]. Returns (full, c, d, a):
+    full is the length-T mask of the pairs that pass gsvd's rank test, and
+    c, d, a hold those pairs' gains, one row each, equal bit for bit to the
+    one-pair calls. A pair that fails the rank test is dropped where gsvd
+    raises DegenerateChannelError; every other check of gsvd and
+    SubchannelGains raises its own exception for the whole stack.
+    """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries must be finite")
+    u, sig, v = linalg._stacked_svd(h)
+    # linalg.rank_with_tol's test, row by row: full rank keeps every value.
+    floor = np.maximum(sig.max(axis=-1, keepdims=True), 1e-300)
+    full = np.all(sig > linalg.RANK_TOL * floor, axis=-1)
+    if not np.all(full):
+        u, sig, v = u[full], sig[full], v[full]
+    _, cdiag, ddiag, live, m, a = _cosine_sine(u, sig, v, n_r)
+    # gsvd orthonormalizes the live columns of m by QR, so a zero R
+    # diagonal there is a rank loss. QR runs per group of equal live masks.
+    todo = np.any(live, axis=-1)
+    while np.any(todo):
+        mask = live[np.argmax(todo)]
+        group = todo & np.all(live == mask, axis=-1)
+        todo &= ~group
+        r = np.linalg.qr(m[group][..., mask], mode="r")
+        if np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0):
+            raise linalg.FactorizationError(_RANK_LOSS)
+    c, d, a = _gains(cdiag, ddiag, a)
+    _check_gains(c, d, a)
+    return full, c, d, a
 
 
 def verify_factors(factors, channels, tol=1e-8):

@@ -56,6 +56,26 @@ def svd(m):
     return u, s, vh.conj().T
 
 
+def _stacked_svd(m):
+    """svd of every matrix of a (..., rows, cols) stack of finite complex
+    matrices, which are not re-validated: U, s and V gain the stack's
+    leading axes, and one matrix that misses the tolerance fails the
+    stack."""
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"SVD did not converge: {exc}") from exc
+    frob = (-2, -1)
+    residual = np.linalg.norm(m - (u * s[..., None, :]) @ vh, axis=frob)
+    bad = residual > FACTOR_TOL * np.maximum(1.0, np.linalg.norm(m, axis=frob))
+    if np.any(bad):
+        raise FactorizationError(
+            f"SVD reconstruction residual {np.max(residual[bad]):.3e} "
+            "exceeds tolerance"
+        )
+    return u, s, vh.conj().swapaxes(-1, -2)
+
+
 def rank_with_tol(s, tol):
     """Count singular values above tol * max(s, floored at 1e-300)."""
     s = np.asarray(s, dtype=float)

@@ -59,3 +59,27 @@ def gains_st(draw, max_q=16, min_q=1):
     a = draw(st.lists(st.floats(min_value=0.05, max_value=20.0),
                       min_size=q, max_size=q))
     return SubchannelGains(c=c, d=[1.0 - x for x in c], a=a)
+
+
+def reference_uniform_p(gains, part, budget, rho, mode, secure_only):
+    """uniform_allocation's powers for one rho, set by set, as a loop would
+    assign them: a set whose share is zero is left untouched."""
+    s1, s2 = part.s1, part.s2
+    target2 = s2
+    if secure_only and s2.size:
+        secure = s2[gains.c[s2] > gains.d[s2]]
+        if secure.size:
+            target2 = secure
+    if s1.size == 0:
+        rho = 1.0
+    elif s2.size == 0:
+        rho = 0.0
+    p = np.zeros(gains.q)
+    for indices, share, live in ((s1, (1.0 - rho) * budget, rho < 1.0),
+                                 (target2, rho * budget, rho > 0.0)):
+        if indices.size and live:
+            if mode == "transmit":
+                p[indices] = share / indices.size / gains.a[indices]
+            else:
+                p[indices] = share / float(np.sum(gains.a[indices]))
+    return p

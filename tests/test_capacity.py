@@ -22,7 +22,9 @@ from gsvdcap import (
     uniform_secure_allocation,
 )
 
-from conftest import gains_st, random_pair
+from gsvdcap.capacity import _subset_sums
+
+from conftest import gains_st, random_pair, reference_uniform_p
 
 RATE_AT_REFERENCE_POWER = 0.15322472820876368
 
@@ -33,30 +35,6 @@ def mixed_gains():
         d=[1.0, 0.7, 0.2, 0.0],
         a=[1.0, 2.0, 0.5, 1.5],
     )
-
-
-def reference_uniform_p(gains, part, budget, rho, mode, secure_only):
-    """uniform_allocation's powers for one rho, set by set, as a loop would
-    assign them: a set whose share is zero is left untouched."""
-    s1, s2 = part.s1, part.s2
-    target2 = s2
-    if secure_only and s2.size:
-        secure = s2[gains.c[s2] > gains.d[s2]]
-        if secure.size:
-            target2 = secure
-    if s1.size == 0:
-        rho = 1.0
-    elif s2.size == 0:
-        rho = 0.0
-    p = np.zeros(gains.q)
-    for indices, share, live in ((s1, (1.0 - rho) * budget, rho < 1.0),
-                                 (target2, rho * budget, rho > 0.0)):
-        if indices.size and live:
-            if mode == "transmit":
-                p[indices] = share / indices.size / gains.a[indices]
-            else:
-                p[indices] = share / float(np.sum(gains.a[indices]))
-    return p
 
 
 class TestSecrecyRate:
@@ -239,6 +217,19 @@ class TestUniformSecureAllocation:
         alloc = uniform_secure_allocation(gains, budget=3.0)
         assert np.array_equal(alloc.p, [0.0])
         assert alloc.effective_power == 0.0
+
+
+class TestSubsetSums:
+    @pytest.mark.parametrize("q", [3, 8, 12, 16, 40])
+    def test_each_row_sums_its_own_subset(self, q):
+        # A masked sum over whole rows regroups numpy's pairwise summation
+        # once rows reach 8 entries; each row must equal np.sum(a[mask]).
+        rng = np.random.default_rng(q)
+        a = rng.uniform(0.05, 20.0, size=(200, q))
+        mask = rng.random((200, q)) < 0.6
+        sums = _subset_sums(a, mask)
+        for x, m, total in zip(a, mask, sums):
+            assert total == (np.sum(x[m]) if m.any() else 1.0)
 
 
 class TestFractionSweep:

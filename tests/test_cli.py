@@ -1,13 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from gsvdcap import linalg, read_trial_csv
-from gsvdcap.cli import main, parse_range
+from gsvdcap.cli import build_parser, main, parse_range
 
 
 class TestParseRange:
@@ -132,6 +133,63 @@ class TestSweeps:
         records = read_trial_csv(tmp_path / "snr_trials.csv")
         assert len(records) == 20
         assert all(r.optimal_rate >= r.uniform_rate - 1e-9 for r in records)
+
+
+# SHA-256 of the CSVs of the 10-trial, seed-1 reference campaigns: the same
+# bytes as perfbench/reference/.
+REFERENCE_CAMPAIGNS = [
+    (["sweep-fraction", "--nt", "5", "--nr", "5", "--ne", "4", "--power",
+      "100", "--rho-grid", "0:0.01:1"],
+     {"fraction_trials.csv": "33a85f52a0b5cd78bfc5f71554ef17c3"
+                             "d83d38753cf7e5fb3d20beca51e773d8",
+      "fraction_aggregate.csv": "6eec4f68e584c82824310f3e76c9caaf"
+                                "0ab030a312ba94b9701bd03aa7fb46aa"}),
+    (["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4", "--snr-db",
+      "0:5:30"],
+     {"snr_trials.csv": "251253e5bdab04d3751b683badfd0660"
+                        "4cbaa1b1939f7057737f1aae2ffa991d",
+      "snr_aggregate.csv": "b57aad86032f518cb31ac8f473ada43d"
+                           "3b718bcd618f7988bc5c257f517dc124"}),
+]
+
+
+class TestReferenceBytes:
+    @pytest.mark.parametrize("argv, digests", REFERENCE_CAMPAIGNS)
+    def test_reference_campaign_csv_digests(self, argv, digests, tmp_path):
+        assert main(argv + ["--trials", "10", "--seed", "1",
+                            "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys):
+        dims = ["--nt", "3", "--nr", "2", "--ne", "2", "--trials", "3",
+                "--seed", "2"]
+        argvs = [
+            ["sweep-fraction", *dims, "--power", "10", "--rho-grid", "0:0.25:1"],
+            ["sweep-fraction", *dims, "--power", "10"],
+            ["sweep-snr", *dims, "--snr-db", "0:10:20"],
+        ]
+
+        def run(argv, out):
+            status = main(argv + ["--out", str(out)])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return (status, captured.out,
+                    captured.err.replace(str(out), "<out>"), files)
+
+        build_parser.cache_clear()
+        reused = [run(argv, tmp_path / "reused" / str(i))
+                  for i, argv in enumerate(argvs)]
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        fresh = []
+        for i, argv in enumerate(argvs):
+            build_parser.cache_clear()
+            fresh.append(run(argv, tmp_path / "fresh" / str(i)))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, 0, 0]
 
 
 class TestOracleVerify:

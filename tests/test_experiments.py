@@ -8,8 +8,9 @@ import pytest
 
 import gsvdcap.experiments as experiments
 from gsvdcap import (
-    DegenerateChannelError,
     ExperimentConfig,
+    PowerAllocation,
+    SubchannelGains,
     TrialRecord,
     classify_subspaces,
     fraction_sweep,
@@ -27,8 +28,10 @@ from gsvdcap import (
     write_aggregate_csv,
     write_csv,
 )
+from gsvdcap.capacity import _subspace_masks, _uniform_powers
 
-from conftest import pair_from_arrays
+from conftest import reference_uniform_p
+
 
 
 def fraction_config(**overrides):
@@ -168,8 +171,10 @@ class TestFractionExperiment:
     def test_identical_channels_give_zero_rates(self, monkeypatch):
         rng = np.random.default_rng(40)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        fixed = pair_from_arrays(h, h)
-        monkeypatch.setattr(experiments, "sample_channel", lambda cfg, t: fixed)
+        fixed = np.vstack([h, h])
+        monkeypatch.setattr(experiments, "_draw",
+                            lambda cfg, substreams: np.stack(
+                                [fixed] * len(substreams)))
         cfg = fraction_config(n_t=4, n_r=4, n_e=4, trials=1,
                               rho_grid=(0.0, 1.0))
         with pytest.warns(UserWarning):
@@ -178,33 +183,39 @@ class TestFractionExperiment:
             assert rec.uniform_rate <= 1e-12
             assert rec.optimal_rate <= 1e-12
 
-    def test_degenerate_draw_resampled_from_private_substream(self, monkeypatch):
-        cfg = fraction_config(trials=2, rho_grid=(0.0, 0.5, 1.0))
-        real_gsvd = experiments.gsvd
-        calls = {"n": 0}
+    @pytest.mark.parametrize("trials, degenerate", [
+        (2, 0), (experiments._TRIAL_CHUNK + 2, experiments._TRIAL_CHUNK + 1)])
+    def test_degenerate_draw_resampled_from_private_substream(
+            self, monkeypatch, trials, degenerate):
+        cfg = fraction_config(trials=trials, rho_grid=(0.0, 0.5, 1.0))
+        real_draw = experiments._draw
 
-        def flaky(channels):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise DegenerateChannelError(1, 2)
-            return real_gsvd(channels)
+        def flaky(config, substreams):
+            # The degenerate trial's first draw is all zeros, which fails
+            # the rank test; its redraws come from other substreams.
+            h = real_draw(config, substreams)
+            h[np.asarray(substreams) == degenerate] = 0.0
+            return h
 
-        monkeypatch.setattr(experiments, "gsvd", flaky)
+        monkeypatch.setattr(experiments, "_draw", flaky)
         result = run_fraction_experiment(cfg)
         assert result.resampled == 1
 
-        # Trial 0 must have used substream trial + trials*1 = 2, leaving
-        # trial 1 untouched on substream 1.
-        import gsvdcap as g
-
+        # The degenerate trial must have used substream trial + trials*1,
+        # leaving its neighbour untouched on its own substream.
         def optimal_for(t):
-            gains = g.subchannel_gains(real_gsvd(sample_channel(cfg, t)))
-            return g.secrecy_rate(gains, g.solve_mu(gains, cfg.budget))
+            gains = subchannel_gains(gsvd(sample_channel(cfg, t)))
+            return secrecy_rate(gains, solve_mu(gains, cfg.budget))
 
-        trial0 = [r for r in result.records if r.trial == 0][0]
-        trial1 = [r for r in result.records if r.trial == 1][0]
-        assert trial0.optimal_rate == pytest.approx(optimal_for(2), abs=1e-12)
-        assert trial1.optimal_rate == pytest.approx(optimal_for(1), abs=1e-12)
+        neighbour = degenerate - 1 if degenerate else 1
+        assert result.optimal[degenerate, 0] == optimal_for(degenerate + trials)
+        assert result.optimal[neighbour, 0] == optimal_for(neighbour)
+
+    def test_resampling_gives_up_naming_the_trial(self):
+        # A silent receiver leaves [hr; he] with rank n_e < q on every draw.
+        cfg = fraction_config(n_t=5, n_r=2, n_e=2, trials=3, sigma_r2=0.0)
+        with pytest.raises(RuntimeError, match="trial 0: 65 degenerate"):
+            run_fraction_experiment(cfg)
 
     def test_thread_count_does_not_change_results(self):
         cfg = fraction_config(trials=6)
@@ -244,7 +255,11 @@ class TestSnrSweep:
 
 def scalar_reference(cfg, mode):
     """Per-trial (uniform, optimal) rate arrays and (q, dim_s1, dim_s2)
-    from the public scalar calls, each rate clamped with max(0, .)."""
+    from the public scalar calls, each rate clamped with max(0, .).
+
+    The fraction sweep's rates are also rebuilt from reference_uniform_p,
+    which sums each set's a on its own, apart from the shared array code.
+    """
     uniform, optimal, dims = [], [], []
     for t in range(cfg.trials):
         gains = subchannel_gains(gsvd(sample_channel(cfg, t)))
@@ -253,6 +268,11 @@ def scalar_reference(cfg, mode):
         if cfg.rho_grid is not None:
             uniform.append(fraction_sweep(gains, partition, cfg.budget,
                                           cfg.rho_grid, mode).rate_bits)
+            looped = [max(0.0, secrecy_rate(gains, PowerAllocation(
+                p=reference_uniform_p(gains, partition, cfg.budget, rho,
+                                      mode, True), mu=None, effective_power=0.0)))
+                      for rho in cfg.rho_grid]
+            assert np.array_equal(uniform[-1], looped)
             optimal.append(
                 [max(0.0, secrecy_rate(gains, solve_mu(gains, cfg.budget)))])
             continue
@@ -274,6 +294,10 @@ class TestScalarReference:
         ("fraction", (3, 2, 5), "transmit", {}),
         ("fraction", (4, 3, 4), "symbol", {}),
         ("fraction", (5, 5, 4), "symbol", {"sigma_e2": 0.0}),
+        # q >= 8: symbol mode sums each trial's own subset of a, which a
+        # masked row sum would regroup.
+        ("fraction", (12, 4, 4), "symbol", {}),
+        ("fraction", (16, 12, 8), "symbol", {}),
         ("snr", (4, 4, 4), "transmit", {}),
         ("snr", (8, 3, 2), "symbol", {}),
         ("snr", (3, 2, 5), "transmit", {}),
@@ -294,6 +318,12 @@ class TestScalarReference:
         assert trials * len(SNR_GRID) > experiments._SOLVE_CHUNK
         self.check(cfg, "transmit")
 
+    def test_fraction_campaign_across_trial_chunks(self):
+        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=2, budget=10.0,
+                               rho_grid=(0.0, 0.5, 1.0), seed=24,
+                               trials=experiments._TRIAL_CHUNK + 3)
+        self.check(cfg, "symbol")
+
     @staticmethod
     def check(cfg, mode):
         run = run_fraction_experiment if cfg.rho_grid else run_snr_sweep
@@ -313,6 +343,23 @@ class TestScalarReference:
                 column = np.array(rates[:, j])
                 assert mean == float(column.mean())
                 assert se == float(column.std(ddof=1) / math.sqrt(cfg.trials))
+        if cfg.rho_grid is not None:
+            TestScalarReference.check_stacked_powers(cfg, mode)
+
+    @staticmethod
+    def check_stacked_powers(cfg, mode):
+        """The stacked sweep's powers, not only its rates, equal the looped
+        reference: a last-bit change of p can vanish in the rate."""
+        c, d, a, _ = experiments._factor_trials(cfg, np.arange(cfg.trials))
+        s1, s2 = _subspace_masks(c, d)
+        p = _uniform_powers(c, d, a, s1, s2, cfg.budget,
+                            np.asarray(cfg.rho_grid), mode, True)
+        for t in range(cfg.trials):
+            gains = SubchannelGains(c=c[t], d=d[t], a=a[t])
+            partition = classify_subspaces(gains)
+            for row, rho in zip(p[t], cfg.rho_grid):
+                assert np.array_equal(row, reference_uniform_p(
+                    gains, partition, cfg.budget, rho, mode, True))
 
 
 class TestCsv:

@@ -5,15 +5,22 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import gsvdcap.experiments as experiments
 from gsvdcap import (
     ChannelPair,
     DegenerateChannelError,
+    ExperimentConfig,
+    FactorizationError,
+    classify_subspaces,
     gsvd,
+    sample_channel,
     subchannel_gains,
     verify_factors,
 )
-from gsvdcap.gsvd import NULLSPACE_TOL
+from gsvdcap.capacity import _subspace_masks
+from gsvdcap.gsvd import NULLSPACE_TOL, _stacked_gains
 
 from conftest import pair_from_arrays, random_pair
 
@@ -250,3 +257,78 @@ class TestNearNullEavesdropper:
         f = gsvd(pair_from_arrays(hr, he))
         below = f.ddiag < NULLSPACE_TOL
         assert np.all(f.ddiag[below] == 0.0)
+
+
+class TestStackGains:
+    """Every row of the stacked front end equals the one-pair path
+    sample_channel -> gsvd -> subchannel_gains -> classify_subspaces,
+    bit for bit."""
+
+    @staticmethod
+    def check(cfg):
+        trials = np.arange(cfg.trials)
+        h = experiments._draw(cfg, trials)
+        expected, error = [], None
+        for t in trials:
+            pair = sample_channel(cfg, t)
+            assert np.array_equal(h[t], np.vstack([pair.hr, pair.he]))
+            try:
+                expected.append(subchannel_gains(gsvd(pair)))
+            except DegenerateChannelError:
+                expected.append(None)
+            except (FactorizationError, ValueError) as exc:
+                error = error or exc
+        if error is not None:
+            with pytest.raises(type(error)):
+                _stacked_gains(h, cfg.n_r)
+            return
+        full, c, d, a = _stacked_gains(h, cfg.n_r)
+        assert np.array_equal(full, [g is not None for g in expected])
+        s1, s2 = _subspace_masks(c, d)
+        kept = [g for g in expected if g is not None]
+        assert c.shape[0] == len(kept)
+        for row, gains in enumerate(kept):
+            part = classify_subspaces(gains)
+            assert np.array_equal(c[row], gains.c)
+            assert np.array_equal(d[row], gains.d)
+            assert np.array_equal(a[row], gains.a)
+            assert np.array_equal(np.flatnonzero(s1[row]), part.s1)
+            assert np.array_equal(np.flatnonzero(s2[row]), part.s2)
+
+    @pytest.mark.parametrize("shape, extra", [
+        ((12, 3, 4), {}),  # wide: n_t > n_r + n_e
+        ((3, 4, 4), {}),  # tall
+        ((12, 4, 4), {}),  # q = 8
+        ((16, 12, 8), {}),  # q = 16
+        ((5, 5, 4), {"sigma_e2": 0.0}),
+        ((5, 2, 2), {"sigma_r2": 0.0}),  # every pair is rank deficient
+        ((3, 2, 4), {"sigma_r2": 0.0}),  # full rank, all receiver-null
+    ])
+    def test_rows_equal_one_pair_calls(self, shape, extra):
+        n_t, n_r, n_e = shape
+        self.check(ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, trials=30,
+                                    seed=23, **extra))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(n_t=st.integers(1, 12), n_r=st.integers(1, 8),
+           n_e=st.integers(1, 8), seed=st.integers(0, 2**64 - 1),
+           sigma_e2=st.sampled_from([0.0, 1e-12, 1.0, 1e6]))
+    def test_rows_equal_one_pair_calls_on_any_shape(self, n_t, n_r, n_e,
+                                                    seed, sigma_e2):
+        self.check(ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, trials=6,
+                                    seed=seed, sigma_e2=sigma_e2))
+
+    def test_partly_degenerate_stack_keeps_the_full_rank_rows(self):
+        cfg = ExperimentConfig(n_t=3, n_r=2, n_e=2, trials=4, seed=5)
+        h = experiments._draw(cfg, np.arange(cfg.trials))
+        h[[0, 2], :, 2] = h[[0, 2], :, 0]  # a duplicated column: rank 2 < 3
+        full, c, _, _ = _stacked_gains(h, cfg.n_r)
+        assert np.array_equal(full, [False, True, False, True])
+        expected = subchannel_gains(gsvd(ChannelPair(h[3, :2], h[3, 2:])))
+        assert np.array_equal(c[1], expected.c)
+
+    def test_nonfinite_entries_rejected(self):
+        h = np.ones((2, 3, 2), dtype=complex)
+        h[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _stacked_gains(h, 1)
