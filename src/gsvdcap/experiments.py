@@ -172,16 +172,44 @@ class CampaignResult:
         ]
 
 
-def _draw(config, substreams):
-    """The channel pairs [hr; he] of the given substreams, as one
-    (len(substreams), n_r + n_e, n_t) complex stack.
+def _key(seed, trial, stream):
+    """The Philox key of one (seed, trial, stream) matrix draw."""
+    return (int(seed) << 64) | (int(trial) << 8) | stream
 
-    Each (seed, substream, matrix) key seeds its own Philox stream, which
-    draws that matrix's uniforms u1 then u2 as flat arrays. Box-Muller then
-    runs once over the stack: radius = sqrt(-2 log1p(-u1)) (so u1 = 0 is
-    safe), and the two resulting standard normals become the real and
-    imaginary parts, scaled to each matrix's variance.
-    """
+
+def _box_muller(u1, u2):
+    """Complex standard normals from uniforms: radius = sqrt(-2 log1p(-u1))
+    (so u1 = 0 is safe), and the two resulting standard normals become the
+    real and imaginary parts."""
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+
+
+def _rayleigh(seed, trial, stream, rows, cols, variance):
+    """One CN(0, variance) i.i.d. matrix from the (seed, trial, stream) key:
+    Box-Muller over the generator's uniforms u1, u2, drawn as flat arrays."""
+    gen = np.random.Generator(np.random.Philox(key=_key(seed, trial, stream)))
+    n = rows * cols
+    z = _box_muller(gen.random(n), gen.random(n))
+    return (math.sqrt(variance / 2.0) * z).reshape(rows, cols)
+
+
+def sample_channel(config, trial):
+    """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
+    if not 0 <= trial:
+        raise ValueError("trial must be nonnegative")
+    hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
+                   config.sigma_r2)
+    he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
+                   config.sigma_e2)
+    return ChannelPair(hr=hr, he=he)
+
+
+def _draw(config, substreams):
+    """The channel pairs [hr; he] of the given substreams, each as
+    sample_channel draws it, as one (len(substreams), n_r + n_e, n_t)
+    complex stack. Box-Muller runs once over the stack."""
     split = config.n_r * config.n_t
     size = split + config.n_e * config.n_t
     u1, u2 = np.empty((2, len(substreams), size))
@@ -193,27 +221,17 @@ def _draw(config, substreams):
     for row, trial in enumerate(substreams):
         for stream, part in ((_STREAM_HR, slice(0, split)),
                              (_STREAM_HE, slice(split, size))):
-            key = (int(config.seed) << 64) | (int(trial) << 8) | stream
+            key = _key(config.seed, trial, stream)
             fresh["state"]["key"] = np.array([key & _U64, key >> 64],
                                              dtype=np.uint64)
             bits.state = fresh
             gen.random(out=u1[row, part])
             gen.random(out=u2[row, part])
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    angle = 2.0 * np.pi * u2
-    z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
     scale = np.repeat([math.sqrt(config.sigma_r2 / 2.0) + 0j,
                        math.sqrt(config.sigma_e2 / 2.0) + 0j],
                       [split, size - split])
-    return (scale * z).reshape(len(substreams), -1, config.n_t)
-
-
-def sample_channel(config, trial):
-    """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
-    if not 0 <= trial:
-        raise ValueError("trial must be nonnegative")
-    h = _draw(config, [trial])[0]
-    return ChannelPair(hr=h[:config.n_r], he=h[config.n_r:])
+    z = scale * _box_muller(u1, u2)
+    return z.reshape(len(substreams), -1, config.n_t)
 
 
 def _factor_trials(config, trials):

@@ -191,14 +191,30 @@ def gsvd(channels):
         FactorizationError: an SVD failed, or the computed eavesdropper
             diagonal is not a clean descending prefix.
     """
-    n_r, n_e = channels.n_r, channels.n_e
-    u, sig, v = linalg.svd(np.vstack([channels.hr, channels.he]))
-    q = sig.size
+    hr, he = channels.hr, channels.he
+    n_r, n_t = hr.shape
+    n_e = he.shape[0]
+    q = min(n_t, n_r + n_e)
+
+    stacked = np.vstack([hr, he])
+    u, sig, v = linalg.svd(stacked)
     rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
     if rank < q:
         raise DegenerateChannelError(rank, q)
-    pmat, cdiag, ddiag, live, m, a = _cosine_sine(u, sig, v, n_r)
+    u, sig, v = u[:, :q], sig[:q], v[:, :q]
+
+    # Split the stacked left factor and diagonalize the receiver block. Its
+    # singular values are the cosines; reversing puts them in ascending order.
+    u1, u2 = u[:n_r], u[n_r:]
+    try:
+        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.FactorizationError(
+            f"SVD of the receiver block did not converge: {exc}"
+        ) from exc
     t = min(n_r, q)
+    w = wh.conj().T[:, ::-1]
+    cdiag = np.concatenate([np.zeros(q - t), np.minimum(sdesc[::-1], 1.0)])
     psi_r = np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1)
 
     # The rotated eavesdropper block has exactly orthogonal columns with
@@ -209,6 +225,13 @@ def gsvd(channels):
     # directions carry little information and any orthonormal choice
     # reconstructs equally well). A complete QR also spans the complement:
     # its trailing columns fill the dead slots.
+    m = u2 @ w
+    ddiag = np.minimum(np.linalg.norm(m, axis=0), 1.0)
+    live = ddiag > NULLSPACE_TOL
+    ddiag = np.where(live, ddiag, 0.0)  # below the threshold is a null direction
+    if np.any(live[min(n_e, q):]):
+        raise linalg.FactorizationError(
+            "eavesdropper diagonal has live entries beyond its row count")
     idx = np.flatnonzero(live)
     qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
     phases = rfac.diagonal().copy()
@@ -220,40 +243,9 @@ def gsvd(channels):
     psi_e = np.empty_like(qfac)
     psi_e[:, slot] = qfac[:, :idx.size] * (phases / mags)
     psi_e[:, ~slot] = qfac[:, idx.size:]
+
+    a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
-
-
-def _cosine_sine(u, sig, v, n_r):
-    """gsvd's step after the thin SVD (u, sig, v) of [hr; he], on one pair
-    or on a stack of them along leading axes.
-
-    Returns (pmat, cdiag, ddiag, live, m, a): the left singular vectors of
-    the receiver block, the ascending cosines, the descending sines with
-    null directions zeroed, the mask of the live sines, the rotated
-    eavesdropper block and the beamformer.
-    """
-    q = sig.shape[-1]
-    # Split the stacked left factor and diagonalize the receiver block. Its
-    # singular values are the cosines; reversing puts them in ascending order.
-    u1, u2 = u[..., :n_r, :], u[..., n_r:, :]
-    try:
-        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise linalg.FactorizationError(
-            f"SVD of the receiver block did not converge: {exc}"
-        ) from exc
-    w = wh.conj().swapaxes(-1, -2)[..., ::-1]
-    zeros = np.zeros(sdesc.shape[:-1] + (q - sdesc.shape[-1],))
-    cdiag = np.concatenate([zeros, np.minimum(sdesc[..., ::-1], 1.0)], axis=-1)
-    m = u2 @ w
-    ddiag = np.minimum(np.linalg.norm(m, axis=-2), 1.0)
-    live = ddiag > NULLSPACE_TOL
-    ddiag = np.where(live, ddiag, 0.0)  # below the threshold is a null direction
-    if np.any(live[..., min(u2.shape[-2], q):]):
-        raise linalg.FactorizationError(
-            "eavesdropper diagonal has live entries beyond its row count")
-    a = (v / sig[..., None, :]) @ w
-    return pmat, cdiag, ddiag, live, m, a
 
 
 def _gains(cdiag, ddiag, a):
@@ -288,6 +280,10 @@ def _stacked_gains(h, n_r):
     one-pair calls. A pair that fails the rank test is dropped where gsvd
     raises DegenerateChannelError; every other check of gsvd and
     SubchannelGains raises its own exception for the whole stack.
+
+    This is gsvd's arithmetic, operation for operation, written on stacks.
+    gsvd keeps its own copy because the stacked indexing slows a single
+    pair; tests hold the two to equal rows.
     """
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
@@ -297,17 +293,35 @@ def _stacked_gains(h, n_r):
     full = np.all(sig > linalg.RANK_TOL * floor, axis=-1)
     if not np.all(full):
         u, sig, v = u[full], sig[full], v[full]
-    _, cdiag, ddiag, live, m, a = _cosine_sine(u, sig, v, n_r)
+    q = sig.shape[1]
+    u1, u2 = u[:, :n_r], u[:, n_r:]
+    try:
+        sdesc, wh = np.linalg.svd(u1, full_matrices=True)[1:]
+    except np.linalg.LinAlgError as exc:
+        raise linalg.FactorizationError(
+            f"SVD of the receiver block did not converge: {exc}"
+        ) from exc
+    w = wh.conj().swapaxes(1, 2)[:, :, ::-1]
+    zeros = np.zeros((sig.shape[0], q - sdesc.shape[1]))
+    cdiag = np.concatenate([zeros, np.minimum(sdesc[:, ::-1], 1.0)], axis=1)
+    m = u2 @ w
+    ddiag = np.minimum(np.linalg.norm(m, axis=1), 1.0)
+    live = ddiag > NULLSPACE_TOL
+    ddiag = np.where(live, ddiag, 0.0)
+    if np.any(live[:, min(u2.shape[1], q):]):
+        raise linalg.FactorizationError(
+            "eavesdropper diagonal has live entries beyond its row count")
     # gsvd orthonormalizes the live columns of m by QR, so a zero R
     # diagonal there is a rank loss. QR runs per group of equal live masks.
-    todo = np.any(live, axis=-1)
+    todo = np.any(live, axis=1)
     while np.any(todo):
         mask = live[np.argmax(todo)]
-        group = todo & np.all(live == mask, axis=-1)
+        group = todo & np.all(live == mask, axis=1)
         todo &= ~group
-        r = np.linalg.qr(m[group][..., mask], mode="r")
-        if np.any(np.diagonal(r, axis1=-2, axis2=-1) == 0):
+        r = np.linalg.qr(m[group][:, :, mask], mode="r")
+        if np.any(np.diagonal(r, axis1=1, axis2=2) == 0):
             raise linalg.FactorizationError(_RANK_LOSS)
+    a = (v / sig[:, None, :]) @ w
     c, d, a = _gains(cdiag, ddiag, a)
     _check_gains(c, d, a)
     return full, c, d, a
