@@ -33,7 +33,6 @@ from gsvdcap.capacity import _subspace_masks, _uniform_powers
 from conftest import reference_uniform_p
 
 
-
 def fraction_config(**overrides):
     base = dict(
         n_t=5, n_r=5, n_e=4, budget=100.0, trials=4, seed=3,
@@ -183,10 +182,15 @@ class TestFractionExperiment:
             assert rec.uniform_rate <= 1e-12
             assert rec.optimal_rate <= 1e-12
 
-    @pytest.mark.parametrize("trials, degenerate", [
-        (2, 0), (experiments._TRIAL_CHUNK + 2, experiments._TRIAL_CHUNK + 1)])
-    def test_degenerate_draw_resampled_from_private_substream(
-            self, monkeypatch, trials, degenerate):
+    def test_degenerate_draw_resampled_from_private_substream(self, monkeypatch):
+        self.check_resampled(monkeypatch, trials=2, degenerate=0)
+
+    def test_degenerate_draw_in_a_later_chunk_resampled(self, monkeypatch):
+        chunk = experiments._TRIAL_CHUNK
+        self.check_resampled(monkeypatch, trials=chunk + 2, degenerate=chunk + 1)
+
+    @staticmethod
+    def check_resampled(monkeypatch, trials, degenerate):
         cfg = fraction_config(trials=trials, rho_grid=(0.0, 0.5, 1.0))
         real_draw = experiments._draw
 
@@ -294,14 +298,14 @@ class TestScalarReference:
         ("fraction", (3, 2, 5), "transmit", {}),
         ("fraction", (4, 3, 4), "symbol", {}),
         ("fraction", (5, 5, 4), "symbol", {"sigma_e2": 0.0}),
-        # q >= 8: symbol mode sums each trial's own subset of a, which a
-        # masked row sum would regroup.
-        ("fraction", (12, 4, 4), "symbol", {}),
-        ("fraction", (16, 12, 8), "symbol", {}),
         ("snr", (4, 4, 4), "transmit", {}),
         ("snr", (8, 3, 2), "symbol", {}),
         ("snr", (3, 2, 5), "transmit", {}),
         ("snr", (5, 5, 4), "transmit", {"sigma_e2": 0.0}),
+        # q >= 8: symbol mode sums each trial's own subset of a, which a
+        # masked row sum would regroup.
+        ("fraction", (12, 4, 4), "symbol", {}),
+        ("fraction", (16, 12, 8), "symbol", {}),
     ])
     def test_campaign_equals_scalar_calls(self, campaign, shape, mode, extra):
         n_t, n_r, n_e = shape
