@@ -15,6 +15,19 @@ builds one PowerAllocation at the end; largest_root is the checked scalar
 form of the same root. _roots is the same arithmetic over arrays: it serves
 power_for_mu and _solve_batch, which replays solve_mu over the rows of a
 whole campaign at once.
+
+solve_mu's bisection is evaluated only near the root. A safeguarded Newton
+iteration on log power against log mu estimates the root; power is evaluated
+at anchors est / (1 + w) and est (1 + w), w from 1e-9 widened x100 until one
+anchor is over the budget and one under it by more than the stop rule's
+tolerance. The bisection is then replayed midpoint for midpoint, and a
+midpoint at or beyond an anchor pulled out by the relative margin
+_SEP = 2**-30 takes the anchor's comparison without an evaluation: power is
+monotone across such gaps even in floating point. If the replay ends at the
+ulp exit with a best gap that a skipped midpoint could have beaten, the loop
+runs again with no anchors. Either way p, mu and the effective power equal
+the full bisection's bit for bit. _solve_batch keeps the full bisection: a
+skipped step there still costs a full array step over the live rows.
 """
 
 from __future__ import annotations
@@ -38,6 +51,22 @@ _HALVING_CAP = -sys.float_info.min_exp - 2
 # Bisection steps beyond k: the bracket [mu_hi 2**-k, mu_hi] collapses to
 # 4 ulp of its low end after k + mant_dig - 2 halvings.
 _BISECT_EXTRA = 60
+# Why a comparison decided by an anchor needs no evaluation. Take mu < mu'
+# whose relative gap is at least _SEP. mu * a rounds monotonically, so the
+# computed lead (c - d)/(mu a) is at least that at mu'; it is either equal,
+# giving equal roots, or larger by at least about _SEP relative: subnormal
+# products round to a grid coarser than that or finer than _SEP / 2. The
+# root 2 (lead - 1) / (1 + sqrt(1 - 4cd + 4cd lead)) then has a numerator
+# larger by at least that relative gap and a denominator larger by at most
+# half of it, each up to a few ulp u of rounding, so every clamped p_i is at
+# least its value at mu'. The radiated total a @ p adds nonnegative terms
+# with a > 0 in a fixed order, with relative rounding at most q u, and every
+# rounding is monotone, so it is at least its value at mu' too. _SEP = 2**-30
+# is far above (q + 6) u for any q a channel has. Hence a point at or below
+# an over-budget anchor pulled down by _SEP is over budget by at least as
+# much, and one at or above an under-budget anchor pulled up by _SEP falls
+# short by at least as much.
+_SEP = 2.0 ** -30
 
 
 @dataclass(frozen=True)
@@ -155,6 +184,128 @@ def power_for_mu(gains, mu):
     return PowerAllocation(p=p, mu=float(mu), effective_power=float(a.dot(p)))
 
 
+def _anchors(power, entries, budget, mu_hi):
+    """Evaluated multipliers on both sides of the root, pulled out by _SEP.
+
+    entries are the secure (c, d, a) as Python floats. Returns
+    (x_lo, x_hi, gap): x_lo is the largest evaluated mu whose effective
+    power exceeds the budget by more than the stop rule's tolerance, x_hi
+    the smallest one that falls short by more than it (0.0 and inf stand
+    for none), and gap the smaller of their two gaps |effective - budget|.
+
+    Where to look comes from an estimate: Newton on log f against log mu,
+    f the radiated power, from the water-filling level
+    n / (budget + sum a/(c - d)) capped at mu_hi / 2, with at most 12 steps
+    each clipped to +-2 in log mu and kept inside the bracket its own
+    evaluations have found (a step that leaves it takes the bracket's
+    geometric midpoint). The slope is df/dmu = sum a dp/dmu with
+    dp/dmu = a / m'(p) and m'(x) = d^2/(1+xd)^2 - c^2/(1+xc)^2; an entry
+    whose m' is not negative uses the large-root slope -p/(2 mu), and a total
+    that is not finite -f/(2 mu). Squares are products, since float ** raises
+    OverflowError at huge roots. Anchors are then evaluated at est / (1 + w)
+    and est (1 + w) for w = 1e-9, widened x100 up to 6 times until both
+    sides are found. Nothing rests on the estimate: the anchors are real
+    evaluations of power.
+    """
+    # Below mu_hi 2**-_HALVING_CAP a lead may overflow and its root turn NaN,
+    # which clamps to 0: power stops growing there, so nothing is evaluated
+    # below it. At or above it every mu a is positive and every root finite.
+    floor = math.ldexp(mu_hi, -_HALVING_CAP) or math.ulp(0.0)
+    tol = _REL_TOL * budget
+    lo, hi = 0.0, mu_hi
+    mu = min(len(entries) / (budget + sum(a / (c - d) for c, d, a in entries)),
+             0.5 * mu_hi)
+    for _ in range(12):
+        mu = max(mu, floor)
+        f = slope = 0.0
+        for c, d, a in entries:
+            x = _root(c, d, a, mu)
+            if x > 0.0:
+                f += a * x
+                xc, xd = 1.0 + x * c, 1.0 + x * d
+                m = d * d / (xd * xd) - c * c / (xc * xc)
+                slope += a * a / m if m < 0.0 else -0.5 * a * x / mu
+        if not math.isfinite(slope):
+            slope = -0.5 * f / mu
+        if f > budget:
+            lo = mu
+        else:
+            hi = mu
+        step = 2.0 if f > budget else -2.0
+        if slope < 0.0 and f > 0.0:
+            newton = (math.log(budget) - math.log(f)) * (f / mu) / slope
+            if math.isfinite(newton):
+                step = max(-2.0, min(2.0, newton))
+        est = mu * math.exp(step)
+        if abs(est - mu) <= 1e-7 * mu:
+            break
+        if not lo < est < hi:  # then lo > 0: an overshoot past a bound
+            est = math.sqrt(lo) * math.sqrt(hi)
+        mu = est
+    mu = max(est, floor)
+
+    x_lo, x_hi, w = 0.0, math.inf, 1e-9
+    gap_lo = gap_hi = math.inf
+    for _ in range(7):
+        for low, x in ((True, mu / (1.0 + w)), (False, mu * (1.0 + w))):
+            if (x_lo > 0.0 if low else x_hi < math.inf) or x < floor:
+                continue
+            effective = power(x)[1]
+            if effective - budget > tol and x > x_lo:
+                x_lo, gap_lo = x, effective - budget
+            elif budget - effective > tol and x < x_hi:
+                x_hi, gap_hi = x, budget - effective
+        if x_lo > 0.0 and x_hi < math.inf:
+            break
+        w *= 100.0
+    return x_lo * (1.0 - _SEP), x_hi * (1.0 + _SEP), min(gap_lo, gap_hi)
+
+
+def _replay(power, budget, mu_hi, x_lo=0.0, x_hi=math.inf):
+    """solve_mu's bracket and bisection, evaluating power only strictly
+    between x_lo and x_hi.
+
+    A point at or below x_lo is taken as over the budget and not done, one
+    at or above x_hi as under it and not done (see solve_mu). Returns the
+    best-gap (p, mu, effective) among the evaluated midpoints and its gap;
+    with the default bounds that is the full bisection's result.
+    """
+    mu_lo, halvings = mu_hi, 0
+    while True:
+        mu_lo *= 0.5
+        halvings += 1
+        if halvings > _HALVING_CAP or mu_lo == 0.0:
+            raise ValueError(
+                f"power budget {budget:g} is beyond what any representable "
+                "multiplier reaches on these gains")
+        if mu_lo <= x_lo or mu_lo < x_hi and power(mu_lo)[1] >= budget:
+            break
+
+    lo, hi = mu_lo, mu_hi
+    best = None
+    best_gap = math.inf
+    for _ in range(halvings + _BISECT_EXTRA):
+        mid = 0.5 * (lo + hi)
+        over = mid <= x_lo
+        if not over and mid < x_hi:
+            p, effective = power(mid)
+            gap = abs(effective - budget)
+            if gap < best_gap:
+                best, best_gap = (p, mid, effective), gap
+            if gap <= _REL_TOL * budget:
+                break
+            over = effective > budget
+        if over:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 4.0 * math.ulp(mid):
+            break
+    else:
+        raise RuntimeError("power-budget bisection failed to converge")
+    return best, best_gap
+
+
 def solve_mu(gains, budget):
     """Find mu so the closed-form allocation radiates the whole budget.
 
@@ -166,6 +317,17 @@ def solve_mu(gains, budget):
     criterion; the returned mu is then the best representable double).
     A finite budget that no representable multiplier reaches raises
     ValueError.
+
+    The bisection is evaluated only near the root. A Newton estimate of mu
+    places anchor evaluations on both sides of it (_anchors), and the
+    bisection is replayed midpoint for midpoint, taking every comparison
+    that an anchor decides without evaluating power (_replay). A midpoint
+    beyond an anchor pulled out by the relative margin _SEP compares as the
+    anchor does (see _SEP), and its gap is at least the anchor's. So the
+    result equals the full bisection's bit for bit whenever the best
+    evaluated gap beats the anchors' gaps, which the stop rule always
+    gives; otherwise (the ulp exit) the loop runs again with no anchors,
+    which is the full bisection.
     """
     if not 0 < budget < math.inf:
         raise ValueError("budget must be positive and finite")
@@ -178,36 +340,12 @@ def solve_mu(gains, budget):
     # Power hits zero at mu_hi = max marginal rate per unit radiated power
     # (ln2-free convention) and grows without bound as mu -> 0+.
     mu_hi = float(np.max((c[secure] - d[secure]) / a[secure]))
-    mu_lo, halvings = mu_hi, 0
-    while True:
-        mu_lo *= 0.5
-        halvings += 1
-        if halvings > _HALVING_CAP or mu_lo == 0.0:
-            raise ValueError(
-                f"power budget {budget:g} is beyond what any representable "
-                "multiplier reaches on these gains")
-        if power(mu_lo)[1] >= budget:
-            break
-
-    lo, hi = mu_lo, mu_hi
-    best = None
-    best_gap = math.inf
-    for _ in range(halvings + _BISECT_EXTRA):
-        mid = 0.5 * (lo + hi)
-        p, effective = power(mid)
-        gap = abs(effective - budget)
-        if gap < best_gap:
-            best, best_gap = (p, mid, effective), gap
-        if gap <= _REL_TOL * budget:
-            break
-        if effective > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * math.ulp(mid):
-            break
-    else:
-        raise RuntimeError("power-budget bisection failed to converge")
+    entries = list(zip(c[secure].tolist(), d[secure].tolist(),
+                       a[secure].tolist()))
+    x_lo, x_hi, anchor_gap = _anchors(power, entries, budget, mu_hi)
+    best, best_gap = _replay(power, budget, mu_hi, x_lo, x_hi)
+    if not best_gap < anchor_gap:
+        best, _ = _replay(power, budget, mu_hi)
     p, mu, effective = best
     return PowerAllocation(p=p, mu=mu, effective_power=effective)
 

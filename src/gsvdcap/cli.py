@@ -235,7 +235,13 @@ def _cmd_sweep(args):
     config = ExperimentConfig(
         n_t=args.nt, n_r=args.nr, n_e=args.ne, sigma_r2=args.sigma_r2,
         sigma_e2=args.sigma_e2, trials=args.trials, seed=args.seed, **grid)
-    result = run(config, mode=args.uniform_mode, threads=args.threads)
+    try:
+        result = run(config, mode=args.uniform_mode, threads=args.threads)
+    except MemoryError:
+        points = len(grid.get("rho_grid", grid.get("snr_db_grid")))
+        raise MemoryError(
+            f"a campaign of {args.trials} trials x {points} grid points does "
+            "not fit in memory") from None
     os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")
@@ -277,7 +283,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -97,8 +97,8 @@ class GsvdFactors:
         n_r = self.psi_r.shape[0]
         c = np.zeros((n_r, self.q))
         shift = max(0, self.q - n_r)
-        for i in range(shift, self.q):
-            c[i - shift, i] = self.cdiag[i]
+        cols = np.arange(shift, self.q)
+        c[cols - shift, cols] = self.cdiag[shift:]
         return c
 
     def d_matrix(self):
@@ -109,8 +109,8 @@ class GsvdFactors:
         """
         n_e = self.psi_e.shape[0]
         d = np.zeros((n_e, self.q))
-        for i in range(min(n_e, self.q)):
-            d[i, i] = self.ddiag[i]
+        k = np.arange(min(n_e, self.q))
+        d[k, k] = self.ddiag[k]
         return d
 
 

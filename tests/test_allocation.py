@@ -1,10 +1,13 @@
 """Unit tests for the closed-form power allocation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsvdcap import (
+    ChannelPair,
     PowerAllocation,
     SubchannelGains,
     gsvd,
@@ -12,8 +15,10 @@ from gsvdcap import (
     largest_root,
     power_for_mu,
     solve_mu,
+    subchannel_gains,
 )
 
+from gsvdcap import allocation
 from gsvdcap.allocation import _solve_batch
 
 from conftest import gains_st, random_pair
@@ -212,6 +217,111 @@ class TestOneCore:
         reference = [max(0.0, largest_root(c[i], d[i], a[i], alloc.mu))
                      if c[i] > d[i] else 0.0 for i in range(gains.q)]
         assert np.array_equal(alloc.p, reference)
+
+
+def solve_outcome(gains, budget):
+    """solve_mu's (p, mu, effective_power), or its exception's type and
+    message."""
+    try:
+        alloc = solve_mu(gains, budget)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return alloc.p, alloc.mu, alloc.effective_power
+
+
+def full_bisection_outcome(gains, budget):
+    """solve_outcome of the same loop with no anchors: every midpoint of the
+    bracket and the bisection is evaluated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_anchors",
+                   lambda *args: (0.0, math.inf, math.inf))
+        return solve_outcome(gains, budget)
+
+
+def assert_same_as_full_bisection(gains, budget):
+    got = solve_outcome(gains, budget)
+    want = full_bisection_outcome(gains, budget)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1] and got[2] == want[2]
+    return got
+
+
+class TestSkipAhead:
+    """The skip-ahead solve_mu against its own loop run with no anchors."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(gains=gains_st(),
+           log_budget=st.floats(min_value=-9.0, max_value=29.0))
+    def test_equals_full_bisection(self, gains, log_budget):
+        assert_same_as_full_bisection(gains, 10.0 ** log_budget)
+
+    def test_ulp_exit_runs_again_without_anchors(self, monkeypatch):
+        # No double near mu_hi radiates 1e-100, so the bracket collapses to
+        # the ulp with every gap above the tolerance; a skipped midpoint
+        # could have had the best gap, so the loop runs again.
+        calls = []
+        replay = allocation._replay
+
+        def counted(*args):
+            calls.append(args[3:])
+            return replay(*args)
+
+        monkeypatch.setattr(allocation, "_replay", counted)
+        got = assert_same_as_full_bisection(single_gain(), 1e-100)
+        assert got[2] > 0.0
+        assert len(calls) == 3  # anchored, again without, and the reference
+        assert calls[0] != () and calls[1] == ()
+
+    def test_unreachable_budget_matches(self):
+        gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-300])
+        got = assert_same_as_full_bisection(gains, 1e10)
+        assert got[0] is ValueError and "1e+10" in got[1]
+
+    def test_wide_scales_match(self):
+        gains = SubchannelGains(c=[1.0, 0.9, 0.5, 0.7], d=[0.0, 0.1, 0.5, 0.3],
+                                a=[1e-3, 1e3, 1.0, 1e-250])
+        for budget in (1e-300, 1e-9, 1.0, 1e29, 1e300):
+            assert_same_as_full_bisection(gains, budget)
+
+
+class TestEvaluationCount:
+    """Exact power evaluations per solve. The full bisection needs 37 to 75
+    on these, so a silent fall-back to it fails here."""
+
+    @staticmethod
+    def count(monkeypatch, gains, budget):
+        calls = [0]
+        curve = allocation._power_curve
+
+        def counted_curve(g):
+            power = curve(g)
+
+            def counted(mu):
+                calls[0] += 1
+                return power(mu)
+
+            return counted
+
+        monkeypatch.setattr(allocation, "_power_curve", counted_curve)
+        solve_mu(gains, budget)
+        monkeypatch.undo()
+        return calls[0]
+
+    def test_readme_and_allocate_shapes(self, monkeypatch):
+        # The README's library example.
+        rng = np.random.default_rng(0)
+        hr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        he = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        readme = subchannel_gains(gsvd(ChannelPair(hr, he)))
+        cases = [(readme, 1.0, 7), (readme, 100.0, 8), (readme, 1e4, 8),
+                 (subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1))), 10.0, 7),
+                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 6)]
+        counts = [self.count(monkeypatch, g, b) for g, b, _ in cases]
+        assert counts == [n for _, _, n in cases]
+        assert max(counts) <= 15
 
 
 class TestBatchSolve:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gsvdcap import linalg, read_trial_csv
+from gsvdcap import experiments, linalg, read_trial_csv
 from gsvdcap.cli import build_parser, main, parse_range
 
 
@@ -124,6 +124,22 @@ class TestSweeps:
         assert main(args + ["--out", str(out4), "--threads", "4"]) == 0
         for name in ("fraction_trials.csv", "fraction_aggregate.csv"):
             assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
+
+    def test_campaign_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(experiments, "_run_campaign", no_memory)
+        code = main(["sweep-fraction", "--nt", "2", "--nr", "2", "--ne", "1",
+                     "--power", "10", "--rho-grid", "0:0.25:1",
+                     "--trials", "200000", "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "200000 trials x 5 grid points" in err
+        assert not (tmp_path / "out").exists()
 
     def test_snr_sweep_at_300_db(self, tmp_path):
         # Budget 1e30: the multiplier bracket needs over 200 halvings.

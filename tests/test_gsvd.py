@@ -83,6 +83,22 @@ class TestFactorizationInvariants:
             1.0, np.linalg.norm(pair.he)
         )
 
+    def test_embedded_diagonals_place_each_entry(self, shape_classes):
+        # Entry i of cdiag sits at row i - max(0, q - n_r), entry i of ddiag
+        # at (i, i) for i < n_e; every other entry is zero. The shapes
+        # include q > n_r and q > n_e.
+        for k, (n_t, n_r, n_e) in enumerate(shape_classes):
+            f = gsvd(random_pair(n_t, n_r, n_e, seed=400 + k))
+            c, d = np.zeros((n_r, f.q)), np.zeros((n_e, f.q))
+            shift = max(0, f.q - n_r)
+            for i in range(f.q):
+                if i >= shift:
+                    c[i - shift, i] = f.cdiag[i]
+                if i < n_e:
+                    d[i, i] = f.ddiag[i]
+            assert np.array_equal(f.c_matrix(), c)
+            assert np.array_equal(f.d_matrix(), d)
+
     def test_nullspace_counts(self, shape_classes):
         for k, (n_t, n_r, n_e) in enumerate(shape_classes):
             f = gsvd(random_pair(n_t, n_r, n_e, seed=300 + k))
