@@ -238,7 +238,7 @@ def _cmd_sweep(args):
     try:
         result = run(config, mode=args.uniform_mode, threads=args.threads)
     except MemoryError:
-        points = len(grid.get("rho_grid", grid.get("snr_db_grid")))
+        points = len(config.rho_grid if fraction else config.snr_db_grid)
         raise MemoryError(
             f"a campaign of {args.trials} trials x {points} grid points does "
             "not fit in memory") from None

@@ -291,26 +291,20 @@ class TestEvaluationCount:
     """Exact power evaluations per solve. The full bisection needs 37 to 75
     on these, so a silent fall-back to it fails here."""
 
-    @staticmethod
-    def count(monkeypatch, gains, budget):
-        calls = [0]
+    def test_readme_and_allocate_shapes(self, monkeypatch):
+        evaluated = []
         curve = allocation._power_curve
 
-        def counted_curve(g):
-            power = curve(g)
+        def counted_curve(gains):
+            power = curve(gains)
 
             def counted(mu):
-                calls[0] += 1
+                evaluated.append(mu)
                 return power(mu)
 
             return counted
 
         monkeypatch.setattr(allocation, "_power_curve", counted_curve)
-        solve_mu(gains, budget)
-        monkeypatch.undo()
-        return calls[0]
-
-    def test_readme_and_allocate_shapes(self, monkeypatch):
         # The README's library example.
         rng = np.random.default_rng(0)
         hr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
@@ -319,7 +313,11 @@ class TestEvaluationCount:
         cases = [(readme, 1.0, 7), (readme, 100.0, 8), (readme, 1e4, 8),
                  (subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1))), 10.0, 7),
                  (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 6)]
-        counts = [self.count(monkeypatch, g, b) for g, b, _ in cases]
+        counts = []
+        for gains, budget, _ in cases:
+            evaluated.clear()
+            solve_mu(gains, budget)
+            counts.append(len(evaluated))
         assert counts == [n for _, _, n in cases]
         assert max(counts) <= 15
 
