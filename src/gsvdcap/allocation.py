@@ -367,9 +367,13 @@ def _solve_batch(c, d, a, budgets):
     Rows must be gains that SubchannelGains accepts and budgets positive
     and finite. Each row replays solve_mu's bracket, caps, midpoints, stop
     rule, ulp exit and best-gap choice in array arithmetic, so p, mu and the
-    effective power equal solve_mu's bit for bit; rows leave the arrays as
-    they finish. Returns (p, mu, effective), shaped (n, q), (n,), (n,). The
-    first row that solve_mu would reject raises its error.
+    effective power equal solve_mu's bit for bit. The arrays keep every row
+    throughout: a boolean mask marks the open rows, and a row that closes
+    keeps its values and is evaluated again at its last point, which is
+    finite. So each step costs the whole batch, and one row with a long
+    bracket (a budget far from the others, say -60 and 290 dB in one batch)
+    makes every row wait for it. Returns (p, mu, effective), shaped (n, q),
+    (n,), (n,). The first row that solve_mu would reject raises its error.
     """
     secure = c > d
     # Insecure entries get a zero lead at unit column power: their roots are
@@ -377,60 +381,55 @@ def _solve_batch(c, d, a, budgets):
     cd = np.where(secure, c - d, 0.0)
     fcd = np.where(secure, 4.0 * c * d, 0.0)
     a_den = np.where(secure, a, 1.0)
-    mu = np.ones(c.shape[0])  # silence's multiplier, as in solve_mu
+    gains = (cd, fcd, a_den, a)
+    # Rows with no secure entry never open: silence at mu = 1.0, as in
+    # solve_mu.
+    live = secure.any(axis=1)
+    mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
 
-    # Bracket each row with a secure entry: halve mu from mu_hi until the
-    # power reaches the budget.
-    rows = np.flatnonzero(secure.any(axis=1))
-    mu_hi = np.max(cd[rows] / a[rows], axis=1)
-    lo = np.empty_like(mu)
-    cap = np.empty(c.shape[0], dtype=int)
-    state = [rows, mu_hi, budgets[rows], cd[rows], fcd[rows], a_den[rows], a[rows]]
-    halvings, unreachable = 0, []
-    while state[0].size:
-        state[1] = state[1] * 0.5
+    # Bracket: halve mu from mu_hi until the power reaches the budget. A row
+    # whose next halving would reach zero or pass the cap is unreachable.
+    open_, lo = live.copy(), mu_hi.copy()
+    cap = np.zeros(c.shape[0], dtype=int)
+    unreachable = np.zeros_like(live)
+    halvings = 0
+    while open_.any():
         halvings += 1
-        live = (state[1] != 0.0) & (halvings <= _HALVING_CAP)
-        if not live.all():
-            unreachable.extend(state[0][~live].tolist())
-            state = [x[live] for x in state]
-        at, mu_lo, budget, *gains = state
-        reached = _batch_power(*gains, mu_lo)[1] >= budget
-        if reached.any():
-            lo[at[reached]] = mu_lo[reached]
-            cap[at[reached]] = halvings + _BISECT_EXTRA
-            state = [x[~reached] for x in state]
-    if unreachable:
+        half = lo * 0.5
+        stuck = open_ & ((half == 0.0) | (halvings > _HALVING_CAP))
+        unreachable |= stuck
+        open_ &= ~stuck
+        lo = np.where(open_, half, lo)
+        reached = open_ & (_batch_power(*gains, lo)[1] >= budgets)
+        cap[reached] = halvings + _BISECT_EXTRA
+        open_ &= ~reached
+    if unreachable.any():
         raise ValueError(
-            f"power budget {float(budgets[min(unreachable)]):g} is beyond "
-            "what any representable multiplier reaches on these gains")
+            f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
+            "beyond what any representable multiplier reaches on these gains")
 
-    # Bisect each row's bracket; mu takes a row's best midpoint as it ends.
-    best_gap = np.full(rows.size, math.inf)
-    state = [rows, lo[rows], mu_hi, budgets[rows], cap[rows], mu_hi, best_gap,
-             cd[rows], fcd[rows], a_den[rows], a[rows]]
+    # Bisect each row's bracket, keeping its best midpoint.
+    open_, hi, mu = live.copy(), mu_hi.copy(), mu_hi.copy()
+    best_gap = np.full(c.shape[0], math.inf)
+    tol = _REL_TOL * budgets
     steps = 0
-    while state[0].size:
-        at, lo_, hi, budget, cap_, best_mu, best_gap, *gains = state
-        mid = 0.5 * (lo_ + hi)
+    while open_.any():
+        mid = 0.5 * (lo + hi)
         effective = _batch_power(*gains, mid)[1]
-        gap = np.abs(effective - budget)
-        better = gap < best_gap
-        best_mu = np.where(better, mid, best_mu)
+        gap = np.abs(effective - budgets)
+        better = open_ & (gap < best_gap)
+        mu = np.where(better, mid, mu)
         best_gap = np.where(better, gap, best_gap)
-        over = effective > budget
-        lo_ = np.where(over, mid, lo_)
-        hi = np.where(over, hi, mid)
-        done = (gap <= _REL_TOL * budget) | (hi - lo_ <= 4.0 * np.spacing(mid))
+        over = effective > budgets
+        lo = np.where(open_ & over, mid, lo)
+        hi = np.where(open_ & ~over, mid, hi)
+        done = (gap <= tol) | (hi - lo <= 4.0 * np.spacing(mid))
         steps += 1
-        if np.any(~done & (steps >= cap_)):
+        if np.any(open_ & ~done & (steps >= cap)):
             raise RuntimeError("power-budget bisection failed to converge")
-        state = [at, lo_, hi, budget, cap_, best_mu, best_gap, *gains]
-        if done.any():
-            mu[at[done]] = best_mu[done]
-            state = [x[~done] for x in state]
+        open_ &= ~done
 
-    p, effective = _batch_power(cd, fcd, a_den, a, mu)
+    p, effective = _batch_power(*gains, mu)
     return p, mu, effective
 
 

@@ -13,7 +13,8 @@ per-point allocation object; _uniform_secure_powers does the same for the
 secure-set baseline over a column of budgets. Both work on boolean set
 masks over the last axis, so one pair's gains and a stack of trials' gains
 run the same code. _rate_bits is the one rate expression, over the last
-axis of any stack of allocations.
+axis of any stack of allocations, and _clamp the one rule that floors
+rates at zero.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import PowerAllocation
+from .allocation import LN2, PowerAllocation
 
-LN2 = math.log(2.0)
 NULL_EPS = 1e-9
 
 
@@ -74,6 +74,11 @@ class RateCurve:
 def _rate_bits(p, c, d):
     """Sum over the last axis of log2(1 + p c) - log2(1 + p d)."""
     return np.sum(np.log1p(p * c) - np.log1p(p * d), axis=-1) / LN2
+
+
+def _clamp(rates):
+    """max(0.0, r) per entry: negative, zero and NaN rates become 0."""
+    return np.where(rates > 0.0, rates, 0.0)
 
 
 def secrecy_rate(gains, alloc):
@@ -246,4 +251,4 @@ def _fraction_rates(c, d, a, s1, s2, budget, grid, mode, secure_only=True):
     """fraction_sweep's clamped rates over the last axis of the gains and
     set masks, which may carry leading axes: (..., grid)."""
     p = _uniform_powers(c, d, a, s1, s2, budget, grid, mode, secure_only)
-    return np.maximum(_rate_bits(p, c[..., None, :], d[..., None, :]), 0.0)
+    return _clamp(_rate_bits(p, c[..., None, :], d[..., None, :]))

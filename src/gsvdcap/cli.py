@@ -249,13 +249,11 @@ def _cmd_sweep(args):
     experiments.write_aggregate_csv(result.aggregates, agg_path)
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {agg_path}", file=sys.stderr)
-    summary = f"{result.resampled} resampled draws"
     if fraction:
         best = int(np.argmax(result.curve.rate_bits))
-        summary = (f"mean optimal rate {result.aggregates[0].mean_optimal:.6g} "
-                   f"bits; best uniform rho {result.curve.param[best]:.4g} "
-                   f"({result.curve.rate_bits[best]:.6g} bits); {summary}")
-    print(summary, file=sys.stderr)
+        print(f"mean optimal rate {result.aggregates[0].mean_optimal:.6g} "
+              f"bits; best uniform rho {result.curve.param[best]:.4g} "
+              f"({result.curve.rate_bits[best]:.6g} bits)", file=sys.stderr)
     return 0
 
 

@@ -11,8 +11,9 @@ calls, then the optimum of every (trial, budget) pair is one batched
 bisection over fixed row chunks, and records, aggregates and the trial CSV
 come from (trials, grid) arrays. Every stacked row equals the one-pair path
 sample_channel -> gsvd -> subchannel_gains -> classify_subspaces bit for
-bit. Campaigns run in one thread; the threads argument is accepted and
-ignored.
+bit, errors included: a trial whose draw fails gsvd's rank test raises
+DegenerateChannelError, naming the trial. Campaigns run in one thread; the
+threads argument is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -27,23 +28,24 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
+
 # gsvd, subchannel_gains, classify_subspaces, fraction_sweep, solve_mu,
 # secrecy_rate and uniform_secure_allocation are the one-pair forms of what
 # the engine computes on stacks of trials. Nothing here calls them; they
 # stay bound because perfbench/tracer.py wraps them under this module's
 # names.
 from .allocation import _solve_batch, solve_mu  # noqa: F401
-from .capacity import (RateCurve, _fraction_rates,  # noqa: F401
+from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
                        _rate_bits, _subspace_masks, _uniform_secure_powers,
                        classify_subspaces, fraction_sweep, secrecy_rate,
                        uniform_secure_allocation)
-from .gsvd import (ChannelPair, _stacked_gains, gsvd,  # noqa: F401
-                   subchannel_gains)
+from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
+                   _stacked_gains, gsvd, subchannel_gains)
 
 _STREAM_HR = 0
 _STREAM_HE = 1
 _U64 = 2**64 - 1
-_MAX_RESAMPLE = 64
 # Trials sampled, factored and swept per stacked call, and rows of
 # (trial, budget) pairs per batched solve: both bound the working set.
 _TRIAL_CHUNK = 256
@@ -142,8 +144,8 @@ class CampaignResult:
     holds the optimal rates, (trials, grid) on the SNR sweep and
     (trials, 1) on the fraction sweep, whose optimum is budget-fixed. q,
     dim_s1 and dim_s2 are per-trial integer arrays. curve is the mean
-    uniform-rate curve over the grid, aggregates one AggregateRow per grid
-    point, and resampled the count of degenerate draws replaced.
+    uniform-rate curve over the grid and aggregates one AggregateRow per
+    grid point.
     """
 
     grid: np.ndarray
@@ -154,7 +156,6 @@ class CampaignResult:
     dim_s2: np.ndarray
     curve: RateCurve
     aggregates: list
-    resampled: int
 
     @property
     def records(self):
@@ -186,39 +187,28 @@ def _box_muller(u1, u2):
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
-def _rayleigh(seed, trial, stream, rows, cols, variance):
-    """One CN(0, variance) i.i.d. matrix from the (seed, trial, stream) key:
-    Box-Muller over the generator's uniforms u1, u2, drawn as flat arrays."""
-    gen = np.random.Generator(np.random.Philox(key=_key(seed, trial, stream)))
-    n = rows * cols
-    z = _box_muller(gen.random(n), gen.random(n))
-    return (math.sqrt(variance / 2.0) * z).reshape(rows, cols)
-
-
 def sample_channel(config, trial):
     """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
     if not 0 <= trial:
         raise ValueError("trial must be nonnegative")
-    hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
-                   config.sigma_r2)
-    he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
-                   config.sigma_e2)
-    return ChannelPair(hr=hr, he=he)
+    h = _draw(config, [trial])[0]
+    return ChannelPair(hr=h[:config.n_r], he=h[config.n_r:])
 
 
-def _draw(config, substreams):
-    """The channel pairs [hr; he] of the given substreams, each as
-    sample_channel draws it, as one (len(substreams), n_r + n_e, n_t)
-    complex stack. Box-Muller runs once over the stack."""
+def _draw(config, trials):
+    """The channel pairs [hr; he] of the given trials as one
+    (len(trials), n_r + n_e, n_t) complex stack: each matrix is
+    CN(0, variance) i.i.d. from its (seed, trial, stream) key, Box-Muller
+    over the generator's uniforms u1, u2, run once over the stack."""
     split = config.n_r * config.n_t
     size = split + config.n_e * config.n_t
-    u1, u2 = np.empty((2, len(substreams), size))
+    u1, u2 = np.empty((2, len(trials), size))
     # One generator serves every key: restoring a fresh Philox state with
     # the key swapped in is the stream Philox(key=key) starts.
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = bits.state
-    for row, trial in enumerate(substreams):
+    for row, trial in enumerate(trials):
         for stream, part in ((_STREAM_HR, slice(0, split)),
                              (_STREAM_HE, slice(split, size))):
             key = _key(config.seed, trial, stream)
@@ -231,33 +221,16 @@ def _draw(config, substreams):
                        math.sqrt(config.sigma_e2 / 2.0) + 0j],
                       [split, size - split])
     z = scale * _box_muller(u1, u2)
-    return z.reshape(len(substreams), -1, config.n_t)
+    return z.reshape(len(trials), -1, config.n_t)
 
 
-def _factor_trials(config, trials):
-    """(c, d, a, resampled): the gains of the given trials, one row each,
-    and the number of degenerate draws replaced.
-
-    Every draw of the chunk is factored at once. Retry k redraws only the
-    trials whose draws failed the rank test, each from the substream at
-    trial + trials*k, which no other trial uses, so resampling one trial
-    never perturbs the rest.
-    """
-    q = min(config.n_t, config.n_r + config.n_e)
-    c, d, a = (np.empty((trials.size, q)) for _ in range(3))
-    pending = np.arange(trials.size)
-    resampled = 0
-    for k in range(_MAX_RESAMPLE + 1):
-        full, *gains = _stacked_gains(
-            _draw(config, trials[pending] + config.trials * k), config.n_r)
-        done = pending[full]
-        c[done], d[done], a[done] = gains
-        pending = pending[~full]
-        if not pending.size:
-            return c, d, a, resampled
-        resampled += pending.size
-    raise RuntimeError(f"trial {trials[pending[0]]}: {_MAX_RESAMPLE + 1} "
-                       "degenerate channel draws in a row")
+def _degenerate(trial, h, q):
+    """gsvd's DegenerateChannelError for the stacked draw h, naming the
+    trial."""
+    rank = linalg.rank_with_tol(linalg.svd(h)[1], linalg.RANK_TOL)
+    error = DegenerateChannelError(rank, q)
+    error.args = (f"trial {trial}: {error}",)
+    return error
 
 
 def _run_campaign(config, grid, uniform_rates, budgets):
@@ -275,11 +248,14 @@ def _run_campaign(config, grid, uniform_rates, budgets):
     c, d, a = (np.empty((trials, q)) for _ in range(3))
     s1, s2 = (np.empty((trials, q), dtype=bool) for _ in range(2))
     uniform = np.empty((trials, grid.size))
-    resampled = 0
     for start in range(0, trials, _TRIAL_CHUNK):
         rows = np.arange(start, min(start + _TRIAL_CHUNK, trials))
-        c[rows], d[rows], a[rows], redrawn = _factor_trials(config, rows)
-        resampled += redrawn
+        h = _draw(config, rows)
+        full, *gains = _stacked_gains(h, config.n_r)
+        if not full.all():
+            bad = np.argmin(full)
+            raise _degenerate(rows[bad], h[bad], q)
+        c[rows], d[rows], a[rows] = gains
         s1[rows], s2[rows] = _subspace_masks(c[rows], d[rows])
         uniform[rows] = uniform_rates(c[rows], d[rows], a[rows], s1[rows],
                                       s2[rows])
@@ -289,8 +265,7 @@ def _run_campaign(config, grid, uniform_rates, budgets):
         dim_s1=np.count_nonzero(s1, axis=1),
         dim_s2=np.count_nonzero(s2, axis=1),
         curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
-        aggregates=_aggregates(grid, uniform, optimal),
-        resampled=resampled)
+        aggregates=_aggregates(grid, uniform, optimal))
 
 
 def _optimal_rates(c, d, a, budgets):
@@ -305,11 +280,6 @@ def _optimal_rates(c, d, a, budgets):
         p = _solve_batch(cs, ds, a[trial], budgets[rows % budgets.size])[0]
         rates[rows] = _rate_bits(p, cs, ds)
     return _clamp(rates).reshape(c.shape[0], budgets.size)
-
-
-def _clamp(rates):
-    """max(0.0, r) per entry: negative, zero and NaN rates become 0."""
-    return np.where(rates > 0.0, rates, 0.0)
 
 
 def run_fraction_experiment(config, mode="transmit", threads=None):

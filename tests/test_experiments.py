@@ -1,6 +1,8 @@
 """Unit tests for channel sampling, campaigns, and CSV plumbing."""
 
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import gsvdcap.experiments as experiments
 from gsvdcap import (
+    DegenerateChannelError,
     ExperimentConfig,
     PowerAllocation,
     SubchannelGains,
@@ -29,6 +32,7 @@ from gsvdcap import (
     write_csv,
 )
 from gsvdcap.capacity import _subspace_masks, _uniform_powers
+from gsvdcap.gsvd import _stacked_gains
 
 from conftest import reference_uniform_p
 
@@ -138,6 +142,23 @@ class TestSampleChannel:
         with pytest.raises(ValueError):
             sample_channel(fraction_config(), -1)
 
+    @pytest.mark.parametrize("shape, trial, digest", [
+        ((5, 5, 4), 0,
+         "0aea7e7cedba27a037b70497a8124b493c8b334cba5c58deb95e40ed442cc087"),
+        ((3, 2, 5), 7,
+         "737ddd87e1c3ad8356a9bee5db74ff4c8da849322e59a4dde6c5170d672fbe0a"),
+        ((16, 16, 12), 49,
+         "e6be501a3a7b34caf65824e5487ed4a1ba3e729894e1cca8e4280966a9b3d99f"),
+    ], ids=["5x5x4-t0", "3x2x5-t7", "16x16x12-t49"])
+    def test_draws_are_pinned(self, shape, trial, digest):
+        # Campaign CSVs depend on these bytes; a sampler change shows here
+        # first.
+        n_t, n_r, n_e = shape
+        pair = sample_channel(
+            ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=1), trial)
+        data = pair.hr.tobytes() + pair.he.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestFractionExperiment:
     def test_records_and_invariants(self):
@@ -182,44 +203,51 @@ class TestFractionExperiment:
             assert rec.uniform_rate <= 1e-12
             assert rec.optimal_rate <= 1e-12
 
-    def test_degenerate_draw_resampled_from_private_substream(self, monkeypatch):
-        self.check_resampled(monkeypatch, trials=2, degenerate=0)
+    def test_degenerate_draw_raises_naming_the_trial(self, monkeypatch):
+        self.check_degenerate(monkeypatch, trials=2, degenerate=0)
 
-    def test_degenerate_draw_in_a_later_chunk_resampled(self, monkeypatch):
+    def test_degenerate_draw_in_a_later_chunk_raises_naming_the_trial(
+            self, monkeypatch):
         chunk = experiments._TRIAL_CHUNK
-        self.check_resampled(monkeypatch, trials=chunk + 2, degenerate=chunk + 1)
+        self.check_degenerate(monkeypatch, trials=chunk + 2,
+                              degenerate=chunk + 1)
 
     @staticmethod
-    def check_resampled(monkeypatch, trials, degenerate):
+    def check_degenerate(monkeypatch, trials, degenerate):
         cfg = fraction_config(trials=trials, rho_grid=(0.0, 0.5, 1.0))
         real_draw = experiments._draw
 
         def flaky(config, substreams):
-            # The degenerate trial's first draw is all zeros, which fails
-            # the rank test; its redraws come from other substreams.
+            # The degenerate trial's draw is all zeros: stacked rank 0.
             h = real_draw(config, substreams)
             h[np.asarray(substreams) == degenerate] = 0.0
             return h
 
         monkeypatch.setattr(experiments, "_draw", flaky)
-        result = run_fraction_experiment(cfg)
-        assert result.resampled == 1
-
-        # The degenerate trial must have used substream trial + trials*1,
-        # leaving its neighbour untouched on its own substream.
-        def optimal_for(t):
-            gains = subchannel_gains(gsvd(sample_channel(cfg, t)))
-            return secrecy_rate(gains, solve_mu(gains, cfg.budget))
-
-        neighbour = degenerate - 1 if degenerate else 1
-        assert result.optimal[degenerate, 0] == optimal_for(degenerate + trials)
-        assert result.optimal[neighbour, 0] == optimal_for(neighbour)
-
-    def test_resampling_gives_up_naming_the_trial(self):
-        # A silent receiver leaves [hr; he] with rank n_e < q on every draw.
-        cfg = fraction_config(n_t=5, n_r=2, n_e=2, trials=3, sigma_r2=0.0)
-        with pytest.raises(RuntimeError, match="trial 0: 65 degenerate"):
+        with pytest.raises(DegenerateChannelError) as info:
             run_fraction_experiment(cfg)
+        assert str(info.value) == (f"trial {degenerate}: degenerate channel: "
+                                   "stacked rank 0, expected 5")
+        assert (info.value.detected_rank, info.value.expected_rank) == (0, 5)
+
+    def test_zero_variance_receiver_raises_on_the_first_draw(self, monkeypatch):
+        # A silent receiver leaves [hr; he] with rank n_e < q on every draw.
+        cfg = fraction_config(n_t=5, n_r=2, n_e=2, trials=5, sigma_r2=0.0)
+        with pytest.raises(DegenerateChannelError) as one_pair:
+            gsvd(sample_channel(cfg, 0))
+        draws = []
+        real_draw = experiments._draw
+
+        def counted(config, substreams):
+            draws.append(list(substreams))
+            return real_draw(config, substreams)
+
+        monkeypatch.setattr(experiments, "_draw", counted)
+        with pytest.raises(DegenerateChannelError) as info:
+            run_fraction_experiment(cfg)
+        assert str(info.value) == f"trial 0: {one_pair.value}"
+        assert str(one_pair.value).endswith("stacked rank 2, expected 4")
+        assert draws == [[0, 1, 2, 3, 4]]
 
     def test_thread_count_does_not_change_results(self):
         cfg = fraction_config(trials=6)
@@ -334,7 +362,6 @@ class TestScalarReference:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             result = run(cfg, mode=mode)
-        assert result.resampled == 0
         uniform, optimal, dims = scalar_reference(cfg, mode)
         assert np.array_equal(result.uniform, uniform)
         assert np.array_equal(result.optimal, optimal)
@@ -354,7 +381,9 @@ class TestScalarReference:
     def check_stacked_powers(cfg, mode):
         """The stacked sweep's powers, not only its rates, equal the looped
         reference: a last-bit change of p can vanish in the rate."""
-        c, d, a, _ = experiments._factor_trials(cfg, np.arange(cfg.trials))
+        full, c, d, a = _stacked_gains(
+            experiments._draw(cfg, np.arange(cfg.trials)), cfg.n_r)
+        assert full.all()
         s1, s2 = _subspace_masks(c, d)
         p = _uniform_powers(c, d, a, s1, s2, cfg.budget,
                             np.asarray(cfg.rho_grid), mode, True)
@@ -443,14 +472,30 @@ class TestConfigIo:
         cfg = fraction_config()
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
-        assert load_config(path) == cfg
+        back = load_config(path)
+        assert back == cfg
+        assert type(back.rho_grid) is tuple and back.snr_db_grid is None
 
     def test_round_trip_with_snr_grid(self, tmp_path):
         cfg = ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=3, seed=1,
                                snr_db_grid=(0.0, 10.0))
         path = tmp_path / "cfg.json"
         save_config(cfg, path)
-        assert load_config(path) == cfg
+        back = load_config(path)
+        assert back == cfg
+        assert type(back.snr_db_grid) is tuple and back.rho_grid is None
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"n_t": 4, "n_r": 4, "n_e": 4, "gamma": 1}', "unknown config fields"),
+        ("[4, 4, 4]", "config must be a JSON object"),
+        ("{", "not valid JSON"),
+        ('{"n_r": 4, "n_e": 4}', "bad config: .*n_t"),
+    ], ids=["unknown-field", "not-an-object", "invalid-json", "missing-n_t"])
+    def test_rejection_names_the_path(self, text, reason, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {reason}"):
+            load_config(path)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
