@@ -187,19 +187,30 @@ def _box_muller(u1, u2):
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
+def _rayleigh(seed, trial, stream, rows, cols, variance):
+    """One CN(0, variance) i.i.d. matrix from the (seed, trial, stream) key:
+    Box-Muller over the generator's uniforms u1, u2, drawn as flat arrays."""
+    gen = np.random.Generator(np.random.Philox(key=_key(seed, trial, stream)))
+    n = rows * cols
+    z = _box_muller(gen.random(n), gen.random(n))
+    return (math.sqrt(variance / 2.0) * z).reshape(rows, cols)
+
+
 def sample_channel(config, trial):
     """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
     if not 0 <= trial:
         raise ValueError("trial must be nonnegative")
-    h = _draw(config, [trial])[0]
-    return ChannelPair(hr=h[:config.n_r], he=h[config.n_r:])
+    hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
+                   config.sigma_r2)
+    he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
+                   config.sigma_e2)
+    return ChannelPair(hr=hr, he=he)
 
 
 def _draw(config, trials):
-    """The channel pairs [hr; he] of the given trials as one
-    (len(trials), n_r + n_e, n_t) complex stack: each matrix is
-    CN(0, variance) i.i.d. from its (seed, trial, stream) key, Box-Muller
-    over the generator's uniforms u1, u2, run once over the stack."""
+    """The channel pairs [hr; he] of the given trials, each as
+    sample_channel draws it, as one (len(trials), n_r + n_e, n_t) complex
+    stack. Box-Muller runs once over the stack."""
     split = config.n_r * config.n_t
     size = split + config.n_e * config.n_t
     u1, u2 = np.empty((2, len(trials), size))
