@@ -196,12 +196,12 @@ def gsvd(channels):
     n_e = he.shape[0]
     q = min(n_t, n_r + n_e)
 
-    stacked = np.vstack([hr, he])
-    u, sig, v = linalg.svd(stacked)
-    rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
-    if rank < q:
-        raise DegenerateChannelError(rank, q)
-    u, sig, v = u[:, :q], sig[:q], v[:, :q]
+    u, sig, v = linalg.svd(np.concatenate([hr, he]))
+    # The thin SVD returns exactly q values, sorted descending, so the rank
+    # is full when the last one clears linalg.rank_with_tol's threshold.
+    if not sig[q - 1] > linalg.RANK_TOL * max(sig[0], 1e-300):
+        raise DegenerateChannelError(
+            linalg.rank_with_tol(sig, linalg.RANK_TOL), q)
 
     # Split the stacked left factor and diagonalize the receiver block. Its
     # singular values are the cosines; reversing puts them in ascending order.
@@ -226,23 +226,30 @@ def gsvd(channels):
     # reconstructs equally well). A complete QR also spans the complement:
     # its trailing columns fill the dead slots.
     m = u2 @ w
-    ddiag = np.minimum(np.linalg.norm(m, axis=0), 1.0)
+    # np.linalg.norm(m, axis=0)'s own expression, bit for bit.
+    ddiag = np.sqrt((m.conj() * m).real.sum(axis=0))
+    np.minimum(ddiag, 1.0, out=ddiag)
     live = ddiag > NULLSPACE_TOL
-    ddiag = np.where(live, ddiag, 0.0)  # below the threshold is a null direction
-    if np.any(live[min(n_e, q):]):
+    ddiag[~live] = 0.0  # below the threshold is a null direction
+    if live[min(n_e, q):].any():
         raise linalg.FactorizationError(
             "eavesdropper diagonal has live entries beyond its row count")
     idx = np.flatnonzero(live)
+    k = idx.size
     qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
     phases = rfac.diagonal().copy()
     mags = np.abs(phases)
-    if np.any(mags == 0):
+    if (mags == 0).any():
         raise linalg.FactorizationError(_RANK_LOSS)
-    slot = np.zeros(n_e, dtype=bool)
-    slot[idx] = True
-    psi_e = np.empty_like(qfac)
-    psi_e[:, slot] = qfac[:, :idx.size] * (phases / mags)
-    psi_e[:, ~slot] = qfac[:, idx.size:]
+    if k == 0 or idx[-1] == k - 1:  # the live columns lead: scale in place
+        psi_e = qfac.copy()
+        psi_e[:, :k] *= phases / mags
+    else:
+        slot = np.zeros(n_e, dtype=bool)
+        slot[idx] = True
+        psi_e = np.empty_like(qfac)
+        psi_e[:, slot] = qfac[:, :k] * (phases / mags)
+        psi_e[:, ~slot] = qfac[:, k:]
 
     a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
@@ -339,21 +346,20 @@ def verify_factors(factors, channels, tol=1e-8):
             or factors.psi_e.shape != (n_e, n_e):
         raise ValueError("factor shapes do not match the channel pair")
 
+    fro = linalg._fro
+
     def rel(delta, ref):
-        return float(np.linalg.norm(delta) / max(1.0, np.linalg.norm(ref)))
+        return float(fro(delta) / max(1.0, fro(ref)))
 
     c, d = factors.c_matrix(), factors.d_matrix()
     res_r = rel(hr @ factors.a - factors.psi_r @ c, hr)
     res_e = rel(he @ factors.a - factors.psi_e @ d, he)
-    uni_r = float(np.linalg.norm(
-        factors.psi_r.conj().T @ factors.psi_r - np.eye(n_r)))
-    uni_e = float(np.linalg.norm(
-        factors.psi_e.conj().T @ factors.psi_e - np.eye(n_e)))
-    cs = float(np.max(np.abs(factors.cdiag**2 + factors.ddiag**2 - 1.0)))
-    ordering = bool(
-        np.all(np.diff(factors.cdiag) >= -1e-12)
-        and np.all(np.diff(factors.ddiag) <= 1e-12)
-    )
+    uni_r = float(fro(factors.psi_r.conj().T @ factors.psi_r - np.eye(n_r)))
+    uni_e = float(fro(factors.psi_e.conj().T @ factors.psi_e - np.eye(n_e)))
+    cdiag, ddiag = factors.cdiag, factors.ddiag
+    cs = float(np.abs(cdiag**2 + ddiag**2 - 1.0).max())
+    ordering = bool((cdiag[1:] - cdiag[:-1] >= -1e-12).all()
+                    and (ddiag[1:] - ddiag[:-1] <= 1e-12).all())
     return FactorCheck(
         residual_receiver=res_r,
         residual_eavesdropper=res_e,

@@ -3,6 +3,11 @@
 Matrices are plain 2-D ``numpy.ndarray`` values with dtype complex128; use
 :func:`as_matrix` to validate anything crossing an API boundary. Everything
 here is pure and thread-safe.
+
+_fro is ``np.linalg.norm(x)`` of a complex array without the dispatch: the
+same ravel and the same two real dot products, so the same bits. The
+one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
+take it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ def as_matrix(values):
     m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -48,12 +53,20 @@ def svd(m):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge: {exc}") from exc
-    residual = np.linalg.norm(m - (u * s) @ vh)
-    if residual > FACTOR_TOL * max(1.0, np.linalg.norm(m)):
+    residual = _fro(m - (u * s) @ vh)
+    if residual > FACTOR_TOL * max(1.0, _fro(m)):
         raise FactorizationError(
             f"SVD reconstruction residual {residual:.3e} exceeds tolerance"
         )
     return u, s, vh.conj().T
+
+
+def _fro(x):
+    """Frobenius norm of a complex array, np.linalg.norm's axis=None
+    branch verbatim."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
 
 
 def _stacked_svd(m):

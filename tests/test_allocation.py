@@ -342,6 +342,20 @@ class TestBatchSolve:
             assert mu[r] == alloc.mu
             assert effective[r] == alloc.effective_power
 
+    @pytest.mark.parametrize("budget", [1.49e-85, 1.0, 1e10])
+    def test_extreme_column_powers_equal_solve_mu(self, budget):
+        # mu * a overflows on the widest columns; the batch must not warn
+        # where solve_mu's float products do not.
+        c = np.array([0.6, 0.7, 0.8, 0.9, 0.95])
+        gains = SubchannelGains(c=c, d=1.0 - c,
+                                a=[6.5e-139, 1e-50, 1.0, 1e80, 1.3e172])
+        p, mu, effective = _solve_batch(gains.c[None], gains.d[None],
+                                        gains.a[None], np.array([budget]))
+        alloc = solve_mu(gains, budget)
+        assert np.array_equal(p[0], alloc.p)
+        assert mu[0] == alloc.mu
+        assert effective[0] == alloc.effective_power
+
     def test_unreachable_budget_named(self):
         # Row 1 is TestSolveMu's unreachable case; row 0 solves.
         c = np.array([[0.8], [0.8]])

@@ -3,7 +3,9 @@
 import hashlib
 import math
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -158,6 +160,28 @@ class TestSampleChannel:
             ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=1), trial)
         data = pair.hr.tobytes() + pair.he.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestConcurrentSampling:
+    def test_two_threads_draw_the_serial_bytes(self):
+        # Each thread restarts its own generator at every key; a shared one
+        # would mix the streams whenever the threads interleave.
+        configs = (ExperimentConfig(n_t=5, n_r=5, n_e=4, seed=1),
+                   ExperimentConfig(n_t=3, n_r=2, n_e=5, seed=7))
+
+        def draws(config):
+            return [pair.hr.tobytes() + pair.he.tobytes()
+                    for pair in (sample_channel(config, t) for t in range(200))]
+
+        serial = [draws(config) for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(draws, configs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestFractionExperiment:

@@ -1,6 +1,7 @@
 """Unit tests for the joint channel factorization."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -273,6 +274,47 @@ class TestNearNullEavesdropper:
         f = gsvd(pair_from_arrays(hr, he))
         below = f.ddiag < NULLSPACE_TOL
         assert np.all(f.ddiag[below] == 0.0)
+
+    def test_live_entry_after_a_dead_one_keeps_its_slot(self):
+        # With Hr = I every cosine rounds to 1, so the eavesdropper's column
+        # norms come in no set order: here a dead entry leads the live one,
+        # and Psi_e is assembled slot by slot.
+        rng = np.random.default_rng(9)
+        unitary = np.linalg.qr(rng.standard_normal((3, 3))
+                               + 1j * rng.standard_normal((3, 3)))[0]
+        pair = pair_from_arrays(np.eye(3), 1e-8 * unitary[:2])
+        f = gsvd(pair)
+        assert (f.ddiag > 0).tolist() == [False, True, False]
+        assert verify_factors(f, pair).unitarity_eavesdropper <= 1e-12
+        column = pair.he @ f.a[:, 1]
+        assert np.linalg.norm(column - f.psi_e[:, 1] * f.ddiag[1]) \
+            <= 1e-12 * f.ddiag[1]
+
+
+class TestOnePairBits:
+    """The one-pair path sample_channel -> gsvd -> verify_factors, byte for
+    byte: draws, factors and residuals must not move when the path gets
+    faster."""
+
+    # perfbench's factor-check shapes (n_t, n_r, n_e).
+    SHAPES = ((5, 5, 4), (4, 3, 3), (6, 3, 3), (8, 3, 3), (3, 2, 5),
+              (5, 4, 2), (5, 3, 4), (2, 2, 2), (16, 16, 12), (12, 4, 4))
+    DIGEST = "d8c48c1751ad7ff00b8f673e2f03822fd702f3b7788383f32f1b28f587c44bea"
+
+    def test_draws_factors_and_checks_are_pinned(self):
+        digest = hashlib.sha256()
+        for n_t, n_r, n_e in self.SHAPES:
+            config = ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=1)
+            for trial in range(5):
+                pair = sample_channel(config, trial)
+                f = gsvd(pair)
+                check = verify_factors(f, pair)
+                for x in (pair.hr, pair.he, f.a, f.psi_r, f.psi_e, f.cdiag,
+                          f.ddiag):
+                    digest.update(x.tobytes())
+                digest.update(np.array(dataclasses.astuple(check),
+                                       dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestStackGains:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsvdcap import linalg
 
@@ -23,8 +24,11 @@ class TestAsMatrix:
             linalg.as_matrix([1, 2, 3])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            linalg.as_matrix([[np.nan, 0.0], [0.0, 1.0]])
+        nan, inf = np.nan, np.inf
+        for bad in (nan, complex(nan, 0.0), complex(0.0, nan),
+                    complex(0.0, inf), complex(0.0, -inf)):
+            with pytest.raises(ValueError, match="finite"):
+                linalg.as_matrix([[bad, 0.0], [0.0, 1.0]])
 
 
 class TestSvd:
@@ -47,6 +51,35 @@ class TestSvd:
         bad = np.array([[1.0, np.inf], [0.0, 1.0]], dtype=np.complex128)
         with pytest.raises(ValueError):
             linalg.svd(bad)
+
+
+class TestFro:
+    @staticmethod
+    def same_bits(x):
+        # Both overflow to inf with the same warning; compare the values.
+        with np.errstate(over="ignore"):
+            return linalg._fro(x).tobytes() == np.linalg.norm(x).tobytes()
+
+    @settings(max_examples=100, derandomize=True)
+    @given(shape=st.one_of(st.tuples(st.integers(1, 40)),
+                           st.tuples(st.integers(1, 8), st.integers(1, 8))),
+           exponent=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+    def test_equals_numpy_norm_bit_for_bit(self, shape, exponent, seed):
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((2,) + shape)
+        parts[rng.random(parts.shape) < 0.2] = 0.0
+        # 1e-300 squares to zero and 1e300 overflows to an infinite norm.
+        re, im = 10.0**exponent * parts
+        x = re + 1j * im
+        assert self.same_bits(x)
+        assert self.same_bits(x.T)
+        assert self.same_bits(np.zeros(shape, dtype=complex))
+
+    def test_overflow_gives_inf(self):
+        x = np.full((2, 2), 1e300 + 1e300j)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert linalg._fro(x) == np.inf
+        assert self.same_bits(x)
 
 
 class TestRankWithTol:
