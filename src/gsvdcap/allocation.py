@@ -361,6 +361,9 @@ def _batch_power(cd, fcd, a_den, a, mu):
     return p, (a[:, None, :] @ p[:, :, None])[:, 0, 0]
 
 
+# _batch_power's mu * a_den may overflow to inf, as solve_mu's Python-float
+# product does without a warning; the rows stay equal.
+@np.errstate(over="ignore")
 def _solve_batch(c, d, a, budgets):
     """solve_mu over every row of (n, q) gains, row r at budgets[r].
 
@@ -375,67 +378,62 @@ def _solve_batch(c, d, a, budgets):
     makes every row wait for it. Returns (p, mu, effective), shaped (n, q),
     (n,), (n,). The first row that solve_mu would reject raises its error.
     """
-    # _batch_power's mu * a_den may overflow to inf, as solve_mu's
-    # Python-float product does without a warning; the rows stay equal.
-    with np.errstate(over="ignore"):
-        secure = c > d
-        # Insecure entries get a zero lead at unit column power: their roots
-        # are negative, clamp to zero, and never overflow.
-        cd = np.where(secure, c - d, 0.0)
-        fcd = np.where(secure, 4.0 * c * d, 0.0)
-        a_den = np.where(secure, a, 1.0)
-        gains = (cd, fcd, a_den, a)
-        # Rows with no secure entry never open: silence at mu = 1.0, as in
-        # solve_mu.
-        live = secure.any(axis=1)
-        mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
+    secure = c > d
+    # Insecure entries get a zero lead at unit column power: their roots are
+    # negative, clamp to zero, and never overflow.
+    cd = np.where(secure, c - d, 0.0)
+    fcd = np.where(secure, 4.0 * c * d, 0.0)
+    a_den = np.where(secure, a, 1.0)
+    gains = (cd, fcd, a_den, a)
+    # Rows with no secure entry never open: silence at mu = 1.0, as in
+    # solve_mu.
+    live = secure.any(axis=1)
+    mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
 
-        # Bracket: halve mu from mu_hi until the power reaches the budget. A
-        # row whose next halving would reach zero or pass the cap is
-        # unreachable.
-        open_, lo = live.copy(), mu_hi.copy()
-        cap = np.zeros(c.shape[0], dtype=int)
-        unreachable = np.zeros_like(live)
-        halvings = 0
-        while open_.any():
-            halvings += 1
-            half = lo * 0.5
-            stuck = open_ & ((half == 0.0) | (halvings > _HALVING_CAP))
-            unreachable |= stuck
-            open_ &= ~stuck
-            lo = np.where(open_, half, lo)
-            reached = open_ & (_batch_power(*gains, lo)[1] >= budgets)
-            cap[reached] = halvings + _BISECT_EXTRA
-            open_ &= ~reached
-        if unreachable.any():
-            raise ValueError(
-                f"power budget {float(budgets[np.argmax(unreachable)]):g} "
-                "is beyond what any representable multiplier reaches on "
-                "these gains")
+    # Bracket: halve mu from mu_hi until the power reaches the budget. A row
+    # whose next halving would reach zero or pass the cap is unreachable.
+    open_, lo = live.copy(), mu_hi.copy()
+    cap = np.zeros(c.shape[0], dtype=int)
+    unreachable = np.zeros_like(live)
+    halvings = 0
+    while open_.any():
+        halvings += 1
+        half = lo * 0.5
+        stuck = open_ & ((half == 0.0) | (halvings > _HALVING_CAP))
+        unreachable |= stuck
+        open_ &= ~stuck
+        lo = np.where(open_, half, lo)
+        reached = open_ & (_batch_power(*gains, lo)[1] >= budgets)
+        cap[reached] = halvings + _BISECT_EXTRA
+        open_ &= ~reached
+    if unreachable.any():
+        raise ValueError(
+            f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
+            "beyond what any representable multiplier reaches on these gains")
 
-        # Bisect each row's bracket, keeping its best midpoint.
-        open_, hi, mu = live.copy(), mu_hi.copy(), mu_hi.copy()
-        best_gap = np.full(c.shape[0], math.inf)
-        tol = _REL_TOL * budgets
-        steps = 0
-        while open_.any():
-            mid = 0.5 * (lo + hi)
-            effective = _batch_power(*gains, mid)[1]
-            gap = np.abs(effective - budgets)
-            better = open_ & (gap < best_gap)
-            mu = np.where(better, mid, mu)
-            best_gap = np.where(better, gap, best_gap)
-            over = effective > budgets
-            lo = np.where(open_ & over, mid, lo)
-            hi = np.where(open_ & ~over, mid, hi)
-            done = (gap <= tol) | (hi - lo <= 4.0 * np.spacing(mid))
-            steps += 1
-            if np.any(open_ & ~done & (steps >= cap)):
-                raise RuntimeError("power-budget bisection failed to converge")
-            open_ &= ~done
+    # Bisect each row's bracket, keeping its best midpoint.
+    open_, hi, mu = live.copy(), mu_hi.copy(), mu_hi.copy()
+    best_gap = np.full(c.shape[0], math.inf)
+    tol = _REL_TOL * budgets
+    steps = 0
+    while open_.any():
+        mid = 0.5 * (lo + hi)
+        effective = _batch_power(*gains, mid)[1]
+        gap = np.abs(effective - budgets)
+        better = open_ & (gap < best_gap)
+        mu = np.where(better, mid, mu)
+        best_gap = np.where(better, gap, best_gap)
+        over = effective > budgets
+        lo = np.where(open_ & over, mid, lo)
+        hi = np.where(open_ & ~over, mid, hi)
+        done = (gap <= tol) | (hi - lo <= 4.0 * np.spacing(mid))
+        steps += 1
+        if np.any(open_ & ~done & (steps >= cap)):
+            raise RuntimeError("power-budget bisection failed to converge")
+        open_ &= ~done
 
-        p, effective = _batch_power(*gains, mu)
-        return p, mu, effective
+    p, effective = _batch_power(*gains, mu)
+    return p, mu, effective
 
 
 def input_covariance(factors, alloc):

@@ -241,15 +241,12 @@ def gsvd(channels):
     mags = np.abs(phases)
     if (mags == 0).any():
         raise linalg.FactorizationError(_RANK_LOSS)
-    if k == 0 or idx[-1] == k - 1:  # the live columns lead: scale in place
-        psi_e = qfac.copy()
-        psi_e[:, :k] *= phases / mags
-    else:
-        slot = np.zeros(n_e, dtype=bool)
-        slot[idx] = True
-        psi_e = np.empty_like(qfac)
-        psi_e[:, slot] = qfac[:, :k] * (phases / mags)
-        psi_e[:, ~slot] = qfac[:, k:]
+    qfac[:, :k] *= phases / mags
+    slot = np.zeros(n_e, dtype=bool)
+    slot[idx] = True
+    psi_e = np.empty_like(qfac)
+    psi_e[:, slot] = qfac[:, :k]
+    psi_e[:, ~slot] = qfac[:, k:]
 
     a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)

@@ -275,20 +275,29 @@ class TestNearNullEavesdropper:
         below = f.ddiag < NULLSPACE_TOL
         assert np.all(f.ddiag[below] == 0.0)
 
-    def test_live_entry_after_a_dead_one_keeps_its_slot(self):
-        # With Hr = I every cosine rounds to 1, so the eavesdropper's column
-        # norms come in no set order: here a dead entry leads the live one,
-        # and Psi_e is assembled slot by slot.
-        rng = np.random.default_rng(9)
-        unitary = np.linalg.qr(rng.standard_normal((3, 3))
-                               + 1j * rng.standard_normal((3, 3)))[0]
-        pair = pair_from_arrays(np.eye(3), 1e-8 * unitary[:2])
-        f = gsvd(pair)
-        assert (f.ddiag > 0).tolist() == [False, True, False]
-        assert verify_factors(f, pair).unitarity_eavesdropper <= 1e-12
-        column = pair.he @ f.a[:, 1]
-        assert np.linalg.norm(column - f.psi_e[:, 1] * f.ddiag[1]) \
-            <= 1e-12 * f.ddiag[1]
+    def test_tied_cosines_keep_each_live_column_in_its_slot(self):
+        # With Hr = I every cosine rounds to 1, so LAPACK may return the
+        # eavesdropper's column norms in any order, a dead entry before a
+        # live one included. Whatever order comes back, each live column of
+        # Psi_e must sit in the slot of its own direction. Pairs the weak
+        # eavesdropper makes gsvd reject are passed over.
+        factored = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            unitary = np.linalg.qr(rng.standard_normal((3, 3))
+                                   + 1j * rng.standard_normal((3, 3)))[0]
+            pair = pair_from_arrays(np.eye(3), 1e-8 * unitary[:2])
+            try:
+                f = gsvd(pair)
+            except FactorizationError:
+                continue
+            factored += 1
+            assert verify_factors(f, pair).unitarity_eavesdropper <= 1e-12
+            for j in np.flatnonzero(f.ddiag > 0):
+                column = pair.he @ f.a[:, j]
+                assert np.linalg.norm(column - f.psi_e[:, j] * f.ddiag[j]) \
+                    <= 1e-12 * f.ddiag[j]
+        assert factored > 0
 
 
 class TestOnePairBits:
