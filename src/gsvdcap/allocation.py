@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
+from .gsvd import _check_gains
+
 LN2 = math.log(2.0)
-_GAIN_SUM_TOL = 1e-8
-_REL_TOL = 1e-10
 # Bracketing halves mu from mu_hi = max (c - d)/a at most k times. Then every
 # lead (c - d)/(mu a) is at most about 2**k and every mu a at least
 # (c - d) 2**-k >= 2**-(mant_dig + 1 + k), since secure pairs with c + d = 1
@@ -95,13 +96,10 @@ class PowerAllocation:
         object.__setattr__(self, "p", p)
 
 
-def _check_gain_pair(c, d, a):
-    if not 0.0 <= c <= 1.0 or not 0.0 <= d <= 1.0:
-        raise ValueError("gains must lie in [0, 1]")
-    if abs(c + d - 1.0) > _GAIN_SUM_TOL:
-        raise ValueError("gain pair must satisfy c + d = 1")
-    if not a > 0:
-        raise ValueError("beamformer column power a must be positive")
+def _check_budget(budget):
+    """The one budget rule: raise unless budget is positive and finite."""
+    if not 0 < budget < math.inf:
+        raise ValueError("budget must be positive and finite")
 
 
 def _root(c, d, a, mu):
@@ -122,7 +120,7 @@ def largest_root(c, d, a, mu):
     (1 - 2d)^2 >= 0. May return a negative value (power clamping is the
     caller's job).
     """
-    _check_gain_pair(c, d, a)
+    _check_gains(c, d, a)
     if not c > d:
         raise ValueError("largest_root needs a secure pair (c > d)")
     if not mu > 0:
@@ -211,7 +209,7 @@ def _anchors(power, entries, budget, mu_hi):
     # which clamps to 0: power stops growing there, so nothing is evaluated
     # below it. At or above it every mu a is positive and every root finite.
     floor = math.ldexp(mu_hi, -_HALVING_CAP) or math.ulp(0.0)
-    tol = _REL_TOL * budget
+    tol = linalg.BUDGET_TOL * budget
     lo, hi = 0.0, mu_hi
     mu = min(len(entries) / (budget + sum(a / (c - d) for c, d, a in entries)),
              0.5 * mu_hi)
@@ -284,6 +282,7 @@ def _replay(power, budget, mu_hi, x_lo=0.0, x_hi=math.inf):
     lo, hi = mu_lo, mu_hi
     best = None
     best_gap = math.inf
+    tol = linalg.BUDGET_TOL * budget
     for _ in range(halvings + _BISECT_EXTRA):
         mid = 0.5 * (lo + hi)
         over = mid <= x_lo
@@ -292,7 +291,7 @@ def _replay(power, budget, mu_hi, x_lo=0.0, x_hi=math.inf):
             gap = abs(effective - budget)
             if gap < best_gap:
                 best, best_gap = (p, mid, effective), gap
-            if gap <= _REL_TOL * budget:
+            if gap <= tol:
                 break
             over = effective > budget
         if over:
@@ -311,10 +310,11 @@ def solve_mu(gains, budget):
 
     Returns the matching PowerAllocation. With no secure subchannel the
     optimum is silence and any multiplier certifies it; mu = 1.0 is stored.
-    Bisection stops when |effective - budget| <= 1e-10 * budget, or when
-    the mu bracket collapses to floating-point resolution (for extreme
-    budgets the power evaluation's own rounding noise exceeds the relative
-    criterion; the returned mu is then the best representable double).
+    Bisection stops when |effective - budget| <= linalg.BUDGET_TOL * budget,
+    or when the mu bracket collapses to floating-point resolution (for
+    extreme budgets the power evaluation's own rounding noise exceeds the
+    relative criterion; the returned mu is then the best representable
+    double).
     A finite budget that no representable multiplier reaches raises
     ValueError.
 
@@ -329,8 +329,7 @@ def solve_mu(gains, budget):
     gives; otherwise (the ulp exit) the loop runs again with no anchors,
     which is the full bisection.
     """
-    if not 0 < budget < math.inf:
-        raise ValueError("budget must be positive and finite")
+    _check_budget(budget)
     c, d, a = gains.c, gains.d, gains.a
     secure = c > d
     if not np.any(secure):
@@ -414,7 +413,7 @@ def _solve_batch(c, d, a, budgets):
     # Bisect each row's bracket, keeping its best midpoint.
     open_, hi, mu = live.copy(), mu_hi.copy(), mu_hi.copy()
     best_gap = np.full(c.shape[0], math.inf)
-    tol = _REL_TOL * budgets
+    tol = linalg.BUDGET_TOL * budgets
     steps = 0
     while open_.any():
         mid = 0.5 * (lo + hi)

@@ -19,14 +19,12 @@ rates at zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import LN2, PowerAllocation
-
-NULL_EPS = 1e-9
+from . import linalg
+from .allocation import LN2, PowerAllocation, _check_budget
 
 
 @dataclass(frozen=True)
@@ -36,6 +34,7 @@ class SubspacePartition:
     s1: receiver-visible but eavesdropper-null (d < eps, c >= eps).
     s2: visible to both (c >= eps, d >= eps).
     excluded: receiver-null (c < eps); transmitting there is wasted power.
+    eps is linalg.NULL_EPS.
     """
 
     s1: np.ndarray
@@ -103,7 +102,8 @@ def matrix_rate(channels, qx):
     n_t = channels.n_t
     if qx.shape != (n_t, n_t):
         raise ValueError(f"covariance must be {n_t} x {n_t}, got {qx.shape}")
-    if np.linalg.norm(qx - qx.conj().T) > 1e-8 * max(1.0, np.linalg.norm(qx)):
+    tol = linalg.HERMITIAN_TOL * max(1.0, np.linalg.norm(qx))
+    if np.linalg.norm(qx - qx.conj().T) > tol:
         raise ValueError("covariance must be Hermitian")
     hr, he = channels.hr, channels.he
     sign_r, logdet_r = np.linalg.slogdet(
@@ -119,14 +119,15 @@ def classify_subspaces(gains):
     """Partition subchannel indices by which receivers can see them."""
     s1, s2 = _subspace_masks(gains.c, gains.d)
     return SubspacePartition(s1=np.flatnonzero(s1), s2=np.flatnonzero(s2),
-                             excluded=np.flatnonzero(gains.c < NULL_EPS))
+                             excluded=np.flatnonzero(gains.c < linalg.NULL_EPS))
 
 
 def _subspace_masks(c, d):
     """classify_subspaces' S1 and S2 as boolean masks over the last axis of
     c and d, for one pair's gains or a stack of them."""
-    seen = c >= NULL_EPS
-    return seen & (d < NULL_EPS), seen & (d >= NULL_EPS)
+    eps = linalg.NULL_EPS
+    seen = c >= eps
+    return seen & (d < eps), seen & (d >= eps)
 
 
 def _index_mask(indices, q):
@@ -168,8 +169,7 @@ def _uniform_powers(c, d, a, s1, s2, budget, rho, mode, secure_only):
     """Checked once, the powers of uniform_allocation for each entry of the
     1-D array rho, over the last axis of the gains and of the boolean set
     masks s1, s2, which may carry leading axes: (..., rho, q)."""
-    if not 0 < budget < math.inf:
-        raise ValueError("budget must be positive and finite")
+    _check_budget(budget)
     if not np.all((rho >= 0.0) & (rho <= 1.0)):
         raise ValueError("rho must lie in [0, 1]")
     has1, has2 = np.any(s1, axis=-1), np.any(s2, axis=-1)
@@ -214,8 +214,7 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     the receiver, the budget spread evenly across the rest. Returns the
     all-zero allocation when nothing is secure.
     """
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     p = _uniform_secure_powers(gains.c, gains.d, gains.a,
                                np.array([budget], dtype=float), mode)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))

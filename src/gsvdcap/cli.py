@@ -25,17 +25,16 @@ from .experiments import ExperimentConfig
 from .gsvd import ChannelPair, gsvd, subchannel_gains, verify_factors
 from .oracle import grid_maximize, random_gains
 
-RANGE_EPS = 1e-12
 MAX_RANGE_POINTS = 10**6
 
 
 def parse_range(text):
     """Parse start:step:stop into an inclusive tuple of floats.
 
-    stop is included when it lands within 1e-12 of a grid point; the last
-    value is clamped to stop exactly so 0:0.01:1 really ends at 1.0. A
-    range of more than MAX_RANGE_POINTS points is rejected before any is
-    built.
+    stop is included when it lands within linalg.RANGE_EPS of a grid point;
+    the last value is clamped to stop exactly so 0:0.01:1 really ends at
+    1.0. A range of more than MAX_RANGE_POINTS points is rejected before any
+    is built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -54,7 +53,7 @@ def parse_range(text):
     # Point k is start + k * step, which never decreases in k, so the points
     # are the first `count` k. The quotient estimates count - 1; the loops
     # correct its rounding, and the cap keeps a huge quotient finite.
-    last = stop + RANGE_EPS
+    last = stop + linalg.RANGE_EPS
     count = int(min((last - start) / step, MAX_RANGE_POINTS)) + 1
     while count <= MAX_RANGE_POINTS and start + count * step <= last:
         count += 1
@@ -183,7 +182,7 @@ def _cmd_gsvd_check(args):
     worst, failures = 0.0, 0
     for trial in range(args.trials):
         channels = experiments.sample_channel(config, trial)
-        check = verify_factors(gsvd(channels), channels, args.tol)
+        check = verify_factors(gsvd(channels), channels)
         worst = max(worst, check.max_residual)
         if not check.passed(args.tol):
             failures += 1

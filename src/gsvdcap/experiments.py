@@ -24,19 +24,17 @@ import math
 import numbers
 import threading
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
-
-from . import linalg
 
 # gsvd, subchannel_gains, classify_subspaces, fraction_sweep, solve_mu,
 # secrecy_rate and uniform_secure_allocation are the one-pair forms of what
 # the engine computes on stacks of trials. Nothing here calls them; they
 # stay bound because perfbench/tracer.py wraps them under this module's
 # names.
-from .allocation import _solve_batch, solve_mu  # noqa: F401
+from .allocation import _check_budget, _solve_batch, solve_mu  # noqa: F401
 from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
                        _rate_bits, _subspace_masks, _uniform_secure_powers,
                        classify_subspaces, fraction_sweep, secrecy_rate,
@@ -85,8 +83,8 @@ class ExperimentConfig:
         for name in ("sigma_r2", "sigma_e2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if self.budget is not None and not 0 < self.budget < math.inf:
-            raise ValueError("budget must be positive and finite")
+        if self.budget is not None:
+            _check_budget(self.budget)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -247,15 +245,6 @@ def _draw(config, trials):
     return z.reshape(len(trials), -1, config.n_t)
 
 
-def _degenerate(trial, h, q):
-    """gsvd's DegenerateChannelError for the stacked draw h, naming the
-    trial."""
-    rank = linalg.rank_with_tol(linalg.svd(h)[1], linalg.RANK_TOL)
-    error = DegenerateChannelError(rank, q)
-    error.args = (f"trial {trial}: {error}",)
-    return error
-
-
 def _run_campaign(config, grid, uniform_rates, budgets):
     """Factor the trials and take their uniform-baseline rates over the
     grid chunk by chunk, then solve the optimum at each of budgets for
@@ -274,10 +263,13 @@ def _run_campaign(config, grid, uniform_rates, budgets):
     for start in range(0, trials, _TRIAL_CHUNK):
         rows = np.arange(start, min(start + _TRIAL_CHUNK, trials))
         h = _draw(config, rows)
-        full, *gains = _stacked_gains(h, config.n_r)
-        if not full.all():
-            bad = np.argmin(full)
-            raise _degenerate(rows[bad], h[bad], q)
+        rank, *gains = _stacked_gains(h, config.n_r)
+        if np.any(rank < q):
+            # gsvd's DegenerateChannelError, naming the trial.
+            bad = np.argmax(rank < q)
+            error = DegenerateChannelError(int(rank[bad]), q)
+            error.args = (f"trial {rows[bad]}: {error}",)
+            raise error
         c[rows], d[rows], a[rows] = gains
         s1[rows], s2[rows] = _subspace_masks(c[rows], d[rows])
         uniform[rows] = uniform_rates(c[rows], d[rows], a[rows], s1[rows],
@@ -467,10 +459,6 @@ def read_trial_csv(path):
         raise ValueError(f"{path}: malformed trial CSV: {exc}") from exc
 
 
-_CONFIG_FIELDS = ("n_t", "n_r", "n_e", "sigma_r2", "sigma_e2", "budget",
-                  "trials", "seed", "rho_grid", "snr_db_grid")
-
-
 def load_config(path):
     """Read an ExperimentConfig from JSON (field names mirror the class)."""
     try:
@@ -482,7 +470,7 @@ def load_config(path):
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = set(obj) - set(_CONFIG_FIELDS)
+    unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
     try:
@@ -493,13 +481,9 @@ def load_config(path):
 
 def save_config(config, path):
     """Write an ExperimentConfig as the JSON load_config reads."""
-    obj = asdict(config)
-    for grid in ("rho_grid", "snr_db_grid"):
-        if obj[grid] is not None:
-            obj[grid] = list(obj[grid])
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
+            json.dump(asdict(config), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write config {path}: {exc}") from exc

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import linalg
 
-NULLSPACE_TOL = 1e-8
-TIE_TOL = 1e-12
 _RANK_LOSS = "eavesdropper block lost rank while orthonormalizing"
 
 
@@ -148,7 +146,7 @@ def _check_gains(c, d, a):
     """SubchannelGains' bounds, over arrays of any equal shape."""
     if not np.all((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)):
         raise ValueError("gains must lie in [0, 1]")
-    if np.any(np.abs(c + d - 1.0) > 1e-8):
+    if np.any(np.abs(c + d - 1.0) > linalg.GAIN_SUM_TOL):
         raise ValueError("gain pairs must satisfy c + d = 1")
     if not np.all((a > 0) & (a < np.inf)):
         raise ValueError("beamformer column power a must be positive and finite")
@@ -199,7 +197,7 @@ def gsvd(channels):
     u, sig, v = linalg.svd(np.concatenate([hr, he]))
     # The thin SVD returns exactly q values, sorted descending, so the rank
     # is full when the last one clears linalg.rank_with_tol's threshold.
-    if not sig[q - 1] > linalg.RANK_TOL * max(sig[0], 1e-300):
+    if not sig[q - 1] > linalg.RANK_TOL * max(sig[0], linalg.RANK_FLOOR):
         raise DegenerateChannelError(
             linalg.rank_with_tol(sig, linalg.RANK_TOL), q)
 
@@ -229,7 +227,7 @@ def gsvd(channels):
     # np.linalg.norm(m, axis=0)'s own expression, bit for bit.
     ddiag = np.sqrt((m.conj() * m).real.sum(axis=0))
     np.minimum(ddiag, 1.0, out=ddiag)
-    live = ddiag > NULLSPACE_TOL
+    live = ddiag > linalg.NULLSPACE_TOL
     ddiag[~live] = 0.0  # below the threshold is a null direction
     if live[min(n_e, q):].any():
         raise linalg.FactorizationError(
@@ -264,7 +262,7 @@ def _gains(cdiag, ddiag, a):
     # direction equally well (identical channels, for instance) must not
     # let sub-ulp ordering noise mark it secure: a tie carries no secrecy
     # value, and radiating on it would burn the whole budget for nothing.
-    tie = np.abs(c - d) <= TIE_TOL
+    tie = np.abs(c - d) <= linalg.TIE_TOL
     c = np.where(tie, 0.5, c)
     d = np.where(tie, 0.5, d)
     return c, d, np.sum(np.abs(a) ** 2, axis=-2)
@@ -278,10 +276,10 @@ def subchannel_gains(factors):
 def _stacked_gains(h, n_r):
     """subchannel_gains(gsvd(pair)) for every pair of a stack, in array calls.
 
-    h is a (T, n_r + n_e, n_t) stack of [hr; he]. Returns (full, c, d, a):
-    full is the length-T mask of the pairs that pass gsvd's rank test, and
-    c, d, a hold those pairs' gains, one row each, equal bit for bit to the
-    one-pair calls. A pair that fails the rank test is dropped where gsvd
+    h is a (T, n_r + n_e, n_t) stack of [hr; he]. Returns (rank, c, d, a):
+    rank holds the T stacked ranks gsvd's rank test counts, and c, d, a the
+    gains of the pairs of full rank q, one row each, equal bit for bit to
+    the one-pair calls. A pair that fails the rank test is dropped where gsvd
     raises DegenerateChannelError; every other check of gsvd and
     SubchannelGains raises its own exception for the whole stack.
 
@@ -292,9 +290,8 @@ def _stacked_gains(h, n_r):
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
     u, sig, v = linalg._stacked_svd(h)
-    # linalg.rank_with_tol's test, row by row: full rank keeps every value.
-    floor = np.maximum(sig.max(axis=-1, keepdims=True), 1e-300)
-    full = np.all(sig > linalg.RANK_TOL * floor, axis=-1)
+    rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
+    full = rank == sig.shape[1]
     if not np.all(full):
         u, sig, v = u[full], sig[full], v[full]
     q = sig.shape[1]
@@ -310,7 +307,7 @@ def _stacked_gains(h, n_r):
     cdiag = np.concatenate([zeros, np.minimum(sdesc[:, ::-1], 1.0)], axis=1)
     m = u2 @ w
     ddiag = np.minimum(np.linalg.norm(m, axis=1), 1.0)
-    live = ddiag > NULLSPACE_TOL
+    live = ddiag > linalg.NULLSPACE_TOL
     ddiag = np.where(live, ddiag, 0.0)
     if np.any(live[:, min(u2.shape[1], q):]):
         raise linalg.FactorizationError(
@@ -328,14 +325,16 @@ def _stacked_gains(h, n_r):
     a = (v / sig[:, None, :]) @ w
     c, d, a = _gains(cdiag, ddiag, a)
     _check_gains(c, d, a)
-    return full, c, d, a
+    return rank, c, d, a
 
 
-def verify_factors(factors, channels, tol=1e-8):
+def verify_factors(factors, channels, tol=None):
     """Measure the factor invariants against the originating channels.
 
     Residuals are relative (scaled by max(1, norm of the reconstructed
-    quantity)); ordering checks monotonicity of both diagonals.
+    quantity)); ordering checks monotonicity of both diagonals, up to
+    linalg.ORDER_SLACK. tol is accepted and not read: the pass/fail
+    tolerance is the argument of FactorCheck.passed.
     """
     hr, he = channels.hr, channels.he
     n_r, n_e, q = channels.n_r, channels.n_e, factors.q
@@ -355,8 +354,9 @@ def verify_factors(factors, channels, tol=1e-8):
     uni_e = float(fro(factors.psi_e.conj().T @ factors.psi_e - np.eye(n_e)))
     cdiag, ddiag = factors.cdiag, factors.ddiag
     cs = float(np.abs(cdiag**2 + ddiag**2 - 1.0).max())
-    ordering = bool((cdiag[1:] - cdiag[:-1] >= -1e-12).all()
-                    and (ddiag[1:] - ddiag[:-1] <= 1e-12).all())
+    slack = linalg.ORDER_SLACK
+    ordering = bool((cdiag[1:] - cdiag[:-1] >= -slack).all()
+                    and (ddiag[1:] - ddiag[:-1] <= slack).all())
     return FactorCheck(
         residual_receiver=res_r,
         residual_eavesdropper=res_e,

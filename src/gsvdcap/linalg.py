@@ -1,4 +1,5 @@
-"""Dense complex-matrix primitives shared by the factorization code.
+"""Dense complex-matrix primitives shared by the factorization code, and
+the package's tolerance table.
 
 Matrices are plain 2-D ``numpy.ndarray`` values with dtype complex128; use
 :func:`as_matrix` to validate anything crossing an API boundary. Everything
@@ -8,6 +9,30 @@ _fro is ``np.linalg.norm(x)`` of a complex array without the dispatch: the
 same ravel and the same two real dot products, so the same bits. The
 one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
 take it.
+
+Every threshold that classifies a direction, ends a search or accepts a
+result is defined once, in the table below, and read from here by the
+module that applies it. Each entry says what it compares, against what,
+and whether it is absolute or relative. Three known defects each sit on
+one entry; each fix changes outputs, so none is made yet:
+
+- NULLSPACE_TOL and NULL_EPS disagree. gsvd cuts the amplitude ddiag at
+  1e-8; classify_subspaces cuts its square d at 1e-9, which is ddiag at
+  about 3.2e-5. A direction in between (Hr 3x3 and He 1e-6 times one right
+  singular vector of Hr give ddiag 3e-7) stays live in Psi_e but is counted
+  in S1 as eavesdropper-null.
+- BUDGET_TOL is relative, and solve_mu overshoots budgets below what the
+  closed form resolves: on c = 0.8, d = 0.2, a = 1 a budget of 1e-14 ends
+  at 9.77e-15 and one of 1e-17 at 4.44e-16.
+- NULLSPACE_TOL cuts between near-equal norms on a weak eavesdropper:
+  with Hr = I3 and He = s times two orthonormal rows, every cosine rounds
+  to 1, the receiver block's SVD spreads the eavesdropper's energy over
+  all q columns, and gsvd raises or returns an unordered ddiag for s near
+  1e-8 to 1e-7.
+
+Not in the table: pass/fail limits a caller chooses (FactorCheck.passed's
+and KktReport.passed's tol, gsvd-check's --tol, oracle-verify's limits),
+and solve_mu's search steps in _anchors, on which no result depends.
 """
 
 from __future__ import annotations
@@ -16,8 +41,25 @@ import json
 
 import numpy as np
 
-FACTOR_TOL = 1e-10
-RANK_TOL = 1e-9
+# The tolerance table. abs: compared as is; rel: scaled by the reference.
+# Rank and factorization (svd, _stacked_svd, rank_with_tol, gsvd):
+RANK_TOL = 1e-9  # rel: a singular value counts if above RANK_TOL * the largest
+RANK_FLOOR = 1e-300  # abs: floor of that largest value, so zero has rank 0
+FACTOR_TOL = 1e-10  # rel: SVD reconstruction residual to max(1, ||M||_F)
+# Directions and gains (gsvd, SubchannelGains, classify_subspaces):
+NULLSPACE_TOL = 1e-8  # abs: eavesdropper amplitude ddiag at or below is null
+GAIN_SUM_TOL = 1e-8  # abs: largest allowed |c + d - 1| of a gain pair
+TIE_TOL = 1e-12  # abs: |c - d| at or below snaps the pair to c = d = 0.5
+NULL_EPS = 1e-9  # abs: a squared gain c or d below it is null (S1, excluded)
+# Checks on factors and covariances (verify_factors, matrix_rate):
+ORDER_SLACK = 1e-12  # abs: allowed step against cdiag's ascent, ddiag's descent
+HERMITIAN_TOL = 1e-8  # rel: ||Q - Q^H||_F to max(1, ||Q||_F)
+# Power allocation and its oracle (solve_mu, _solve_batch, oracle):
+BUDGET_TOL = 1e-10  # rel: bisection stops at |sum a p - P| <= BUDGET_TOL * P
+BUDGET_SLACK = 1e-12  # rel: grid points radiating up to P (1 + slack) count
+ACTIVE_EPS = 1e-15  # abs: kkt_check's power above it is active, at most it zero
+# Command line (cli.parse_range):
+RANGE_EPS = 1e-12  # abs: stop is included within this of a grid point
 
 
 class FactorizationError(RuntimeError):
@@ -90,11 +132,15 @@ def _stacked_svd(m):
 
 
 def rank_with_tol(s, tol):
-    """Count singular values above tol * max(s, floored at 1e-300)."""
+    """Count singular values above tol * max(s), the max floored at
+    RANK_FLOOR, along the last axis: an int for one set of values, an
+    array of counts for a stack of them."""
     s = np.asarray(s, dtype=float)
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > tol * max(float(s.max()), 1e-300)))
+    top = np.maximum(s.max(axis=-1, keepdims=True), RANK_FLOOR)
+    count = np.count_nonzero(s > tol * top, axis=-1)
+    return int(count) if s.ndim == 1 else count
 
 
 def load_matrix(path):

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import LN2, PowerAllocation
+from . import linalg
+from .allocation import LN2, PowerAllocation, _check_budget
 from .gsvd import SubchannelGains
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GRID_Q = 4
-_BUDGET_SLACK = 1e-12
 # Philox stream id; experiments keys channel draws with streams 0 and 1.
 _RNG_STREAM = 2
 
@@ -108,14 +108,13 @@ def grid_maximize(gains, budget, resolution=200):
         raise ValueError(f"grid oracle handles q <= {_MAX_GRID_Q}, got {gains.q}")
     if resolution < 50:
         raise ValueError("resolution must be at least 50")
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     c, d, a = gains.c, gains.d, gains.a
     q = gains.q
     axes = [np.linspace(0.0, budget / a[i], int(resolution)) for i in range(q)]
     rate_tab = [np.log1p(axes[i] * c[i]) - np.log1p(axes[i] * d[i]) for i in range(q)]
     power_tab = [a[i] * axes[i] for i in range(q)]
-    cap = budget * (1.0 + _BUDGET_SLACK)
+    cap = budget * (1.0 + linalg.BUDGET_SLACK)
 
     # Scan 2-D blocks over the trailing two axes, iterating the leading axes
     # in C order so the first maximum found is the lexicographically smallest.
@@ -154,7 +153,8 @@ def grid_maximize(gains, budget, resolution=200):
 class KktReport:
     """First-order optimality diagnostics for a budget-tight allocation.
 
-    insecure_zero: power sits at exactly zero wherever c <= d.
+    insecure_zero: power is zero, up to linalg.ACTIVE_EPS, wherever
+        c <= d.
     stationarity_dev: worst relative deviation of the marginal rate per unit
         radiated power from mu on active subchannels.
     inactive_ok: inactive secure subchannels have marginal value <= mu
@@ -181,15 +181,14 @@ def kkt_check(gains, alloc, budget, tol=1e-6):
     """
     if alloc.mu is None:
         raise ValueError("kkt_check needs a multiplier-generated allocation")
-    if not budget > 0:
-        raise ValueError("budget must be positive")
+    _check_budget(budget)
     c, d, a, p, mu = gains.c, gains.d, gains.a, alloc.p, alloc.mu
 
     insecure = c <= d
-    insecure_zero = bool(np.all(np.abs(p[insecure]) <= 1e-15))
+    insecure_zero = bool(np.all(np.abs(p[insecure]) <= linalg.ACTIVE_EPS))
 
     marginal = (c / (1.0 + p * c) - d / (1.0 + p * d)) / a
-    active = (p > 1e-15) & ~insecure
+    active = (p > linalg.ACTIVE_EPS) & ~insecure
     stationarity = 0.0
     if np.any(active):
         stationarity = float(np.max(np.abs(marginal[active] - mu)) / mu)

@@ -82,6 +82,12 @@ class TestLargestRoot:
         with pytest.raises(ValueError):
             largest_root(0.8, 0.3, 1.0, 0.1)
 
+    def test_rejects_column_power_that_gains_reject(self):
+        # The same rule as SubchannelGains: a must be positive and finite.
+        for a in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="column power"):
+                largest_root(0.8, 0.2, a, 0.1)
+
     @settings(max_examples=80, derandomize=True)
     @given(
         c=st.floats(min_value=0.5005, max_value=0.999),

@@ -218,6 +218,19 @@ class TestUniformSecureAllocation:
         assert np.array_equal(alloc.p, [0.0])
         assert alloc.effective_power == 0.0
 
+    def test_baselines_reject_a_bad_budget(self):
+        gains = mixed_gains()
+        part = classify_subspaces(gains)
+        baselines = (
+            lambda b: uniform_secure_allocation(gains, b),
+            lambda b: uniform_allocation(gains, part, b, 0.5),
+            lambda b: fraction_sweep(gains, part, b, [0.0, 1.0]))
+        for baseline in baselines:
+            for budget in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError,
+                                   match="^budget must be positive and finite$"):
+                    baseline(budget)
+
 
 class TestSubsetSums:
     @pytest.mark.parametrize("q", [3, 8, 12, 16, 40])

@@ -405,9 +405,9 @@ class TestScalarReference:
     def check_stacked_powers(cfg, mode):
         """The stacked sweep's powers, not only its rates, equal the looped
         reference: a last-bit change of p can vanish in the rate."""
-        full, c, d, a = _stacked_gains(
+        rank, c, d, a = _stacked_gains(
             experiments._draw(cfg, np.arange(cfg.trials)), cfg.n_r)
-        assert full.all()
+        assert np.all(rank == min(cfg.n_t, cfg.n_r + cfg.n_e))
         s1, s2 = _subspace_masks(c, d)
         p = _uniform_powers(c, d, a, s1, s2, cfg.budget,
                             np.asarray(cfg.rho_grid), mode, True)

@@ -21,7 +21,8 @@ from gsvdcap import (
     verify_factors,
 )
 from gsvdcap.capacity import _subspace_masks
-from gsvdcap.gsvd import NULLSPACE_TOL, _stacked_gains
+from gsvdcap.gsvd import _stacked_gains
+from gsvdcap.linalg import NULLSPACE_TOL
 
 from conftest import pair_from_arrays, random_pair
 
@@ -335,22 +336,24 @@ class TestStackGains:
     def check(cfg):
         trials = np.arange(cfg.trials)
         h = experiments._draw(cfg, trials)
-        expected, error = [], None
+        expected, ranks, error = [], [], None
         for t in trials:
             pair = sample_channel(cfg, t)
             assert np.array_equal(h[t], np.vstack([pair.hr, pair.he]))
             try:
                 expected.append(subchannel_gains(gsvd(pair)))
-            except DegenerateChannelError:
+                ranks.append(min(cfg.n_t, cfg.n_r + cfg.n_e))
+            except DegenerateChannelError as exc:
                 expected.append(None)
+                ranks.append(exc.detected_rank)
             except (FactorizationError, ValueError) as exc:
                 error = error or exc
         if error is not None:
             with pytest.raises(type(error)):
                 _stacked_gains(h, cfg.n_r)
             return
-        full, c, d, a = _stacked_gains(h, cfg.n_r)
-        assert np.array_equal(full, [g is not None for g in expected])
+        rank, c, d, a = _stacked_gains(h, cfg.n_r)
+        assert np.array_equal(rank, ranks)
         s1, s2 = _subspace_masks(c, d)
         kept = [g for g in expected if g is not None]
         assert c.shape[0] == len(kept)
@@ -389,8 +392,8 @@ class TestStackGains:
         cfg = ExperimentConfig(n_t=3, n_r=2, n_e=2, trials=4, seed=5)
         h = experiments._draw(cfg, np.arange(cfg.trials))
         h[[0, 2], :, 2] = h[[0, 2], :, 0]  # a duplicated column: rank 2 < 3
-        full, c, _, _ = _stacked_gains(h, cfg.n_r)
-        assert np.array_equal(full, [False, True, False, True])
+        rank, c, _, _ = _stacked_gains(h, cfg.n_r)
+        assert np.array_equal(rank, [2, 3, 2, 3])
         expected = subchannel_gains(gsvd(ChannelPair(h[3, :2], h[3, 2:])))
         assert np.array_equal(c[1], expected.c)
 

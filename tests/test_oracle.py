@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle and the optimality checker."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -68,8 +69,9 @@ class TestGridMaximize:
 
     def test_refuses_bad_budget(self):
         gains = random_gains(2, seed=96)
-        with pytest.raises(ValueError, match="budget"):
-            grid_maximize(gains, 0.0)
+        for budget in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="budget"):
+                grid_maximize(gains, budget)
 
     def test_oracle_has_no_multiplier(self):
         gains = random_gains(2, seed=97)
@@ -137,8 +139,9 @@ class TestKktCheck:
     def test_requires_positive_budget(self):
         gains = SubchannelGains(c=[0.8], d=[0.2], a=[1.0])
         alloc = solve_mu(gains, 1.0)
-        with pytest.raises(ValueError, match="budget"):
-            kkt_check(gains, alloc, 0.0)
+        for budget in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="budget"):
+                kkt_check(gains, alloc, budget)
 
 
 class TestRandomGains:

@@ -1,5 +1,6 @@
 """Unit tests for the repository tools."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -42,3 +43,27 @@ class TestCodeLines:
         lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                     for path in (ROOT / "src" / "gsvdcap").glob("*.py"))
         assert sum(total) == lines
+
+
+class TestTolerancePolicy:
+    def test_thresholds_are_defined_only_in_linalg(self):
+        # linalg holds the one tolerance table. A module-level threshold
+        # name anywhere else, assigned or imported, is a second definition.
+        found = []
+        for path in sorted((ROOT / "src" / "gsvdcap").glob("*.py")):
+            if path.stem == "linalg":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    names = [n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                found += [f"{path.stem}.{name}" for name in names
+                          if name.endswith(("_TOL", "_EPS", "_SLACK"))]
+        assert found == []
