@@ -10,11 +10,12 @@ same ravel and the same two real dot products, so the same bits. The
 one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
 take it.
 
-Every threshold that classifies a direction, ends a search or accepts a
-result is defined once, in the table below, and read from here by the
-module that applies it. Each entry says what it compares, against what,
-and whether it is absolute or relative. Three known defects each sit on
-one entry; each fix changes outputs, so none is made yet:
+Every threshold the package applies on its own (to count rank, classify
+a direction, stop the budget bisection or accept an input) is defined
+once, in the table below, and read from here by the module that applies
+it. Each entry says what it compares, against what, and whether it is
+absolute or relative. Three known defects each sit on one entry; each fix
+changes outputs, so none is made yet:
 
 - NULLSPACE_TOL and NULL_EPS disagree. gsvd cuts the amplitude ddiag at
   1e-8; classify_subspaces cuts its square d at 1e-9, which is ddiag at
@@ -26,13 +27,14 @@ one entry; each fix changes outputs, so none is made yet:
   at 9.77e-15 and one of 1e-17 at 4.44e-16.
 - NULLSPACE_TOL cuts between near-equal norms on a weak eavesdropper:
   with Hr = I3 and He = s times two orthonormal rows, every cosine rounds
-  to 1, the receiver block's SVD spreads the eavesdropper's energy over
-  all q columns, and gsvd raises or returns an unordered ddiag for s near
-  1e-8 to 1e-7.
+  to 1 and the receiver block's SVD spreads the eavesdropper's energy over
+  all q columns. For s from 1e-8 to 1e-7 gsvd mostly raises, returns an
+  unordered ddiag, or returns factors that miss a 1e-8 residual.
 
 Not in the table: pass/fail limits a caller chooses (FactorCheck.passed's
 and KktReport.passed's tol, gsvd-check's --tol, oracle-verify's limits),
-and solve_mu's search steps in _anchors, on which no result depends.
+and the widths and Newton stop of solve_mu's anchor search, which place
+evaluations but change no result.
 """
 
 from __future__ import annotations
