@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -234,13 +235,24 @@ def _cmd_sweep(args):
     config = ExperimentConfig(
         n_t=args.nt, n_r=args.nr, n_e=args.ne, sigma_r2=args.sigma_r2,
         sigma_e2=args.sigma_e2, trials=args.trials, seed=args.seed, **grid)
+    # The campaign's UserWarnings become one "warning:" line each, free of
+    # source paths; every other warning keeps its filters and its format.
     try:
-        result = run(config, mode=args.uniform_mode, threads=args.threads)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            result = run(config, mode=args.uniform_mode, threads=args.threads)
     except MemoryError:
         points = len(config.rho_grid if fraction else config.snr_db_grid)
         raise MemoryError(
             f"a campaign of {args.trials} trials x {points} grid points does "
             "not fit in memory") from None
+    finally:
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                print(f"warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno)
     os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")

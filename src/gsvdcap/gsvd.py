@@ -8,9 +8,11 @@ favor the eavesdropper and late ones the legitimate receiver. Built from two
 dense SVDs: a thin SVD of the stacked channel followed by a full SVD of the
 receiver block of its left factor (Van Loan 1976; Paige & Saunders 1981).
 
-gsvd factors one pair. Campaigns take _stacked_gains instead, which runs
-the same arithmetic, with the same checks, on a whole stack of pairs in
-array calls and keeps only the subchannel gains.
+gsvd factors one pair. Campaigns take _stacked_gains instead, which keeps
+only the subchannel gains of a whole stack of pairs, with the same checks,
+in array calls. Both run the second SVD and what follows from it through
+one shared step, _cosine_sine, written on stacks; each keeps its own first
+SVD, rank test and Psi_e orthonormalization.
 """
 
 from __future__ import annotations
@@ -177,6 +179,47 @@ class FactorCheck:
         return self.ordering_ok and self.max_residual <= tol
 
 
+def _cosine_sine(u, sig, v, n_r):
+    """The cosine-sine step shared by gsvd and _stacked_gains.
+
+    u, sig, v are the thin SVD factors of [hr; he] with full rank q, for
+    one pair (u is rows x q) or for a stack (..., rows, q). Splits u at
+    row n_r and diagonalizes the receiver block u1: its singular values
+    are the cosines, reversed into ascending order and zero-padded to q.
+    Returns (pmat, cdiag, m, ddiag, live, a): pmat the left factor of u1's
+    full SVD, m = u2 W the rotated eavesdropper block whose column norms
+    give ddiag (zeroed below linalg.NULLSPACE_TOL, so live marks the
+    directions the eavesdropper hears), and a = (V / sig) W.
+
+    Raises:
+        FactorizationError: the SVD of u1 did not converge, or a live
+            entry of ddiag lies beyond the eavesdropper's row count.
+    """
+    q = sig.shape[-1]
+    u1, u2 = u[..., :n_r, :], u[..., n_r:, :]
+    try:
+        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise linalg.FactorizationError(
+            f"SVD of the receiver block did not converge: {exc}"
+        ) from exc
+    w = wh.conj().swapaxes(-1, -2)[..., ::-1]
+    zeros = np.zeros(sdesc.shape[:-1] + (q - sdesc.shape[-1],))
+    cdiag = np.concatenate([zeros, np.minimum(sdesc[..., ::-1], 1.0)],
+                           axis=-1)
+    m = u2 @ w
+    # np.linalg.norm(m, axis=-2)'s own expression, bit for bit.
+    ddiag = np.sqrt((m.conj() * m).real.sum(axis=-2))
+    np.minimum(ddiag, 1.0, out=ddiag)
+    live = ddiag > linalg.NULLSPACE_TOL
+    ddiag[~live] = 0.0  # below the threshold is a null direction
+    if live[..., min(u2.shape[-2], q):].any():
+        raise linalg.FactorizationError(
+            "eavesdropper diagonal has live entries beyond its row count")
+    a = (v / sig[..., None, :]) @ w
+    return pmat, cdiag, m, ddiag, live, a
+
+
 def gsvd(channels):
     """Factor a channel pair; see the module docstring for the identities.
 
@@ -201,37 +244,18 @@ def gsvd(channels):
         raise DegenerateChannelError(
             linalg.rank_with_tol(sig, linalg.RANK_TOL), q)
 
-    # Split the stacked left factor and diagonalize the receiver block. Its
-    # singular values are the cosines; reversing puts them in ascending order.
-    u1, u2 = u[:n_r], u[n_r:]
-    try:
-        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise linalg.FactorizationError(
-            f"SVD of the receiver block did not converge: {exc}"
-        ) from exc
+    pmat, cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)
     t = min(n_r, q)
-    w = wh.conj().T[:, ::-1]
-    cdiag = np.concatenate([np.zeros(q - t), np.minimum(sdesc[::-1], 1.0)])
     psi_r = np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1)
 
-    # The rotated eavesdropper block has exactly orthogonal columns with
-    # norms sqrt(1 - cdiag**2); the nonzero ones, orthonormalized, give
-    # Psi_e. QR with the R diagonal rotated positive equals plain
-    # normalization up to roundoff for well-separated columns but stays an
-    # isometry even when the norms sit near the noise floor (then the
-    # directions carry little information and any orthonormal choice
-    # reconstructs equally well). A complete QR also spans the complement:
-    # its trailing columns fill the dead slots.
-    m = u2 @ w
-    # np.linalg.norm(m, axis=0)'s own expression, bit for bit.
-    ddiag = np.sqrt((m.conj() * m).real.sum(axis=0))
-    np.minimum(ddiag, 1.0, out=ddiag)
-    live = ddiag > linalg.NULLSPACE_TOL
-    ddiag[~live] = 0.0  # below the threshold is a null direction
-    if live[min(n_e, q):].any():
-        raise linalg.FactorizationError(
-            "eavesdropper diagonal has live entries beyond its row count")
+    # The rotated eavesdropper block m has exactly orthogonal columns with
+    # norms sqrt(1 - cdiag**2); the live ones, orthonormalized, give Psi_e.
+    # QR with the R diagonal rotated positive equals plain normalization up
+    # to roundoff for well-separated columns but stays an isometry even when
+    # the norms sit near the noise floor (then the directions carry little
+    # information and any orthonormal choice reconstructs equally well). A
+    # complete QR also spans the complement: its trailing columns fill the
+    # dead slots.
     idx = np.flatnonzero(live)
     k = idx.size
     qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
@@ -246,7 +270,6 @@ def gsvd(channels):
     psi_e[:, slot] = qfac[:, :k]
     psi_e[:, ~slot] = qfac[:, k:]
 
-    a = (v / sig) @ w
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
 
 
@@ -283,9 +306,9 @@ def _stacked_gains(h, n_r):
     raises DegenerateChannelError; every other check of gsvd and
     SubchannelGains raises its own exception for the whole stack.
 
-    This is gsvd's arithmetic, operation for operation, written on stacks.
-    gsvd keeps its own copy because the stacked indexing slows a single
-    pair; tests hold the two to equal rows.
+    This is gsvd's arithmetic, operation for operation, written on stacks:
+    the cosine-sine step is the same _cosine_sine call, and the grouped QR
+    below stands in for gsvd's Psi_e construction.
     """
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix entries must be finite")
@@ -294,24 +317,7 @@ def _stacked_gains(h, n_r):
     full = rank == sig.shape[1]
     if not np.all(full):
         u, sig, v = u[full], sig[full], v[full]
-    q = sig.shape[1]
-    u1, u2 = u[:, :n_r], u[:, n_r:]
-    try:
-        sdesc, wh = np.linalg.svd(u1, full_matrices=True)[1:]
-    except np.linalg.LinAlgError as exc:
-        raise linalg.FactorizationError(
-            f"SVD of the receiver block did not converge: {exc}"
-        ) from exc
-    w = wh.conj().swapaxes(1, 2)[:, :, ::-1]
-    zeros = np.zeros((sig.shape[0], q - sdesc.shape[1]))
-    cdiag = np.concatenate([zeros, np.minimum(sdesc[:, ::-1], 1.0)], axis=1)
-    m = u2 @ w
-    ddiag = np.minimum(np.linalg.norm(m, axis=1), 1.0)
-    live = ddiag > linalg.NULLSPACE_TOL
-    ddiag = np.where(live, ddiag, 0.0)
-    if np.any(live[:, min(u2.shape[1], q):]):
-        raise linalg.FactorizationError(
-            "eavesdropper diagonal has live entries beyond its row count")
+    cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)[1:]
     # gsvd orthonormalizes the live columns of m by QR, so a zero R
     # diagonal there is a rank loss. QR runs per group of equal live masks.
     todo = np.any(live, axis=1)
@@ -322,7 +328,6 @@ def _stacked_gains(h, n_r):
         r = np.linalg.qr(m[group][:, :, mask], mode="r")
         if np.any(np.diagonal(r, axis1=1, axis2=2) == 0):
             raise linalg.FactorizationError(_RANK_LOSS)
-    a = (v / sig[:, None, :]) @ w
     c, d, a = _gains(cdiag, ddiag, a)
     _check_gains(c, d, a)
     return rank, c, d, a

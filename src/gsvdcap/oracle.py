@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import experiments, linalg
 from .allocation import LN2, PowerAllocation, _check_budget
 from .gsvd import SubchannelGains
 
@@ -220,8 +220,7 @@ def random_gains(q, seed, trial=0):
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    key = (int(seed) << 64) | (int(trial) << 8) | _RNG_STREAM
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = experiments._generator(experiments._key(seed, trial, _RNG_STREAM))
     c = 0.02 + 0.96 * gen.random(q)
     a = np.exp(gen.random(q) * math.log(25.0)) * 0.2
     return SubchannelGains(c=np.sort(c), d=1.0 - np.sort(c), a=a)

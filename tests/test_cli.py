@@ -103,6 +103,19 @@ class TestSweeps:
         assert agg.startswith("param,mean_uniform,se_uniform,")
         assert "wrote" in capsys.readouterr().err
 
+    def test_nullspace_warning_is_one_stable_line(self, tmp_path, capsys):
+        code = main([
+            "sweep-fraction", "--nt", "3", "--nr", "2", "--ne", "4",
+            "--power", "10", "--trials", "3", "--seed", "5",
+            "--rho-grid", "0:0.5:1", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == (
+            "warning: n_t <= n_e leaves no eavesdropper nullspace; the rho "
+            "sweep degenerates to the all-S2 split")
+        assert "cli.py" not in err
+
     def test_snr_writes_csv_pair(self, tmp_path):
         out = tmp_path / "snr"
         code = main([

@@ -397,6 +397,29 @@ class TestStackGains:
         expected = subchannel_gains(gsvd(ChannelPair(h[3, :2], h[3, 2:])))
         assert np.array_equal(c[1], expected.c)
 
+    @pytest.mark.parametrize("scale", [1e-8, 3e-8, 1e-7])
+    def test_tied_cosines_give_the_one_pair_answer(self, scale):
+        # Hr = I ties every cosine at 1, so the weak eavesdropper's columns
+        # come back in LAPACK's order, and gsvd may reject the pair. The
+        # stacked path must give the same gains or raise the same type.
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            unitary = np.linalg.qr(rng.standard_normal((3, 3))
+                                   + 1j * rng.standard_normal((3, 3)))[0]
+            pair = pair_from_arrays(np.eye(3), scale * unitary[:2])
+            h = np.vstack([pair.hr, pair.he])[None]
+            try:
+                gains = subchannel_gains(gsvd(pair))
+            except (FactorizationError, ValueError) as exc:
+                with pytest.raises(Exception) as stacked:
+                    _stacked_gains(h, 3)
+                assert stacked.type is type(exc)
+                continue
+            rank, c, d, a = _stacked_gains(h, 3)
+            assert np.array_equal(rank, [3])
+            for got, want in ((c, gains.c), (d, gains.d), (a, gains.a)):
+                assert np.array_equal(got[0], want)
+
     def test_nonfinite_entries_rejected(self):
         h = np.ones((2, 3, 2), dtype=complex)
         h[1, 0, 0] = np.nan

@@ -162,6 +162,20 @@ class TestRandomGains:
         assert np.array_equal(g.c + g.d, np.ones(6))
         assert np.all(g.a >= 0.2) and np.all(g.a <= 5.0)
 
+    @pytest.mark.parametrize("q", [1, 3, 4, 9])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63])
+    @pytest.mark.parametrize("trial", [0, 1, 77])
+    def test_draws_from_its_own_philox_key(self, q, seed, trial):
+        # Stream 2 of the (seed, trial) key layout the channel draws use.
+        gen = np.random.Generator(
+            np.random.Philox(key=(seed << 64) | (trial << 8) | 2))
+        c = np.sort(0.02 + 0.96 * gen.random(q))
+        a = np.exp(gen.random(q) * math.log(25.0)) * 0.2
+        g = random_gains(q, seed=seed, trial=trial)
+        assert np.array_equal(g.c, c)
+        assert np.array_equal(g.d, 1.0 - c)
+        assert np.array_equal(g.a, a)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_gains(0, seed=1)
