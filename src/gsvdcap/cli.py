@@ -235,24 +235,25 @@ def _cmd_sweep(args):
     config = ExperimentConfig(
         n_t=args.nt, n_r=args.nr, n_e=args.ne, sigma_r2=args.sigma_r2,
         sigma_e2=args.sigma_e2, trials=args.trials, seed=args.seed, **grid)
-    # The campaign's UserWarnings become one "warning:" line each, free of
-    # source paths; every other warning keeps its filters and its format.
+    show = warnings.showwarning
+
+    def show_line(message, category, *rest):
+        # A campaign's UserWarning is one "warning:" line, free of source
+        # paths; every other warning keeps its filters and its format.
+        if not issubclass(category, UserWarning):
+            return show(message, category, *rest)
+        print(f"warning: {message}", file=sys.stderr)
+
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
+            warnings.showwarning = show_line
             result = run(config, mode=args.uniform_mode, threads=args.threads)
     except MemoryError:
         points = len(config.rho_grid if fraction else config.snr_db_grid)
         raise MemoryError(
             f"a campaign of {args.trials} trials x {points} grid points does "
             "not fit in memory") from None
-    finally:
-        for w in caught:
-            if issubclass(w.category, UserWarning):
-                print(f"warning: {w.message}", file=sys.stderr)
-            else:
-                warnings.showwarning(w.message, w.category, w.filename,
-                                     w.lineno)
     os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")

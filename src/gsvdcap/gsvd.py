@@ -204,9 +204,8 @@ def _cosine_sine(u, sig, v, n_r):
             f"SVD of the receiver block did not converge: {exc}"
         ) from exc
     w = wh.conj().swapaxes(-1, -2)[..., ::-1]
-    zeros = np.zeros(sdesc.shape[:-1] + (q - sdesc.shape[-1],))
-    cdiag = np.concatenate([zeros, np.minimum(sdesc[..., ::-1], 1.0)],
-                           axis=-1)
+    cdiag = np.zeros(sig.shape)
+    cdiag[..., q - sdesc.shape[-1]:] = np.minimum(sdesc[..., ::-1], 1.0)
     m = u2 @ w
     # np.linalg.norm(m, axis=-2)'s own expression, bit for bit.
     ddiag = np.sqrt((m.conj() * m).real.sum(axis=-2))

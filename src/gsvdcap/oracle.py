@@ -220,7 +220,10 @@ def random_gains(q, seed, trial=0):
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    gen = experiments._generator(experiments._key(seed, trial, _RNG_STREAM))
+    key = experiments._key(seed, trial, _RNG_STREAM)
+    if not 0 <= key < 2**128:  # Philox(key=key)'s own check and message
+        raise ValueError("key must be positive and less than 2**128.")
+    gen = experiments._generator(key)
     c = 0.02 + 0.96 * gen.random(q)
     a = np.exp(gen.random(q) * math.log(25.0)) * 0.2
     return SubchannelGains(c=np.sort(c), d=1.0 - np.sort(c), a=a)

@@ -27,6 +27,14 @@ from gsvdcap.linalg import NULLSPACE_TOL
 from conftest import pair_from_arrays, random_pair
 
 
+def tied_cosine_pair(seed, scale):
+    """Hr = I3 and He = scale times two rows of a seeded random unitary."""
+    rng = np.random.default_rng(seed)
+    unitary = np.linalg.qr(rng.standard_normal((3, 3))
+                           + 1j * rng.standard_normal((3, 3)))[0]
+    return pair_from_arrays(np.eye(3), scale * unitary[:2])
+
+
 class TestChannelPair:
     def test_properties(self):
         pair = random_pair(5, 3, 4, seed=11)
@@ -284,10 +292,7 @@ class TestNearNullEavesdropper:
         # eavesdropper makes gsvd reject are passed over.
         factored = 0
         for seed in range(60):
-            rng = np.random.default_rng(seed)
-            unitary = np.linalg.qr(rng.standard_normal((3, 3))
-                                   + 1j * rng.standard_normal((3, 3)))[0]
-            pair = pair_from_arrays(np.eye(3), 1e-8 * unitary[:2])
+            pair = tied_cosine_pair(seed, 1e-8)
             try:
                 f = gsvd(pair)
             except FactorizationError:
@@ -403,10 +408,7 @@ class TestStackGains:
         # come back in LAPACK's order, and gsvd may reject the pair. The
         # stacked path must give the same gains or raise the same type.
         for seed in range(60):
-            rng = np.random.default_rng(seed)
-            unitary = np.linalg.qr(rng.standard_normal((3, 3))
-                                   + 1j * rng.standard_normal((3, 3)))[0]
-            pair = pair_from_arrays(np.eye(3), scale * unitary[:2])
+            pair = tied_cosine_pair(seed, scale)
             h = np.vstack([pair.hr, pair.he])[None]
             try:
                 gains = subchannel_gains(gsvd(pair))

@@ -176,6 +176,11 @@ class TestRandomGains:
         assert np.array_equal(g.d, 1.0 - c)
         assert np.array_equal(g.a, a)
 
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (2**64, 0)])
+    def test_rejects_a_key_philox_rejects(self, seed, trial):
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            random_gains(2, seed=seed, trial=trial)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_gains(0, seed=1)
