@@ -26,8 +26,10 @@ _SEP = 2**-30 takes the anchor's comparison without an evaluation: power is
 monotone across such gaps even in floating point. If the replay ends at the
 ulp exit with a best gap that a skipped midpoint could have beaten, the loop
 runs again with no anchors. Either way p, mu and the effective power equal
-the full bisection's bit for bit. _solve_batch keeps the full bisection: a
-skipped step there still costs a full array step over the live rows.
+the full bisection's bit for bit. _solve_batch does the same over the rows
+of a batch: anchors for every row at once, then one replay in which a
+decided step costs a few comparisons on (n,) arrays and power is evaluated
+only on the rows that wait inside their anchor windows.
 """
 
 from __future__ import annotations
@@ -360,6 +362,194 @@ def _batch_power(cd, fcd, a_den, a, mu):
     return p, (a[:, None, :] @ p[:, :, None])[:, 0, 0]
 
 
+# Decided steps taken between checks for whether any row still moves.
+_BLOCK = 8
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _batch_anchors(c, d, gains, budgets, mu_hi, live):
+    """_anchors over the rows of a batch: (x_lo, x_hi, gap), each (n,).
+
+    The same two stages in array form. Newton on log f against log mu runs
+    on every row at once from the water-filling level, each step clipped to
+    +-2 and kept inside the bracket the row's own estimates have found, at
+    most 12 times or until every live row moves by 1e-7 relative or less.
+    Power is then evaluated at est / (1 + w) and est (1 + w), w = 1e-9
+    widened x100 up to 6 times on the rows that still lack a side, in one
+    _batch_power call per width. Only these are evaluations of power, so the
+    estimate need not be _anchors': any real anchor pulled out by _SEP keeps
+    the replay exact, and a row with none gets 0.0 and inf. The estimate's
+    own overflows and 0/0s go unreported: a bad estimate only widens w.
+    """
+    cd, fcd, a_den, a = gains
+    secure = cd > 0.0
+    floor = np.ldexp(mu_hi, -_HALVING_CAP)
+    floor[floor == 0.0] = math.ulp(0.0)
+    level = np.where(secure, a / cd, 0.0).sum(axis=1)
+    mu = np.minimum(secure.sum(axis=1) / (budgets + level), 0.5 * mu_hi)
+    lo, hi = np.zeros_like(mu), mu_hi.copy()
+    for _ in range(12):
+        mu = np.maximum(mu, floor)
+        x = _roots(cd, fcd, mu[:, None] * a_den)
+        rising = x > 0.0
+        ax = np.where(rising, a * x, 0.0)
+        f = ax.sum(axis=1)
+        xc, xd = 1.0 + x * c, 1.0 + x * d
+        m = d * d / (xd * xd) - c * c / (xc * xc)
+        slope = np.where(m < 0.0, a * a / m, -0.5 * ax / mu[:, None])
+        slope = np.where(rising, slope, 0.0).sum(axis=1)
+        slope = np.where(np.isfinite(slope), slope, -0.5 * f / mu)
+        over = f > budgets
+        lo, hi = np.where(over, mu, lo), np.where(over, hi, mu)
+        newton = (np.log(budgets) - np.log(f)) * (f / mu) / slope
+        step = np.where((slope < 0.0) & (f > 0.0) & np.isfinite(newton),
+                        np.clip(newton, -2.0, 2.0), np.where(over, 2.0, -2.0))
+        est = mu * np.exp(step)
+        settled = np.abs(est - mu) <= 1e-7 * mu
+        mu = np.where(settled | (lo < est) & (est < hi), est,
+                      np.sqrt(lo) * np.sqrt(hi))
+        if np.all(settled | ~live):
+            break
+    mu = np.maximum(mu, floor)
+
+    tol = linalg.BUDGET_TOL * budgets
+    x_lo, x_hi = np.zeros_like(mu), np.full_like(mu, math.inf)
+    gap_lo, gap_hi = np.full_like(mu, math.inf), np.full_like(mu, math.inf)
+    w = 1e-9
+    for _ in range(7):
+        down, up = mu / (1.0 + w), mu * (1.0 + w)
+        low = np.flatnonzero(live & (x_lo == 0.0) & (down >= floor))
+        high = np.flatnonzero(live & (x_hi == math.inf) & (up >= floor))
+        if low.size + high.size == 0:
+            break
+        rows = np.concatenate((low, high))
+        xs = np.concatenate((down[low], up[high]))
+        excess = _batch_power(cd[rows], fcd[rows], a_den[rows], a[rows],
+                              xs)[1] - budgets[rows]
+        # A row may hold one point of each side: take the low side first.
+        for part in (slice(0, low.size), slice(low.size, None)):
+            r, x, e = rows[part], xs[part], excess[part]
+            over = (e > tol[r]) & (x > x_lo[r])
+            under = ~over & (-e > tol[r]) & (x < x_hi[r])
+            x_lo[r[over]], gap_lo[r[over]] = x[over], e[over]
+            x_hi[r[under]], gap_hi[r[under]] = x[under], -e[under]
+        w *= 100.0
+    return x_lo * (1.0 - _SEP), x_hi * (1.0 + _SEP), np.minimum(gap_lo, gap_hi)
+
+
+def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
+    """_replay over the live rows of a batch: each row's bracket and
+    bisection, evaluating power only strictly between its x_lo and x_hi.
+
+    A point at or below x_lo is decided as over the budget and one at or
+    above x_hi as under it, by comparison alone, in place on (n,) arrays;
+    x_lo < x_hi, since no point is both (see _SEP).
+    A row whose point lies inside its window does not move: it waits there
+    until every row waits, and then power is evaluated once, on the open
+    rows only. So decided steps run in unchecked blocks of _BLOCK, and an
+    evaluation costs only the rows that need it. A closed row is parked at
+    x_lo = 0.0 and x_hi = inf, where no step is decided, and is not
+    evaluated again. A decided step keeps [x_lo, x_hi] inside the bracket,
+    so while lo <= x_lo < x_hi <= hi and x_hi - x_lo > 8 ulp(x_hi) the
+    collapse rule hi - lo <= 4 ulp(mid) cannot fire on it: mid below 2 x_hi
+    has an ulp of at most 2 ulp(x_hi), and one above it leaves a bracket of
+    over mid / 2. Only the other rows check the rule on decided steps;
+    every evaluated step checks it.
+    Returns (mu, gap): each row's best-gap midpoint and its gap, mu_hi and
+    inf on rows that are not live or never evaluated. With x_lo = 0.0 and
+    x_hi = inf every point is evaluated: the full bisection.
+    """
+    cd, fcd, a_den, a = gains
+    x_lo = np.where(live, x_lo, 0.0)
+    x_hi = np.where(live, x_hi, math.inf)
+    n = budgets.size
+    move, over, under = (np.empty(n, dtype=bool) for _ in range(3))
+
+    def effective(rows, mu):
+        return _batch_power(cd[rows], fcd[rows], a_den[rows], a[rows], mu)[1]
+
+    def park(rows):
+        open_[rows] = False
+        x_lo[rows], x_hi[rows] = 0.0, math.inf
+
+    # Bracket: halve mu from mu_hi until the power reaches the budget. A
+    # candidate at or above x_hi is halved again, one at or below x_lo has
+    # reached it. A row whose candidate reached zero or passed the cap is
+    # unreachable; a row halved past that point stays so.
+    lo = np.where(live, 0.5 * mu_hi, mu_hi)
+    halvings = live.astype(int)
+    open_ = live.copy()
+    unreachable = np.zeros(n, dtype=bool)
+    while True:
+        for k in range(_BLOCK):
+            np.greater_equal(lo, x_hi, out=move)
+            np.multiply(lo, 0.5, out=lo, where=move)
+            halvings += move
+            if k == 0 and not move.any():
+                break
+        stuck = open_ & ((lo == 0.0) | (halvings > _HALVING_CAP))
+        unreachable |= stuck
+        park(stuck)
+        if move.any():
+            continue
+        open_ &= lo > x_lo
+        rows = np.flatnonzero(open_)
+        if not rows.size:
+            break
+        short = rows[effective(rows, lo[rows]) < budgets[rows]]
+        open_[rows] = False
+        open_[short] = True
+        lo[short] *= 0.5
+        halvings[short] += 1
+    if unreachable.any():
+        raise ValueError(
+            f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
+            "beyond what any representable multiplier reaches on these gains")
+
+    # Bisect each row's bracket, keeping its best midpoint.
+    cap = halvings + _BISECT_EXTRA
+    steps = np.zeros(n, dtype=int)
+    open_, hi = live.copy(), mu_hi.copy()
+    mu, best_gap = mu_hi.copy(), np.full(n, math.inf)
+    tol = linalg.BUDGET_TOL * budgets
+    mid = np.empty(n)
+    wide = x_hi - x_lo > 8.0 * np.spacing(x_hi)
+    while open_.any():
+        room = np.min(cap[open_] - steps[open_])
+        if room <= 0:
+            raise RuntimeError("power-budget bisection failed to converge")
+        watch = open_ & ~((lo <= x_lo) & (x_hi <= hi) & wide)
+        watched = watch.any()
+        for k in range(min(_BLOCK, room)):
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            np.less_equal(mid, x_lo, out=over)
+            np.greater_equal(mid, x_hi, out=under)
+            np.copyto(lo, mid, where=over)
+            np.copyto(hi, mid, where=under)
+            np.logical_or(over, under, out=move)
+            steps += move
+            if watched:
+                park(watch & move & (hi - lo <= 4.0 * np.spacing(mid)))
+            if k == 0 and not move.any():
+                break
+        if move.any():
+            continue
+        rows = np.flatnonzero(open_)
+        at = mid[rows]
+        total = effective(rows, at)
+        gap = np.abs(total - budgets[rows])
+        better = gap < best_gap[rows]
+        mu[rows[better]], best_gap[rows[better]] = at[better], gap[better]
+        up = total > budgets[rows]
+        lo[rows[up]] = at[up]
+        hi[rows[~up]] = at[~up]
+        steps[rows] += 1
+        park(rows[(gap <= tol[rows])
+                  | (hi[rows] - lo[rows] <= 4.0 * np.spacing(at))])
+    return mu, best_gap
+
+
 # _batch_power's mu * a_den may overflow to inf, as solve_mu's Python-float
 # product does without a warning; the rows stay equal.
 @np.errstate(over="ignore")
@@ -367,15 +557,15 @@ def _solve_batch(c, d, a, budgets):
     """solve_mu over every row of (n, q) gains, row r at budgets[r].
 
     Rows must be gains that SubchannelGains accepts and budgets positive
-    and finite. Each row replays solve_mu's bracket, caps, midpoints, stop
-    rule, ulp exit and best-gap choice in array arithmetic, so p, mu and the
-    effective power equal solve_mu's bit for bit. The arrays keep every row
-    throughout: a boolean mask marks the open rows, and a row that closes
-    keeps its values and is evaluated again at its last point, which is
-    finite. So each step costs the whole batch, and one row with a long
-    bracket (a budget far from the others, say -60 and 290 dB in one batch)
-    makes every row wait for it. Returns (p, mu, effective), shaped (n, q),
-    (n,), (n,). The first row that solve_mu would reject raises its error.
+    and finite. The rows follow solve_mu's design together: batched anchors
+    (_batch_anchors), one batched replay of the bracket and the bisection
+    that evaluates power only inside each row's anchor window
+    (_replay_batch), and a replay with no anchors of the rows whose best
+    gap does not beat their anchors' (the ulp exit). So p, mu and the
+    effective power equal solve_mu's bit for bit. Returns (p, mu,
+    effective), shaped (n, q), (n,), (n,). A row that solve_mu would reject
+    raises its error: the first unreachable budget's ValueError before any
+    bisection's RuntimeError.
     """
     secure = c > d
     # Insecure entries get a zero lead at unit column power: their roots are
@@ -389,48 +579,14 @@ def _solve_batch(c, d, a, budgets):
     live = secure.any(axis=1)
     mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
 
-    # Bracket: halve mu from mu_hi until the power reaches the budget. A row
-    # whose next halving would reach zero or pass the cap is unreachable.
-    open_, lo = live.copy(), mu_hi.copy()
-    cap = np.zeros(c.shape[0], dtype=int)
-    unreachable = np.zeros_like(live)
-    halvings = 0
-    while open_.any():
-        halvings += 1
-        half = lo * 0.5
-        stuck = open_ & ((half == 0.0) | (halvings > _HALVING_CAP))
-        unreachable |= stuck
-        open_ &= ~stuck
-        lo = np.where(open_, half, lo)
-        reached = open_ & (_batch_power(*gains, lo)[1] >= budgets)
-        cap[reached] = halvings + _BISECT_EXTRA
-        open_ &= ~reached
-    if unreachable.any():
-        raise ValueError(
-            f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
-            "beyond what any representable multiplier reaches on these gains")
-
-    # Bisect each row's bracket, keeping its best midpoint.
-    open_, hi, mu = live.copy(), mu_hi.copy(), mu_hi.copy()
-    best_gap = np.full(c.shape[0], math.inf)
-    tol = linalg.BUDGET_TOL * budgets
-    steps = 0
-    while open_.any():
-        mid = 0.5 * (lo + hi)
-        effective = _batch_power(*gains, mid)[1]
-        gap = np.abs(effective - budgets)
-        better = open_ & (gap < best_gap)
-        mu = np.where(better, mid, mu)
-        best_gap = np.where(better, gap, best_gap)
-        over = effective > budgets
-        lo = np.where(open_ & over, mid, lo)
-        hi = np.where(open_ & ~over, mid, hi)
-        done = (gap <= tol) | (hi - lo <= 4.0 * np.spacing(mid))
-        steps += 1
-        if np.any(open_ & ~done & (steps >= cap)):
-            raise RuntimeError("power-budget bisection failed to converge")
-        open_ &= ~done
-
+    x_lo, x_hi, anchor_gap = _batch_anchors(c, d, gains, budgets, mu_hi, live)
+    mu, best_gap = _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi)
+    again = live & ~(best_gap < anchor_gap)
+    if again.any():
+        n = budgets.size
+        full = _replay_batch(gains, budgets, mu_hi, again, np.zeros(n),
+                             np.full(n, math.inf))[0]
+        mu = np.where(again, full, mu)
     p, effective = _batch_power(*gains, mu)
     return p, mu, effective
 

@@ -45,6 +45,8 @@ from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
 _STREAM_HR = 0
 _STREAM_HE = 1
 _U64 = 2**64 - 1
+# Trials index bits 8-63 of the Philox key (see _key): every trial is below.
+_TRIAL_LIMIT = 2**56
 _local = threading.local()  # each thread's keyed generator, see _generator
 # Trials sampled, factored and swept per stacked call, and rows of
 # (trial, budget) pairs per batched solve: both bound the working set.
@@ -85,8 +87,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.budget is not None:
             _check_budget(self.budget)
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= _TRIAL_LIMIT:
+            raise ValueError("trials must be at least 1 and at most 2**56")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         for name in ("rho_grid", "snr_db_grid"):
@@ -174,7 +176,10 @@ class CampaignResult:
 
 
 def _key(seed, trial, stream):
-    """The Philox key of one (seed, trial, stream) matrix draw."""
+    """The Philox key of one (seed, trial, stream) matrix draw: the seed in
+    bits 64-127, the trial in bits 8-63 and the stream in bits 0-7. A trial
+    at or above _TRIAL_LIMIT would spill into the seed's bits; callers
+    reject it."""
     return (int(seed) << 64) | (int(trial) << 8) | stream
 
 
@@ -214,9 +219,10 @@ def _rayleigh(seed, trial, stream, rows, cols, variance):
 
 
 def sample_channel(config, trial):
-    """Draw the trial's channel pair (hr from stream 0, he from stream 1)."""
-    if not 0 <= trial:
-        raise ValueError("trial must be nonnegative")
+    """Draw the trial's channel pair (hr from stream 0, he from stream 1).
+    The trial must be nonnegative and below 2**56."""
+    if not 0 <= trial < _TRIAL_LIMIT:
+        raise ValueError(f"trial must be in [0, 2**56), got {trial}")
     hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
                    config.sigma_r2)
     he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,

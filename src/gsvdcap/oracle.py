@@ -216,10 +216,13 @@ def random_gains(q, seed, trial=0):
 
     Counter-based (Philox) so instances are reproducible and independent
     across (seed, trial) pairs: c uniform in (0.02, 0.98), d = 1 - c, and
-    a log-uniform in [0.2, 5].
+    a log-uniform in [0.2, 5]. The trial must be below 2**56, as in
+    experiments.sample_channel.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
+    if not trial < experiments._TRIAL_LIMIT:
+        raise ValueError(f"trial must be below 2**56, got {trial}")
     key = experiments._key(seed, trial, _RNG_STREAM)
     if not 0 <= key < 2**128:  # Philox(key=key)'s own check and message
         raise ValueError("key must be positive and less than 2**128.")

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from gsvdcap import (
     ChannelPair,
+    ExperimentConfig,
     PowerAllocation,
     SubchannelGains,
     gsvd,
     input_covariance,
     largest_root,
     power_for_mu,
+    run_fraction_experiment,
+    run_snr_sweep,
     solve_mu,
     subchannel_gains,
 )
@@ -328,7 +331,44 @@ class TestEvaluationCount:
         assert max(counts) <= 15
 
 
+def batch_outcome(c, d, a, budgets):
+    """_solve_batch's (p, mu, effective), or its exception's type and
+    message."""
+    try:
+        return _solve_batch(c, d, a, budgets)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def full_batch_outcome(c, d, a, budgets):
+    """batch_outcome with no batch anchors: every midpoint of every row's
+    bracket and bisection is evaluated."""
+    n = budgets.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocation, "_batch_anchors", lambda *args: (
+            np.zeros(n), np.full(n, math.inf), np.full(n, math.inf)))
+        return batch_outcome(c, d, a, budgets)
+
+
+def assert_batch_same_as_full_bisection(c, d, a, budgets):
+    got = batch_outcome(c, d, a, budgets)
+    want = full_batch_outcome(c, d, a, budgets)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+    return got
+
+
+def stack(rows):
+    return tuple(np.array([getattr(g, name) for g in rows]) for name in "cda")
+
+
 class TestBatchSolve:
+    """_solve_batch against solve_mu row by row, and against its own replay
+    with no anchors."""
+
     @settings(max_examples=60, derandomize=True)
     @given(data=st.data())
     def test_each_row_equals_solve_mu(self, data):
@@ -368,6 +408,90 @@ class TestBatchSolve:
         a = np.array([[1.0], [1e-300]])
         with pytest.raises(ValueError, match="1e\\+10"):
             _solve_batch(c, 1.0 - c, a, np.array([1.0, 1e10]))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(data=st.data())
+    def test_equals_full_bisection(self, data):
+        q = data.draw(st.integers(min_value=1, max_value=16))
+        rows = data.draw(st.lists(gains_st(min_q=q, max_q=q), min_size=1,
+                                  max_size=40))
+        budgets = 10.0 ** np.array(data.draw(st.lists(
+            st.floats(min_value=-9.0, max_value=29.0),
+            min_size=len(rows), max_size=len(rows))))
+        assert_batch_same_as_full_bisection(*stack(rows), budgets)
+
+    def test_only_ulp_exit_rows_run_again(self, monkeypatch):
+        # Rows 0 and 1 are TestSkipAhead's ulp exit (c = 0.8, d = 0.2,
+        # a = 1, padded with silent entries) at 1e-100 and 1e-17; row 2 has
+        # no secure entry; rows 3-5 are the extreme column powers; row 6 is
+        # an ordinary row.
+        ulp = SubchannelGains(c=[0.8, 0.3, 0.3, 0.3, 0.3],
+                              d=[0.2, 0.7, 0.7, 0.7, 0.7], a=[1.0] * 5)
+        c = np.array([0.6, 0.7, 0.8, 0.9, 0.95])
+        extreme = SubchannelGains(c=c, d=1.0 - c,
+                                  a=[6.5e-139, 1e-50, 1.0, 1e80, 1.3e172])
+        rows = [ulp, ulp,
+                SubchannelGains(c=[0.1, 0.2, 0.3, 0.4, 0.5],
+                                d=[0.9, 0.8, 0.7, 0.6, 0.5], a=[1.0] * 5),
+                extreme, extreme, extreme,
+                SubchannelGains(c=c, d=1.0 - c, a=[0.5, 1.0, 2.0, 1.0, 3.0])]
+        budgets = np.array([1e-100, 1e-17, 1.0, 1.49e-85, 1.0, 1e10, 10.0])
+        replayed = []
+        replay = allocation._replay_batch
+
+        def counted(*args):
+            replayed.append(np.flatnonzero(args[3]).tolist())
+            return replay(*args)
+
+        monkeypatch.setattr(allocation, "_replay_batch", counted)
+        p, mu, effective = assert_batch_same_as_full_bisection(*stack(rows),
+                                                               budgets)
+        # Anchored, again without anchors, and the reference's one replay.
+        assert replayed == [[0, 1, 3, 4, 5, 6], [0, 1], [0, 1, 3, 4, 5, 6]]
+        for r, gains in enumerate(rows):
+            alloc = solve_mu(gains, budgets[r])
+            assert np.array_equal(p[r], alloc.p)
+            assert mu[r] == alloc.mu
+            assert effective[r] == alloc.effective_power
+        assert effective[0] > 0.0 and effective[2] == 0.0 and mu[2] == 1.0
+
+    def test_unreachable_row_raises_the_same_error(self):
+        # Row 1 is TestSolveMu's unreachable case between two that solve.
+        c = np.array([[0.8], [0.8], [0.9]])
+        a = np.array([[1.0], [1e-300], [2.0]])
+        budgets = np.array([1.0, 1e10, 5.0])
+        got = assert_batch_same_as_full_bisection(c, 1.0 - c, a, budgets)
+        assert got == (ValueError, "power budget 1e+10 is beyond what any "
+                       "representable multiplier reaches on these gains")
+        assert got == solve_outcome(SubchannelGains(c=[0.8], d=[0.2],
+                                                    a=[1e-300]), 1e10)
+
+
+class TestBatchEvaluationCount:
+    """Exact _batch_power calls and rows per campaign solve. The full
+    bisection takes 76 calls of 35 rows on the S5 batch and 53 of 10 on
+    the F10 one, so a silent fall-back to it fails here."""
+
+    @pytest.mark.parametrize("run, config, calls, rows", [
+        (run_snr_sweep, ExperimentConfig(
+            n_t=4, n_r=4, n_e=4, trials=5, snr_db_grid=(0, 5, 10, 15, 20,
+                                                        25, 30)), 8, 216),
+        (run_fraction_experiment, ExperimentConfig(
+            n_t=5, n_r=5, n_e=4, trials=10, budget=100.0,
+            rho_grid=(0.0, 0.5, 1.0)), 7, 70),
+    ], ids=["S5", "F10"])
+    def test_campaign_batches(self, monkeypatch, run, config, calls, rows):
+        sizes = []
+        power = allocation._batch_power
+
+        def counted(cd, fcd, a_den, a, mu):
+            sizes.append(mu.size)
+            return power(cd, fcd, a_den, a, mu)
+
+        monkeypatch.setattr(allocation, "_batch_power", counted)
+        run(config)
+        assert (len(sizes), sum(sizes)) == (calls, rows)
+        assert len(sizes) <= 15
 
 
 class TestInputCovariance:

@@ -61,6 +61,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             fraction_config(trials=0)
 
+    def test_trials_fit_the_key(self):
+        assert fraction_config(trials=2**56).trials == 2**56
+        with pytest.raises(ValueError, match="trials"):
+            fraction_config(trials=2**56 + 1)
+
     def test_seed_range(self):
         with pytest.raises(ValueError):
             fraction_config(seed=2**64)
@@ -143,6 +148,18 @@ class TestSampleChannel:
     def test_negative_trial_rejected(self):
         with pytest.raises(ValueError):
             sample_channel(fraction_config(), -1)
+
+    def test_last_trial_below_the_key_limit_draws(self):
+        cfg = ExperimentConfig(n_t=2, n_r=2, n_e=2, seed=0)
+        pair = sample_channel(cfg, 2**56 - 1)
+        assert np.all(np.isfinite(pair.hr)) and np.all(np.isfinite(pair.he))
+
+    @pytest.mark.parametrize("trial", [2**56, 2**120])
+    def test_trial_that_would_spill_into_the_seed_rejected(self, trial):
+        # 2**56 used to draw seed 1's trial 0; 2**120 overflowed the key.
+        cfg = ExperimentConfig(n_t=2, n_r=2, n_e=2, seed=0)
+        with pytest.raises(ValueError, match="2\\*\\*56"):
+            sample_channel(cfg, trial)
 
     @pytest.mark.parametrize("shape, trial, digest", [
         ((5, 5, 4), 0,

@@ -181,6 +181,15 @@ class TestRandomGains:
         with pytest.raises(ValueError, match="2\\*\\*128"):
             random_gains(2, seed=seed, trial=trial)
 
+    def test_last_trial_below_the_key_limit_draws(self):
+        g = random_gains(3, seed=0, trial=2**56 - 1)
+        assert g.q == 3
+
+    @pytest.mark.parametrize("trial", [2**56, 2**120])
+    def test_rejects_a_trial_that_would_spill_into_the_seed(self, trial):
+        with pytest.raises(ValueError, match="2\\*\\*56"):
+            random_gains(2, seed=0, trial=trial)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             random_gains(0, seed=1)
