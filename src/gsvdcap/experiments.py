@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -41,6 +40,7 @@ from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
                        uniform_secure_allocation)
 from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
                    _stacked_gains, gsvd, subchannel_gains)
+from .linalg import _check_int
 
 _STREAM_HR = 0
 _STREAM_HE = 1
@@ -48,9 +48,12 @@ _U64 = 2**64 - 1
 # Trials index bits 8-63 of the Philox key (see _key): every trial is below.
 _TRIAL_LIMIT = 2**56
 _local = threading.local()  # each thread's keyed generator, see _generator
-# Trials sampled, factored and swept per stacked call, and rows of
-# (trial, budget) pairs per batched solve: both bound the working set.
+# Trials sampled, factored and swept per stacked call: at most _TRIAL_CHUNK,
+# and at most _CHUNK_CELLS (trial, grid point) cells, so the sweep's
+# (trials, grid, q) stacks stay small on a wide grid. Rows of (trial,
+# budget) pairs per batched solve: _SOLVE_CHUNK, a speed constant.
 _TRIAL_CHUNK = 256
+_CHUNK_CELLS = 2**15
 _SOLVE_CHUNK = 1024
 
 
@@ -75,22 +78,15 @@ class ExperimentConfig:
     snr_db_grid: Optional[tuple] = None
 
     def __post_init__(self):
-        for name in ("n_t", "n_r", "n_e", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("n_t", "n_r", "n_e"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("trials", self.trials, 1, _TRIAL_LIMIT + 1)
+        _check_int("seed", self.seed, 0, 2**64)
         for name in ("sigma_r2", "sigma_e2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.budget is not None:
             _check_budget(self.budget)
-        if not 1 <= self.trials <= _TRIAL_LIMIT:
-            raise ValueError("trials must be at least 1 and at most 2**56")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
         for name in ("rho_grid", "snr_db_grid"):
             grid = getattr(self, name)
             if grid is None:
@@ -179,7 +175,7 @@ def _key(seed, trial, stream):
     """The Philox key of one (seed, trial, stream) matrix draw: the seed in
     bits 64-127, the trial in bits 8-63 and the stream in bits 0-7. A trial
     at or above _TRIAL_LIMIT would spill into the seed's bits; callers
-    reject it."""
+    check seed and trial with linalg._check_int first."""
     return (int(seed) << 64) | (int(trial) << 8) | stream
 
 
@@ -220,9 +216,8 @@ def _rayleigh(seed, trial, stream, rows, cols, variance):
 
 def sample_channel(config, trial):
     """Draw the trial's channel pair (hr from stream 0, he from stream 1).
-    The trial must be nonnegative and below 2**56."""
-    if not 0 <= trial < _TRIAL_LIMIT:
-        raise ValueError(f"trial must be in [0, 2**56), got {trial}")
+    The trial must be an integer from 0 to 2**56 - 1."""
+    _check_int("trial", trial, 0, _TRIAL_LIMIT)
     hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
                    config.sigma_r2)
     he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
@@ -266,8 +261,9 @@ def _run_campaign(config, grid, uniform_rates, budgets):
     c, d, a = (np.empty((trials, q)) for _ in range(3))
     s1, s2 = (np.empty((trials, q), dtype=bool) for _ in range(2))
     uniform = np.empty((trials, grid.size))
-    for start in range(0, trials, _TRIAL_CHUNK):
-        rows = np.arange(start, min(start + _TRIAL_CHUNK, trials))
+    chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_CELLS // grid.size))
+    for start in range(0, trials, chunk):
+        rows = np.arange(start, min(start + chunk, trials))
         h = _draw(config, rows)
         rank, *gains = _stacked_gains(h, config.n_r)
         if np.any(rank < q):

@@ -35,11 +35,19 @@ Not in the table: pass/fail limits a caller chooses (FactorCheck.passed's
 and KktReport.passed's tol, gsvd-check's --tol, oracle-verify's limits),
 and the widths and Newton stop of solve_mu's anchor search, which place
 evaluations but change no result.
+
+Every count or index the package takes from outside (ExperimentConfig's
+dimensions, trials and seed, sample_channel's and random_gains' trial,
+random_gains' q and seed, grid_maximize's resolution, load_matrix's rows
+and cols) passes one rule, _check_int beside the table: an integer that is
+not a bool, within a range, or a ValueError naming the field and the
+range. Nothing truncates: 1.7, 2.0, True and "3" are all refused.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -62,6 +70,25 @@ BUDGET_SLACK = 1e-12  # rel: grid points radiating up to P (1 + slack) count
 ACTIVE_EPS = 1e-15  # abs: kkt_check's power above it is active, at most it zero
 # Command line (cli.parse_range):
 RANGE_EPS = 1e-12  # abs: stop is included within this of a grid point
+
+
+def _check_int(name, value, lo, hi=None):
+    """Require value to be an integer (numbers.Integral, not bool) with
+    lo <= value < hi, or with lo <= value if hi is None; a ValueError
+    naming name and the range otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lo or (hi is not None and value >= hi)):
+        span = (f"at least {lo}" if hi is None
+                else f"from {lo} to {_int_text(hi - 1)}")
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _int_text(n):
+    """n as an error message writes it: a large 2**k or 2**k - 1 by k."""
+    k = (n + 1).bit_length() - 1
+    if n < 2**16 or (1 << k) - n not in (0, 1):
+        return str(n)
+    return f"2**{k}" if n == 1 << k else f"2**{k} - 1"
 
 
 class FactorizationError(RuntimeError):
@@ -155,14 +182,13 @@ def load_matrix(path):
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
+        _check_int("rows", rows, 1)
+        _check_int("cols", cols, 1)
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed matrix object: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{path}: rows and cols must be positive")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(f"{path}: 're' and 'im' must each hold rows*cols values")
     return as_matrix((re + 1j * im).reshape(rows, cols))

@@ -106,19 +106,17 @@ def grid_maximize(gains, budget, resolution=200):
     """
     if gains.q > _MAX_GRID_Q:
         raise ValueError(f"grid oracle handles q <= {_MAX_GRID_Q}, got {gains.q}")
-    if resolution < 50:
-        raise ValueError("resolution must be at least 50")
+    linalg._check_int("resolution", resolution, 50)
     _check_budget(budget)
     c, d, a = gains.c, gains.d, gains.a
     q = gains.q
-    axes = [np.linspace(0.0, budget / a[i], int(resolution)) for i in range(q)]
+    axes = [np.linspace(0.0, budget / a[i], resolution) for i in range(q)]
     rate_tab = [np.log1p(axes[i] * c[i]) - np.log1p(axes[i] * d[i]) for i in range(q)]
     power_tab = [a[i] * axes[i] for i in range(q)]
     cap = budget * (1.0 + linalg.BUDGET_SLACK)
 
     # Scan 2-D blocks over the trailing two axes, iterating the leading axes
     # in C order so the first maximum found is the lexicographically smallest.
-    lead_shape = tuple(int(resolution) for _ in range(q - 2)) if q > 2 else ()
     last2_rate = rate_tab[-2][:, None] + rate_tab[-1][None, :] if q >= 2 else None
     last2_power = power_tab[-2][:, None] + power_tab[-1][None, :] if q >= 2 else None
 
@@ -130,7 +128,7 @@ def grid_maximize(gains, budget, resolution=200):
         k = int(np.argmax(rates))
         best_rate, best_idx = float(rates[k]), (k,)
     else:
-        for lead in np.ndindex(*lead_shape) if lead_shape else [()]:
+        for lead in np.ndindex(*[resolution] * (q - 2)):
             base_rate = sum(rate_tab[i][lead[i]] for i in range(q - 2))
             base_power = sum(power_tab[i][lead[i]] for i in range(q - 2))
             block = np.where(last2_power <= cap - base_power,
@@ -216,17 +214,13 @@ def random_gains(q, seed, trial=0):
 
     Counter-based (Philox) so instances are reproducible and independent
     across (seed, trial) pairs: c uniform in (0.02, 0.98), d = 1 - c, and
-    a log-uniform in [0.2, 5]. The trial must be below 2**56, as in
-    experiments.sample_channel.
+    a log-uniform in [0.2, 5]. q is at least 1; seed and trial are
+    integers in ExperimentConfig's and sample_channel's ranges.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if not trial < experiments._TRIAL_LIMIT:
-        raise ValueError(f"trial must be below 2**56, got {trial}")
-    key = experiments._key(seed, trial, _RNG_STREAM)
-    if not 0 <= key < 2**128:  # Philox(key=key)'s own check and message
-        raise ValueError("key must be positive and less than 2**128.")
-    gen = experiments._generator(key)
+    linalg._check_int("q", q, 1)
+    linalg._check_int("seed", seed, 0, 2**64)
+    linalg._check_int("trial", trial, 0, experiments._TRIAL_LIMIT)
+    gen = experiments._generator(experiments._key(seed, trial, _RNG_STREAM))
     c = 0.02 + 0.96 * gen.random(q)
     a = np.exp(gen.random(q) * math.log(25.0)) * 0.2
     return SubchannelGains(c=np.sort(c), d=1.0 - np.sort(c), a=a)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -218,6 +219,21 @@ class TestFractionExperiment:
         assert np.array_equal(result.curve.param, cfg.rho_grid)
         assert all(row.trials == cfg.trials for row in result.aggregates)
 
+    def test_wide_grid_memory_is_bounded_by_grid_cells(self):
+        # 64 trials x 2001 rho points on 16x12x8 traced a 64 MB peak when
+        # all 64 trials were swept as one (trials, grid, q) stack; chunks
+        # of _CHUNK_CELLS cells keep it near 18 MB.
+        cfg = ExperimentConfig(n_t=16, n_r=12, n_e=8, budget=100.0,
+                               trials=64, seed=1,
+                               rho_grid=tuple(k / 2000 for k in range(2001)))
+        tracemalloc.start()
+        try:
+            run_fraction_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_requires_budget_and_grid(self):
         with pytest.raises(ValueError, match="budget"):
             run_fraction_experiment(fraction_config(budget=None))
@@ -396,6 +412,17 @@ class TestScalarReference:
                                rho_grid=(0.0, 0.5, 1.0), seed=24,
                                trials=experiments._TRIAL_CHUNK + 3)
         self.check(cfg, "symbol")
+
+    @pytest.mark.parametrize("campaign", ["fraction", "snr"])
+    @pytest.mark.parametrize("cells", [16, 2])
+    def test_wide_grid_spans_trial_chunks(self, campaign, cells, monkeypatch):
+        # 16 cells hold 3 trials of a 5-point rho grid or 2 of the 7-point
+        # SNR grid; 2 cells hold fewer than a grid, so one trial a chunk.
+        monkeypatch.setattr(experiments, "_CHUNK_CELLS", cells)
+        grid = ({"budget": 10.0, "rho_grid": (0.0, 0.3, 0.5, 0.9, 1.0)}
+                if campaign == "fraction" else {"snr_db_grid": SNR_GRID})
+        cfg = ExperimentConfig(n_t=5, n_r=4, n_e=3, trials=7, seed=25, **grid)
+        self.check(cfg, "transmit")
 
     @staticmethod
     def check(cfg, mode):

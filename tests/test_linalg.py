@@ -1,10 +1,14 @@
 """Unit tests for the matrix utility layer."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsvdcap import linalg
+from gsvdcap import (ExperimentConfig, SubchannelGains, grid_maximize, linalg,
+                     random_gains, sample_channel)
 
 
 def seeded(rows, cols, seed):
@@ -127,3 +131,79 @@ class TestMatrixIo:
         )
         with pytest.raises(ValueError, match="short.json"):
             linalg.load_matrix(path)
+
+
+CONFIG = dict(n_t=2, n_r=2, n_e=2, trials=1, seed=0)
+
+
+def _matrix_file(path, field, value):
+    obj = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+    obj[field] = int(value) if isinstance(value, np.integer) else value
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+# Every count or index the package takes from outside: (field, lo, hi,
+# call(value, tmp_path)) with the value in that field.
+BOUNDARIES = {
+    "config.n_t": ("n_t", 1, None,
+                   lambda v, _: ExperimentConfig(**{**CONFIG, "n_t": v})),
+    "config.n_r": ("n_r", 1, None,
+                   lambda v, _: ExperimentConfig(**{**CONFIG, "n_r": v})),
+    "config.n_e": ("n_e", 1, None,
+                   lambda v, _: ExperimentConfig(**{**CONFIG, "n_e": v})),
+    "config.trials": ("trials", 1, 2**56 + 1,
+                      lambda v, _: ExperimentConfig(**{**CONFIG, "trials": v})),
+    "config.seed": ("seed", 0, 2**64,
+                    lambda v, _: ExperimentConfig(**{**CONFIG, "seed": v})),
+    "sample_channel.trial": (
+        "trial", 0, 2**56,
+        lambda v, _: sample_channel(ExperimentConfig(**CONFIG), v)),
+    "random_gains.q": ("q", 1, None, lambda v, _: random_gains(v, 0, 0)),
+    "random_gains.seed": ("seed", 0, 2**64, lambda v, _: random_gains(2, v)),
+    "random_gains.trial": ("trial", 0, 2**56,
+                           lambda v, _: random_gains(2, 0, v)),
+    "grid_maximize.resolution": (
+        "resolution", 50, None,
+        lambda v, _: grid_maximize(
+            SubchannelGains(c=[0.8], d=[0.2], a=[1.0]), 1.0, v)),
+    "load_matrix.rows": (
+        "rows", 1, None,
+        lambda v, tmp: linalg.load_matrix(_matrix_file(tmp / "m.json", "rows", v))),
+    "load_matrix.cols": (
+        "cols", 1, None,
+        lambda v, tmp: linalg.load_matrix(_matrix_file(tmp / "m.json", "cols", v))),
+}
+
+
+class TestIntegerRule:
+    """linalg._check_int, the one integer rule, at every boundary. A value
+    that is not an integer used to be truncated (trial 1.7 and trial True
+    drew trial 1, random_gains(3, 0.5, 2) drew seed 0, resolution 60.5 ran
+    60 points, rows 2.7 read a 2x2 matrix and rows true a 1x2 one)."""
+
+    @pytest.mark.parametrize("boundary, value", [
+        (boundary, value) for boundary, (_, lo, hi, _) in BOUNDARIES.items()
+        for value in [1.7, 2.0, True, "3", lo + 10.5, lo - 1, hi]
+        if value is not None])
+    def test_rejects_all_but_an_integer_in_range(self, boundary, value,
+                                                 tmp_path):
+        field, _, _, call = BOUNDARIES[boundary]
+        with pytest.raises(ValueError, match=f"(^|: ){field} must be an integer"):
+            call(value, tmp_path)
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    def test_accepts_numpy_integers_at_both_ends(self, boundary, tmp_path):
+        _, lo, hi, call = BOUNDARIES[boundary]
+        call(np.int64(lo), tmp_path)
+        if hi is not None:
+            call(hi - 1, tmp_path)
+
+    @pytest.mark.parametrize("hi, text", [
+        (51, "from 0 to 50"), (2**56, "from 0 to 2**56 - 1"),
+        (2**56 + 1, "from 0 to 2**56"), (2**64, "from 0 to 2**64 - 1"),
+        (2**56 - 1, "from 0 to 72057594037927934")])
+    def test_message_names_the_range(self, hi, text):
+        message = f"n must be an integer {text}, got -1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            linalg._check_int("n", -1, 0, hi)
