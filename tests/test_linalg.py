@@ -177,10 +177,10 @@ BOUNDARIES = {
 
 
 class TestIntegerRule:
-    """linalg._check_int, the one integer rule, at every boundary. A value
-    that is not an integer used to be truncated (trial 1.7 and trial True
-    drew trial 1, random_gains(3, 0.5, 2) drew seed 0, resolution 60.5 ran
-    60 points, rows 2.7 read a 2x2 matrix and rows true a 1x2 one)."""
+    """linalg._check_int, the one integer rule, at every boundary. A float
+    or a bool must raise, not be truncated: a truncated trial 1.7 or True
+    draws trial 1, resolution 60.5 runs 60 points, and rows true reads a
+    1-row matrix."""
 
     @pytest.mark.parametrize("boundary, value", [
         (boundary, value) for boundary, (_, lo, hi, _) in BOUNDARIES.items()
