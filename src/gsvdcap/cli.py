@@ -73,8 +73,9 @@ def _rho_range(text):
     return values
 
 
-def _bounded(kind, accept, requirement):
-    """argparse type: parse text as kind, then require accept(value)."""
+def _bounded(kind, check):
+    """argparse type: parse text as kind, then check(value); a ValueError
+    from check rejects the value with its message."""
     noun = "an integer" if kind is int else "a number"
 
     def parse(text):
@@ -82,32 +83,44 @@ def _bounded(kind, accept, requirement):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}")
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
 
 
-_positive_int = _bounded(int, lambda v: v >= 1, "at least 1")
-_nonneg_int = _bounded(int, lambda v: v >= 0, "nonnegative")
-_positive_float = _bounded(float, lambda v: 0 < v < math.inf,
-                           "positive and finite")
-_nonneg_float = _bounded(float, lambda v: 0 <= v < math.inf,
-                         "nonnegative and finite")
+def _integer(name, lo, hi=None):
+    """argparse type: an integer that linalg._check_int takes as name, so
+    the command line accepts the library's range and no other."""
+    return _bounded(int, lambda v: linalg._check_int(name, v, lo, hi))
+
+
+def _finite(lo_ok, requirement):
+    """argparse type: a finite number above 0, or equal to 0 if lo_ok."""
+    def check(value):
+        if not (0 < value < math.inf or (lo_ok and value == 0)):
+            raise ValueError(f"must be {requirement}")
+    return _bounded(float, check)
+
+
+_trials = _integer("trials", 1, experiments._TRIAL_LIMIT + 1)
+_seed = _integer("seed", 0, 2**64)
+_positive_float = _finite(False, "positive and finite")
+_nonneg_float = _finite(True, "nonnegative and finite")
 
 
 def _add_dims(parser):
-    parser.add_argument("--nt", type=_positive_int, required=True,
-                        help="transmit antennas")
-    parser.add_argument("--nr", type=_positive_int, required=True,
-                        help="receiver antennas")
-    parser.add_argument("--ne", type=_positive_int, required=True,
-                        help="eavesdropper antennas")
+    for flag, role in (("nt", "transmit"), ("nr", "receiver"),
+                       ("ne", "eavesdropper")):
+        parser.add_argument(f"--{flag}", type=_integer(f"n_{flag[1]}", 1),
+                            required=True, help=f"{role} antennas")
 
 
 def _add_sweep_common(parser):
-    parser.add_argument("--trials", type=_positive_int, required=True)
-    parser.add_argument("--seed", type=_nonneg_int, required=True)
+    parser.add_argument("--trials", type=_trials, required=True)
+    parser.add_argument("--seed", type=_seed, required=True)
     parser.add_argument("--sigma-r2", type=_nonneg_float, default=1.0,
                         help="receiver channel variance (default 1)")
     parser.add_argument("--sigma-e2", type=_nonneg_float, default=1.0,
@@ -117,7 +130,7 @@ def _add_sweep_common(parser):
                         help="equalize radiated power (transmit) or symbol "
                              "power (symbol) across directions")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=_positive_int,
+    parser.add_argument("--threads", type=_integer("threads", 1),
                         default=os.cpu_count() or 1,
                         help="accepted for compatibility and ignored: "
                              "campaigns run in one thread")
@@ -134,8 +147,8 @@ def build_parser():
     p = sub.add_parser("gsvd-check",
                        help="verify factorization invariants on random pairs")
     _add_dims(p)
-    p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_nonneg_int, required=True)
+    p.add_argument("--trials", type=_trials, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.set_defaults(func=_cmd_gsvd_check)
 
@@ -167,11 +180,12 @@ def build_parser():
 
     p = sub.add_parser("oracle-verify",
                        help="closed form vs grid search on synthetic gains")
-    p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, required=True)
+    p.add_argument("--q", type=_integer("q", 1), required=True)
+    p.add_argument("--trials", type=_trials, required=True)
     p.add_argument("--budget", type=_positive_float, required=True)
-    p.add_argument("--seed", type=_nonneg_int, required=True)
-    p.add_argument("--resolution", type=_positive_int, default=200)
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--resolution", type=_integer("resolution", 50),
+                   default=200)
     p.set_defaults(func=_cmd_oracle_verify)
 
     return parser
@@ -202,17 +216,10 @@ def _cmd_allocate(args):
     alloc = solve_mu(gains, args.power)
     rate = secrecy_rate(gains, alloc)
     if args.json:
-        payload = {
-            "c": gains.c.tolist(),
-            "d": gains.d.tolist(),
-            "a": gains.a.tolist(),
-            "p": alloc.p.tolist(),
-            "mu": alloc.mu,
-            "effective_power": alloc.effective_power,
-            "rate_bits": rate,
-        }
-        json.dump(payload, sys.stdout)
-        print()
+        print(json.dumps(dict(
+            c=gains.c.tolist(), d=gains.d.tolist(), a=gains.a.tolist(),
+            p=alloc.p.tolist(), mu=alloc.mu,
+            effective_power=alloc.effective_power, rate_bits=rate)))
         return 0
     print(f"{'i':>3} {'c_i':>14} {'d_i':>14} {'a_i':>14} {'p_i':>14}")
     for i in range(gains.q):
@@ -258,12 +265,12 @@ def _cmd_sweep(args):
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")
     experiments.write_campaign_csv(result, trials_path, column)
-    experiments.write_aggregate_csv(result.aggregates, agg_path)
+    experiments.write_campaign_aggregate_csv(result, agg_path)
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {agg_path}", file=sys.stderr)
     if fraction:
         best = int(np.argmax(result.curve.rate_bits))
-        print(f"mean optimal rate {result.aggregates[0].mean_optimal:.6g} "
+        print(f"mean optimal rate {result.mean_optimal[0]:.6g} "
               f"bits; best uniform rho {result.curve.param[best]:.4g} "
               f"({result.curve.rate_bits[best]:.6g} bits)", file=sys.stderr)
     return 0

@@ -55,6 +55,11 @@ _local = threading.local()  # each thread's keyed generator, see _generator
 _TRIAL_CHUNK = 256
 _CHUNK_CELLS = 2**15
 _SOLVE_CHUNK = 1024
+# Every CSV float is written as "%.12g" % x, the bytes of
+# format(float(x), ".12g"), and every integer as "%s" % n.
+_TRIAL_ROW = "%s,%.12g,%.12g,%.12g,%s,%s,%s\n"
+_AGGREGATE_HEADER = "param,mean_uniform,se_uniform,mean_optimal,se_optimal,trials\n"
+_AGGREGATE_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,9 @@ class CampaignResult:
     holds the optimal rates, (trials, grid) on the SNR sweep and
     (trials, 1) on the fraction sweep, whose optimum is budget-fixed. q,
     dim_s1 and dim_s2 are per-trial integer arrays. curve is the mean
-    uniform-rate curve over the grid and aggregates one AggregateRow per
-    grid point.
+    uniform-rate curve over the grid. mean_uniform, se_uniform,
+    mean_optimal and se_optimal are the across-trial means and standard
+    errors at each grid point, (grid,) arrays.
     """
 
     grid: np.ndarray
@@ -153,7 +159,23 @@ class CampaignResult:
     dim_s1: np.ndarray
     dim_s2: np.ndarray
     curve: RateCurve
-    aggregates: list
+    mean_uniform: np.ndarray
+    se_uniform: np.ndarray
+    mean_optimal: np.ndarray
+    se_optimal: np.ndarray
+
+    @property
+    def aggregates(self):
+        """One AggregateRow per grid point, built on each access."""
+        return [AggregateRow(*row) for row in self._aggregate_rows()]
+
+    def _aggregate_rows(self):
+        """(param, mean_uniform, se_uniform, mean_optimal, se_optimal,
+        trials) per grid point, as Python numbers."""
+        columns = (self.grid, self.mean_uniform, self.se_uniform,
+                   self.mean_optimal, self.se_optimal)
+        return zip(*(x.tolist() for x in columns),
+                   [self.uniform.shape[0]] * self.grid.size)
 
     @property
     def records(self):
@@ -162,8 +184,7 @@ class CampaignResult:
         grid = self.grid.tolist()
         optimal = np.broadcast_to(self.optimal, self.uniform.shape)
         return [
-            TrialRecord(trial=t, parameter=x, uniform_rate=u, optimal_rate=o,
-                        q=q, dim_s1=s1, dim_s2=s2)
+            TrialRecord(t, x, u, o, q, s1, s2)
             for t, (us, opts, q, s1, s2) in enumerate(zip(
                 self.uniform.tolist(), optimal.tolist(), self.q.tolist(),
                 self.dim_s1.tolist(), self.dim_s2.tolist()))
@@ -282,7 +303,7 @@ def _run_campaign(config, grid, uniform_rates, budgets):
         dim_s1=np.count_nonzero(s1, axis=1),
         dim_s2=np.count_nonzero(s2, axis=1),
         curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
-        aggregates=_aggregates(grid, uniform, optimal))
+        **_aggregates(grid, uniform, optimal))
 
 
 def _optimal_rates(c, d, a, budgets):
@@ -345,25 +366,19 @@ def run_snr_sweep(config, mode="transmit", threads=None):
 
 
 def _aggregates(grid, uniform, optimal):
-    """One AggregateRow per grid point: across-trial means and standard
-    errors, reduced along the rows of contiguous (grid, trials) arrays."""
+    """CampaignResult's mean_uniform, se_uniform, mean_optimal and
+    se_optimal: (grid,) across-trial means and standard errors, reduced
+    along the rows of contiguous (grid, trials) arrays."""
     trials = uniform.shape[0]
-    columns = []
-    for rates in (uniform, optimal):
+    columns = {}
+    for name, rates in (("uniform", uniform), ("optimal", optimal)):
         by_point = np.ascontiguousarray(rates.T)
         mean = by_point.mean(axis=1)
-        if trials < 2:
-            se = np.zeros_like(mean)
-        else:
-            se = by_point.std(axis=1, ddof=1) / math.sqrt(trials)
-        columns += [np.broadcast_to(x, grid.shape).tolist() for x in (mean, se)]
-    return [AggregateRow(param=x, mean_uniform=mu, se_uniform=su,
-                         mean_optimal=mo, se_optimal=so, trials=trials)
-            for x, mu, su, mo, so in zip(grid.tolist(), *columns)]
-
-
-def _fmt(x):
-    return format(float(x), ".12g")
+        se = (by_point.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1
+              else np.zeros_like(mean))
+        columns["mean_" + name] = np.broadcast_to(mean, grid.shape)
+        columns["se_" + name] = np.broadcast_to(se, grid.shape)
+    return columns
 
 
 def _write_chunks(path, chunks):
@@ -382,57 +397,59 @@ def _trial_header(param_column):
     return f"trial,{param_column},uniform_rate_bits,optimal_rate_bits,q,dim_s1,dim_s2\n"
 
 
-def _trial_line(trial, param, uniform, optimal, dims):
-    """One trial CSV row from formatted fields; dims is "q,dim_s1,dim_s2"."""
-    return f"{trial},{param},{uniform},{optimal},{dims}\n"
-
-
 def write_csv(records, path, param_column):
     """Write trial records as CSV with LF endings and %.12g floats.
 
     param_column names the second column ("rho" or "snr_db").
     """
-    header = _trial_header(param_column)
-    lines = (_trial_line(r.trial, _fmt(r.parameter), _fmt(r.uniform_rate),
-                         _fmt(r.optimal_rate), f"{r.q},{r.dim_s1},{r.dim_s2}")
+    lines = (_TRIAL_ROW % (r.trial, r.parameter, r.uniform_rate,
+                           r.optimal_rate, r.q, r.dim_s1, r.dim_s2)
              for r in records)
-    _write_chunks(path, [header, "".join(lines)])
+    _write_chunks(path, [_trial_header(param_column), "".join(lines)])
 
 
 def write_campaign_csv(result, path, param_column):
     """Write a CampaignResult's trial records as write_csv does, bytes and
     all, from its columns, one trial at a time.
 
-    Each grid value is formatted once, and a budget-fixed optimal rate once
-    per trial.
+    Each trial's rows are one template: the grid values, the trial's
+    integers and a budget-fixed optimal rate are formatted into it once,
+    and its rates fill the remaining %.12g slots.
     """
     header = _trial_header(param_column)
-    params = [_fmt(x) for x in result.grid.tolist()]
+    # "%.12g" never writes a "%", so these strings are safe in a template.
+    params = ["%.12g" % x for x in result.grid.tolist()]
 
     def chunks():
         yield header
         for t, (us, opts, q, s1, s2) in enumerate(zip(
-                result.uniform.tolist(), result.optimal.tolist(),
-                result.q.tolist(), result.dim_s1.tolist(),
-                result.dim_s2.tolist())):
-            dims = f"{q},{s1},{s2}"
-            optimal = [_fmt(o) for o in opts]
-            if len(optimal) == 1:
-                optimal *= len(params)
-            yield "".join(_trial_line(t, x, _fmt(u), o, dims)
-                          for x, u, o in zip(params, us, optimal))
+                result.uniform, result.optimal, result.q.tolist(),
+                result.dim_s1.tolist(), result.dim_s2.tolist())):
+            if opts.size == 1:
+                rates, tail = us, "%.12g,%s,%s,%s\n" % (opts[0], q, s1, s2)
+            else:
+                rates = np.column_stack((us, opts))
+                tail = "%%.12g,%s,%s,%s\n" % (q, s1, s2)
+            lead, glue = "%s," % t, ",%.12g," + tail
+            template = lead + (glue + lead).join(params) + glue
+            yield template % tuple(rates.ravel().tolist())
 
     _write_chunks(path, chunks())
 
 
 def write_aggregate_csv(rows, path):
     """Write aggregate rows (means and standard errors) as CSV."""
-    lines = ["param,mean_uniform,se_uniform,mean_optimal,se_optimal,trials\n"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r.param)},{_fmt(r.mean_uniform)},{_fmt(r.se_uniform)},"
-            f"{_fmt(r.mean_optimal)},{_fmt(r.se_optimal)},{r.trials}\n")
-    _write_chunks(path, lines)
+    lines = "".join(_AGGREGATE_ROW % (r.param, r.mean_uniform, r.se_uniform,
+                                      r.mean_optimal, r.se_optimal, r.trials)
+                    for r in rows)
+    _write_chunks(path, [_AGGREGATE_HEADER, lines])
+
+
+def write_campaign_aggregate_csv(result, path):
+    """Write a CampaignResult's aggregates as write_aggregate_csv does,
+    bytes and all, from its columns."""
+    lines = "".join(_AGGREGATE_ROW % row for row in result._aggregate_rows())
+    _write_chunks(path, [_AGGREGATE_HEADER, lines])
 
 
 def read_trial_csv(path):
@@ -443,18 +460,11 @@ def read_trial_csv(path):
             if reader.fieldnames is None:
                 raise ValueError(f"{path}: empty CSV")
             param_column = reader.fieldnames[1]
-            return [
-                TrialRecord(
-                    trial=int(row["trial"]),
-                    parameter=float(row[param_column]),
-                    uniform_rate=float(row["uniform_rate_bits"]),
-                    optimal_rate=float(row["optimal_rate_bits"]),
-                    q=int(row["q"]),
-                    dim_s1=int(row["dim_s1"]),
-                    dim_s2=int(row["dim_s2"]),
-                )
-                for row in reader
-            ]
+            return [TrialRecord(
+                int(row["trial"]), float(row[param_column]),
+                float(row["uniform_rate_bits"]), float(row["optimal_rate_bits"]),
+                int(row["q"]), int(row["dim_s1"]), int(row["dim_s2"]))
+                for row in reader]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
     except (KeyError, TypeError) as exc:

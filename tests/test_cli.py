@@ -154,6 +154,24 @@ class TestSweeps:
         assert "200000 trials x 5 grid points" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, run, config", [
+        (["sweep-fraction", "--power", "100", "--rho-grid", "0:0.25:1"],
+         experiments.run_fraction_experiment,
+         dict(budget=100.0, rho_grid=(0.0, 0.25, 0.5, 0.75, 1.0))),
+        (["sweep-snr", "--snr-db", "0:10:30"], experiments.run_snr_sweep,
+         dict(snr_db_grid=(0.0, 10.0, 20.0, 30.0)))], ids=["fraction", "snr"])
+    def test_aggregate_file_is_write_aggregate_csv(self, argv, run, config,
+                                                   tmp_path):
+        assert main(argv + ["--nt", "5", "--nr", "4", "--ne", "3",
+                            "--trials", "6", "--seed", "8",
+                            "--out", str(tmp_path)]) == 0
+        result = run(experiments.ExperimentConfig(n_t=5, n_r=4, n_e=3,
+                                                  trials=6, seed=8, **config))
+        experiments.write_aggregate_csv(result.aggregates, tmp_path / "rows.csv")
+        name = argv[0].removeprefix("sweep-") + "_aggregate.csv"
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
     def test_snr_sweep_at_300_db(self, tmp_path):
         # Budget 1e30: the multiplier bracket needs over 200 halvings.
         assert main(["sweep-snr", "--nt", "2", "--nr", "2", "--ne", "2",
@@ -260,6 +278,29 @@ class TestUsageErrors:
     def test_negative_seed(self):
         self.assert_usage_exit(["gsvd-check", "--nt", "4", "--nr", "4",
                                 "--ne", "4", "--trials", "1", "--seed", "-1"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-verify", "--q", "2", "--trials", "2", "--budget", "10",
+          "--seed", "1", "--resolution", "10"],
+         "argument --resolution: resolution must be an integer at least 50, "
+         "got 10"),
+        (["gsvd-check", "--nt", "4", "--nr", "4", "--ne", "4", "--trials",
+          "1", "--seed", "18446744073709551616"],
+         "argument --seed: seed must be an integer from 0 to 2**64 - 1, got "
+         "18446744073709551616"),
+        (["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4", "--snr-db",
+          "0:5:30", "--seed", "1", "--trials", "72057594037927937"],
+         "argument --trials: trials must be an integer from 1 to 2**56, got "
+         "72057594037927937"),
+    ], ids=["resolution", "seed", "trials"])
+    def test_library_integer_range(self, argv, message, tmp_path, capsys):
+        # Each value passed parsing and then exited 1 with an error: line.
+        self.assert_usage_exit(argv + ["--out", str(tmp_path)]
+                               if argv[0] == "sweep-snr" else argv)
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gsvdcap " + argv[0])
+        assert err.endswith(f"gsvdcap {argv[0]}: error: {message}\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "x"), ("--power", "0"),

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gsvdcap.experiments as experiments
 from gsvdcap import (
@@ -306,6 +307,16 @@ class TestFractionExperiment:
         assert str(one_pair.value).endswith("stacked rank 2, expected 4")
         assert draws == [[0, 1, 2, 3, 4]]
 
+    def test_aggregates_are_built_on_each_access(self):
+        result = run_fraction_experiment(fraction_config(trials=1))
+        rows = result.aggregates
+        assert rows == result.aggregates and rows is not result.aggregates
+        assert [row.param for row in rows] == list(result.grid)
+        assert all(row.se_uniform == 0.0 and row.se_optimal == 0.0
+                   and row.trials == 1 for row in rows)
+        assert [row.mean_uniform for row in rows] == result.uniform[0].tolist()
+        assert {row.mean_optimal for row in rows} == {result.optimal[0, 0]}
+
     def test_thread_count_does_not_change_results(self):
         cfg = fraction_config(trials=6)
         serial = run_fraction_experiment(cfg, threads=1)
@@ -523,6 +534,64 @@ class TestCsv:
         data = (tmp_path / "columns.csv").read_bytes()
         assert data == (tmp_path / "records.csv").read_bytes()
         assert data.count(b"\n") == 1 + cfg.trials * len(result.grid)
+
+    @pytest.mark.parametrize("cfg", [
+        fraction_config(trials=experiments._TRIAL_CHUNK + 44),
+        ExperimentConfig(n_t=4, n_r=4, n_e=4, seed=9,
+                         trials=experiments._TRIAL_CHUNK + 44,
+                         snr_db_grid=(0.0, 10.0, 20.0))],
+        ids=["fraction", "snr"])
+    def test_campaign_writer_matches_record_writer_across_trial_chunks(
+            self, cfg, tmp_path):
+        self.test_campaign_writer_matches_record_writer(cfg, tmp_path)
+
+    def test_campaign_writer_streams_one_trial_at_a_time(self, tmp_path):
+        # Formatting every trial's rates at once held 4.6 MB for this
+        # 5.4 MB file; one trial's text and numbers stay near 0.5 MB.
+        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=2, budget=10.0, trials=64,
+                               seed=1,
+                               rho_grid=tuple(k / 2000 for k in range(2001)))
+        result = run_fraction_experiment(cfg)
+        path = tmp_path / "trials.csv"
+        tracemalloc.start()
+        try:
+            experiments.write_campaign_csv(result, path, "rho")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+
+    @settings(max_examples=2000)
+    @given(st.floats())
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(math.nan)
+    @example(1e300)
+    @example(2.0**60)
+    def test_template_rule_is_the_format_rule(self, x):
+        # The writers format floats with "%.12g" % x, the bytes of
+        # format(float(x), ".12g"), and never write a "%".
+        assert "%.12g" % x == format(float(x), ".12g")
+        assert "%" not in "%.12g" % x
+
+    def test_numpy_integers_and_integral_floats_keep_their_bytes(
+            self, tmp_path):
+        path = tmp_path / "trials.csv"
+        write_csv([TrialRecord(trial=np.int64(3), parameter=20.0,
+                               uniform_rate=np.float64(0.1),
+                               optimal_rate=1e-320, q=np.int64(5),
+                               dim_s1=np.int64(1), dim_s2=np.int64(4)),
+                   TrialRecord(trial=4, parameter=-0.0, uniform_rate=2.0**60,
+                               optimal_rate=math.inf, q=5, dim_s1=0,
+                               dim_s2=np.int32(5))],
+                  path, param_column="snr_db")
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            "3,20,0.1,9.99988867183e-321,5,1,4",
+            "4,-0,1.15292150461e+18,inf,5,0,5"]
 
     def test_read_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
