@@ -97,10 +97,10 @@ def _integer(name, lo, hi=None):
     return _bounded(int, lambda v: linalg._check_int(name, v, lo, hi))
 
 
-def _finite(lo_ok, requirement):
-    """argparse type: a finite number above 0, or equal to 0 if lo_ok."""
+def _finite(zero_ok, requirement):
+    """argparse type: a finite number above 0, or equal to 0 if zero_ok."""
     def check(value):
-        if not (0 < value < math.inf or (lo_ok and value == 0)):
+        if not (0 < value < math.inf or (zero_ok and value == 0)):
             raise ValueError(f"must be {requirement}")
     return _bounded(float, check)
 

@@ -425,14 +425,14 @@ def write_campaign_csv(result, path, param_column):
         for t, (us, opts, q, s1, s2) in enumerate(zip(
                 result.uniform, result.optimal, result.q.tolist(),
                 result.dim_s1.tolist(), result.dim_s2.tolist())):
-            if opts.size == 1:
+            us, opts = us.tolist(), opts.tolist()
+            if len(opts) == 1:
                 rates, tail = us, "%.12g,%s,%s,%s\n" % (opts[0], q, s1, s2)
             else:
-                rates = np.column_stack((us, opts))
+                rates = [r for pair in zip(us, opts) for r in pair]
                 tail = "%%.12g,%s,%s,%s\n" % (q, s1, s2)
             lead, glue = "%s," % t, ",%.12g," + tail
-            template = lead + (glue + lead).join(params) + glue
-            yield template % tuple(rates.ravel().tolist())
+            yield (lead + (glue + lead).join(params) + glue) % tuple(rates)
 
     _write_chunks(path, chunks())
 

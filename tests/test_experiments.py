@@ -524,7 +524,12 @@ class TestCsv:
     @pytest.mark.parametrize("cfg", [
         fraction_config(trials=3),
         ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=3, seed=9,
-                         snr_db_grid=(0.0, 10.0, 20.0))])
+                         snr_db_grid=(0.0, 10.0, 20.0)),
+        # 300 trials: past _TRIAL_CHUNK, so the rows come from two chunks.
+        pytest.param(fraction_config(trials=300), id="fraction-300-trials"),
+        pytest.param(ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=300, seed=9,
+                                      snr_db_grid=(0.0, 10.0, 20.0)),
+                     id="snr-300-trials")])
     def test_campaign_writer_matches_record_writer(self, cfg, tmp_path):
         run = run_fraction_experiment if cfg.rho_grid else run_snr_sweep
         result = run(cfg)
@@ -534,16 +539,6 @@ class TestCsv:
         data = (tmp_path / "columns.csv").read_bytes()
         assert data == (tmp_path / "records.csv").read_bytes()
         assert data.count(b"\n") == 1 + cfg.trials * len(result.grid)
-
-    @pytest.mark.parametrize("cfg", [
-        fraction_config(trials=experiments._TRIAL_CHUNK + 44),
-        ExperimentConfig(n_t=4, n_r=4, n_e=4, seed=9,
-                         trials=experiments._TRIAL_CHUNK + 44,
-                         snr_db_grid=(0.0, 10.0, 20.0))],
-        ids=["fraction", "snr"])
-    def test_campaign_writer_matches_record_writer_across_trial_chunks(
-            self, cfg, tmp_path):
-        self.test_campaign_writer_matches_record_writer(cfg, tmp_path)
 
     def test_campaign_writer_streams_one_trial_at_a_time(self, tmp_path):
         # Formatting every trial's rates at once held 4.6 MB for this
