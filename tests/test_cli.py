@@ -294,7 +294,8 @@ class TestUsageErrors:
          "72057594037927937"),
     ], ids=["resolution", "seed", "trials"])
     def test_library_integer_range(self, argv, message, tmp_path, capsys):
-        # Each value passed parsing and then exited 1 with an error: line.
+        # The library refuses these values too, but only once the command
+        # runs; out-of-range flags are usage errors.
         self.assert_usage_exit(argv + ["--out", str(tmp_path)]
                                if argv[0] == "sweep-snr" else argv)
         err = capsys.readouterr().err
