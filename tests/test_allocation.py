@@ -1,5 +1,6 @@
 """Unit tests for the closed-form power allocation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from gsvdcap import (
     power_for_mu,
     run_fraction_experiment,
     run_snr_sweep,
+    sample_channel,
+    secrecy_rate,
     solve_mu,
     subchannel_gains,
 )
@@ -329,6 +332,35 @@ class TestEvaluationCount:
             counts.append(len(evaluated))
         assert counts == [n for _, _, n in cases]
         assert max(counts) <= 15
+
+
+class TestAllocateBits:
+    """The one-pair allocate path gsvd -> subchannel_gains -> solve_mu ->
+    secrecy_rate, byte for byte: factors, gains, powers, multiplier,
+    effective power and rate must not move when the path gets faster."""
+
+    # perfbench's allocate shapes (n_t, n_r, n_e) and budgets in dB.
+    SHAPES = ((2, 2, 2), (4, 4, 4), (8, 8, 6), (8, 3, 2), (4, 6, 6))
+    BUDGETS_DB = (0, 5, 10, 15, 20, 25, 30)
+    DIGEST = "7a21c45fa93b8f257b43bd1f4a0773281837293f30bb975ba668e54dca937699"
+
+    def test_factors_gains_and_solves_are_pinned(self):
+        digest = hashlib.sha256()
+        for n_t, n_r, n_e in self.SHAPES:
+            config = ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=7)
+            for trial in range(5):
+                f = gsvd(sample_channel(config, trial))
+                gains = subchannel_gains(f)
+                for x in (f.a, f.psi_r, f.psi_e, f.cdiag, f.ddiag, gains.c,
+                          gains.d, gains.a):
+                    digest.update(x.tobytes())
+                for db in self.BUDGETS_DB:
+                    alloc = solve_mu(gains, 10.0 ** (db / 10.0))
+                    digest.update(alloc.p.tobytes())
+                    digest.update(np.array(
+                        [alloc.mu, alloc.effective_power,
+                         secrecy_rate(gains, alloc)]).tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 def batch_outcome(c, d, a, budgets):
