@@ -89,7 +89,7 @@ class PowerAllocation:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1:
             raise ValueError("p must be a 1-D array")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if (p < 0).any() or not np.isfinite(p).all():
             raise ValueError("powers must be finite and nonnegative")
         if self.mu is not None and not self.mu > 0:
             raise ValueError("mu must be positive when present")
@@ -122,7 +122,7 @@ def largest_root(c, d, a, mu):
     (1 - 2d)^2 >= 0. May return a negative value (power clamping is the
     caller's job).
     """
-    _check_gains(c, d, a)
+    _check_gains(np.float64(c), np.float64(d), np.float64(a))
     if not c > d:
         raise ValueError("largest_root needs a secure pair (c > d)")
     if not mu > 0:
@@ -131,21 +131,25 @@ def largest_root(c, d, a, mu):
 
 
 def _power_curve(gains):
-    """power(mu) -> (p, sum_i a_i p_i) for gains that SubchannelGains checked.
+    """power(mu) -> (p, sum_i a_i p_i) for gains = (a, secure): the column
+    powers of gains that SubchannelGains checked and their secure entries
+    as solve_mu builds them.
 
-    Secure entries are kept as Python floats; insecure ones get exactly zero.
-    The radiated total is the full-length dot product a @ p: a Python sum
-    over the secure entries rounds differently.
+    Each secure entry's root is _root's arithmetic inline; insecure entries
+    get exactly zero. The radiated total is the full-length dot product
+    a @ p: a Python sum over the secure entries rounds differently.
     """
-    c, d, a = gains.c, gains.d, gains.a
-    secure = [(i, float(c[i]), float(d[i]), float(a[i]))
-              for i in np.flatnonzero(c > d).tolist()]
-    q = gains.q
+    a, secure = gains
+    q = a.shape[0]
 
     def power(mu):
         p = np.zeros(q)
-        for i, ci, di, ai in secure:
-            p[i] = max(0.0, _root(ci, di, ai, mu))
+        for i, _, _, ai, cd, fcd in secure:
+            lead = cd / (mu * ai)
+            r = 1.0 - fcd + fcd * lead
+            x = 2.0 * (lead - 1.0) / (1.0 + math.sqrt(0.0 if r < 0.0 else r))
+            if x > 0.0:  # max(0.0, x): zero for NaN too
+                p[i] = x
         return p, float(a.dot(p))
 
     return power
@@ -187,7 +191,7 @@ def power_for_mu(gains, mu):
 def _anchors(power, entries, budget, mu_hi):
     """Evaluated multipliers on both sides of the root, pulled out by _SEP.
 
-    entries are the secure (c, d, a) as Python floats. Returns
+    entries are solve_mu's secure entries. Returns
     (x_lo, x_hi, gap): x_lo is the largest evaluated mu whose effective
     power exceeds the budget by more than the stop rule's tolerance, x_hi
     the smallest one that falls short by more than it (0.0 and inf stand
@@ -213,13 +217,15 @@ def _anchors(power, entries, budget, mu_hi):
     floor = math.ldexp(mu_hi, -_HALVING_CAP) or math.ulp(0.0)
     tol = linalg.BUDGET_TOL * budget
     lo, hi = 0.0, mu_hi
-    mu = min(len(entries) / (budget + sum(a / (c - d) for c, d, a in entries)),
-             0.5 * mu_hi)
+    level = sum(a / cd for _, _, _, a, cd, _ in entries)
+    mu = min(len(entries) / (budget + level), 0.5 * mu_hi)
     for _ in range(12):
         mu = max(mu, floor)
         f = slope = 0.0
-        for c, d, a in entries:
-            x = _root(c, d, a, mu)
+        for _, c, d, a, cd, fcd in entries:
+            lead = cd / (mu * a)  # _root's arithmetic inline
+            r = 1.0 - fcd + fcd * lead
+            x = 2.0 * (lead - 1.0) / (1.0 + math.sqrt(0.0 if r < 0.0 else r))
             if x > 0.0:
                 f += a * x
                 xc, xd = 1.0 + x * c, 1.0 + x * d
@@ -332,18 +338,19 @@ def solve_mu(gains, budget):
     which is the full bisection.
     """
     _check_budget(budget)
-    c, d, a = gains.c, gains.d, gains.a
-    secure = c > d
-    if not np.any(secure):
+    # The secure entries (i, c, d, a, c - d, 4.0 * c * d) as Python floats,
+    # each product in _root's operation order.
+    secure = [(i, c, d, a, c - d, 4.0 * c * d) for i, (c, d, a) in
+              enumerate(zip(gains.c.tolist(), gains.d.tolist(),
+                            gains.a.tolist())) if c > d]
+    if not secure:
         return PowerAllocation(p=np.zeros(gains.q), mu=1.0, effective_power=0.0)
-    power = _power_curve(gains)
+    power = _power_curve((gains.a, secure))
 
     # Power hits zero at mu_hi = max marginal rate per unit radiated power
     # (ln2-free convention) and grows without bound as mu -> 0+.
-    mu_hi = float(np.max((c[secure] - d[secure]) / a[secure]))
-    entries = list(zip(c[secure].tolist(), d[secure].tolist(),
-                       a[secure].tolist()))
-    x_lo, x_hi, anchor_gap = _anchors(power, entries, budget, mu_hi)
+    mu_hi = max(cd / a for _, _, _, a, cd, _ in secure)
+    x_lo, x_hi, anchor_gap = _anchors(power, secure, budget, mu_hi)
     best, best_gap = _replay(power, budget, mu_hi, x_lo, x_hi)
     if not best_gap < anchor_gap:
         best, _ = _replay(power, budget, mu_hi)

@@ -72,7 +72,7 @@ class RateCurve:
 
 def _rate_bits(p, c, d):
     """Sum over the last axis of log2(1 + p c) - log2(1 + p d)."""
-    return np.sum(np.log1p(p * c) - np.log1p(p * d), axis=-1) / LN2
+    return (np.log1p(p * c) - np.log1p(p * d)).sum(axis=-1) / LN2
 
 
 def _clamp(rates):

@@ -145,12 +145,13 @@ class SubchannelGains:
 
 
 def _check_gains(c, d, a):
-    """SubchannelGains' bounds, over arrays of any equal shape."""
-    if not np.all((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)):
+    """SubchannelGains' bounds, over arrays of any equal shape or numpy
+    scalars."""
+    if not ((c >= 0) & (c <= 1) & (d >= 0) & (d <= 1)).all():
         raise ValueError("gains must lie in [0, 1]")
-    if np.any(np.abs(c + d - 1.0) > linalg.GAIN_SUM_TOL):
+    if (np.abs(c + d - 1.0) > linalg.GAIN_SUM_TOL).any():
         raise ValueError("gain pairs must satisfy c + d = 1")
-    if not np.all((a > 0) & (a < np.inf)):
+    if not ((a > 0) & (a < np.inf)).all():
         raise ValueError("beamformer column power a must be positive and finite")
 
 
@@ -245,7 +246,8 @@ def gsvd(channels):
 
     pmat, cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)
     t = min(n_r, q)
-    psi_r = np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1)
+    psi_r = (pmat[:, ::-1].copy() if t == n_r else
+             np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1))
 
     # The rotated eavesdropper block m has exactly orthogonal columns with
     # norms sqrt(1 - cdiag**2); the live ones, orthonormalized, give Psi_e.
@@ -263,11 +265,13 @@ def gsvd(channels):
     if (mags == 0).any():
         raise linalg.FactorizationError(_RANK_LOSS)
     qfac[:, :k] *= phases / mags
-    slot = np.zeros(n_e, dtype=bool)
-    slot[idx] = True
-    psi_e = np.empty_like(qfac)
-    psi_e[:, slot] = qfac[:, :k]
-    psi_e[:, ~slot] = qfac[:, k:]
+    psi_e = qfac
+    if k and idx[-1] != k - 1:  # a dead slot before a live one
+        slot = np.zeros(n_e, dtype=bool)
+        slot[idx] = True
+        psi_e = np.empty_like(qfac)
+        psi_e[:, slot] = qfac[:, :k]
+        psi_e[:, ~slot] = qfac[:, k:]
 
     return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
 
@@ -278,8 +282,9 @@ def _gains(cdiag, ddiag, a):
     c = np.minimum(cdiag**2, 1.0)
     d = np.minimum(ddiag**2, 1.0)
     # Clean up roundoff so pairs sum to 1 exactly where one side dominates.
-    d = np.where(c < 0.5, d, 1.0 - c)
-    c = np.where(c < 0.5, 1.0 - d, c)
+    low = c < 0.5
+    d = np.where(low, d, 1.0 - c)
+    c = np.where(low, 1.0 - d, c)
     # Snap noise-level ties to an exact draw. Both parties hearing a
     # direction equally well (identical channels, for instance) must not
     # let sub-ulp ordering noise mark it secure: a tie carries no secrecy
@@ -287,7 +292,7 @@ def _gains(cdiag, ddiag, a):
     tie = np.abs(c - d) <= linalg.TIE_TOL
     c = np.where(tie, 0.5, c)
     d = np.where(tie, 0.5, d)
-    return c, d, np.sum(np.abs(a) ** 2, axis=-2)
+    return c, d, (np.abs(a) ** 2).sum(axis=-2)
 
 
 def subchannel_gains(factors):
