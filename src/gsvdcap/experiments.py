@@ -146,10 +146,10 @@ class CampaignResult:
     uniform is the (trials, grid) array of uniform-baseline rates; optimal
     holds the optimal rates, (trials, grid) on the SNR sweep and
     (trials, 1) on the fraction sweep, whose optimum is budget-fixed. q,
-    dim_s1 and dim_s2 are per-trial integer arrays. curve is the mean
-    uniform-rate curve over the grid. mean_uniform, se_uniform,
-    mean_optimal and se_optimal are the across-trial means and standard
-    errors at each grid point, (grid,) arrays.
+    dim_s1 and dim_s2 are per-trial integer arrays. mean_uniform,
+    se_uniform, mean_optimal and se_optimal are the across-trial means and
+    standard errors at each grid point, (grid,) arrays. curve is the mean
+    uniform-rate curve over the grid: its rates are mean_uniform.
     """
 
     grid: np.ndarray
@@ -298,12 +298,13 @@ def _run_campaign(config, grid, uniform_rates, budgets):
         uniform[rows] = uniform_rates(c[rows], d[rows], a[rows], s1[rows],
                                       s2[rows])
     optimal = _optimal_rates(c, d, a, budgets)
+    columns = _aggregates(grid, uniform, optimal)
     return CampaignResult(
         grid=grid, uniform=uniform, optimal=optimal, q=np.full(trials, q),
         dim_s1=np.count_nonzero(s1, axis=1),
         dim_s2=np.count_nonzero(s2, axis=1),
-        curve=RateCurve(param=grid, rate_bits=uniform.mean(axis=0)),
-        **_aggregates(grid, uniform, optimal))
+        curve=RateCurve(param=grid, rate_bits=columns["mean_uniform"]),
+        **columns)
 
 
 def _optimal_rates(c, d, a, budgets):

@@ -317,6 +317,16 @@ class TestFractionExperiment:
         assert [row.mean_uniform for row in rows] == result.uniform[0].tolist()
         assert {row.mean_optimal for row in rows} == {result.optimal[0, 0]}
 
+    def test_curve_is_the_aggregate_mean(self):
+        # At 100 trials the two summation orders of one across-trial mean
+        # disagree in the last bits at most grid points; the curve and the
+        # aggregate CSV must show the same mean.
+        cfg = ExperimentConfig(n_t=5, n_r=5, n_e=4, budget=100.0,
+                               trials=100, seed=1,
+                               rho_grid=tuple(k / 100 for k in range(101)))
+        result = run_fraction_experiment(cfg)
+        assert np.array_equal(result.curve.rate_bits, result.mean_uniform)
+
     def test_thread_count_does_not_change_results(self):
         cfg = fraction_config(trials=6)
         serial = run_fraction_experiment(cfg, threads=1)
