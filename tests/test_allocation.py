@@ -94,6 +94,28 @@ class TestLargestRoot:
             with pytest.raises(ValueError, match="column power"):
                 largest_root(0.8, 0.2, a, 0.1)
 
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_python_and_numpy_scalars(self, kind):
+        root = largest_root(kind(0.8), kind(0.2), kind(1.0), kind(0.5))
+        assert root == allocation._root(0.8, 0.2, 1.0, 0.5)
+
+    # (c, d, a) breaking each of _check_gains' rules, and its message.
+    BAD_GAINS = [((1.25, -0.25, 1.0), r"gains must lie in \[0, 1\]"),
+                 ((0.8, 0.3, 1.0), r"must satisfy c \+ d = 1"),
+                 ((0.8, 0.2, -1.0), "column power a must be positive")]
+
+    @pytest.mark.parametrize("gains, message", BAD_GAINS)
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_each_gain_check_fires_on_scalars(self, gains, message, kind):
+        with pytest.raises(ValueError, match=message):
+            largest_root(*map(kind, gains), 0.1)
+
+    @pytest.mark.parametrize("gains, message", BAD_GAINS)
+    def test_each_gain_check_fires_on_arrays(self, gains, message):
+        c, d, a = gains
+        with pytest.raises(ValueError, match=message):
+            SubchannelGains(c=[0.9, c], d=[0.1, d], a=[1.0, a])
+
     @settings(max_examples=80, derandomize=True)
     @given(
         c=st.floats(min_value=0.5005, max_value=0.999),

@@ -3,12 +3,15 @@
 import argparse
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gsvdcap import experiments, linalg, read_trial_csv
 from gsvdcap.cli import build_parser, main, parse_range
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestParseRange:
@@ -78,6 +81,15 @@ class TestAllocate:
         out = capsys.readouterr().out
         assert "secrecy rate" in out
         assert "mu = " in out
+
+    def test_seeded_pair_table_bytes(self, capsys):
+        # CI compares the installed entry point's output on these files
+        # with the same bytes.
+        code = main(["allocate", "--hr", str(DATA / "allocate_hr.json"),
+                     "--he", str(DATA / "allocate_he.json"), "--power", "10"])
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (DATA / "allocate_power10.txt").read_bytes()
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         hr, _ = identity_files(tmp_path)

@@ -20,6 +20,7 @@ from gsvdcap import (
     subchannel_gains,
     verify_factors,
 )
+from gsvdcap import linalg
 from gsvdcap.capacity import _subspace_masks
 from gsvdcap.gsvd import _stacked_gains
 from gsvdcap.linalg import NULLSPACE_TOL
@@ -330,6 +331,26 @@ class TestOnePairBits:
                 digest.update(np.array(dataclasses.astuple(check),
                                        dtype=np.float64).tobytes())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestSvdCalls:
+    """perfbench counts linalg.svd calls through the module attribute, so a
+    one-pair factorization must make exactly one call through it."""
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 4, 4), (8, 3, 2),
+                                       (4, 6, 6)])
+    def test_one_gsvd_makes_one_svd_call(self, monkeypatch, shape):
+        calls = []
+        svd = linalg.svd
+
+        def counted(m):
+            calls.append(m.shape)
+            return svd(m)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        n_t, n_r, n_e = shape
+        gsvd(random_pair(n_t, n_r, n_e, seed=3))
+        assert calls == [(n_r + n_e, n_t)]
 
 
 class TestStackGains:
