@@ -9,12 +9,15 @@ bisection bracket trivial to find.
 
 Validation happens at the boundary, once per call: SubchannelGains checks
 the gains when it is built, and power_for_mu and solve_mu check the
-multiplier or budget on entry. solve_mu evaluates the closed form through a
-check-free scalar core (_root, _power_curve) that builds no objects and
-builds one PowerAllocation at the end; largest_root is the checked scalar
-form of the same root. _roots is the same arithmetic over arrays: it serves
-power_for_mu and _solve_batch, which replays solve_mu over the rows of a
-whole campaign at once.
+multiplier or budget on entry. solve_mu turns the gains into Python floats
+once, keeps the secure entries, and builds one PowerAllocation at the end;
+between, nothing is checked. Its power curve (_power_curve, the one hook
+through which it evaluates power) and the Newton estimate in _anchors write
+_root's arithmetic inline over those entries. _root is the scalar root
+itself, and largest_root, which checks its arguments first, is its public
+form. _roots is the same arithmetic over arrays: it serves power_for_mu and
+_solve_batch, which replays solve_mu over the rows of a whole campaign at
+once.
 
 solve_mu's bisection is evaluated only near the root. A safeguarded Newton
 iteration on log power against log mu estimates the root; power is evaluated
