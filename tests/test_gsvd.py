@@ -16,11 +16,11 @@ from gsvdcap import (
     FactorizationError,
     classify_subspaces,
     gsvd,
+    linalg,
     sample_channel,
     subchannel_gains,
     verify_factors,
 )
-from gsvdcap import linalg
 from gsvdcap.capacity import _subspace_masks
 from gsvdcap.gsvd import _stacked_gains
 from gsvdcap.linalg import NULLSPACE_TOL
