@@ -220,6 +220,18 @@ class TestReferenceBytes:
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
 
+    def test_unequal_variance_symbol_mode_csv_bytes(self, tmp_path):
+        # Unequal variances and symbol mode, which the perfbench references
+        # do not reach. CI compares the installed entry point's output with
+        # the same files.
+        assert main(["sweep-snr", "--nt", "5", "--nr", "4", "--ne", "4",
+                     "--snr-db", "0:10:30", "--trials", "20", "--seed", "3",
+                     "--sigma-r2", "2", "--sigma-e2", "0.5",
+                     "--uniform-mode", "symbol", "--out", str(tmp_path)]) == 0
+        for name in ("snr_trials.csv", "snr_aggregate.csv"):
+            assert ((tmp_path / name).read_bytes()
+                    == (DATA / "snr_symbol" / name).read_bytes())
+
 
 class TestParserReuse:
     def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys):

@@ -163,20 +163,27 @@ class TestSampleChannel:
         with pytest.raises(ValueError, match="2\\*\\*56"):
             sample_channel(cfg, trial)
 
-    @pytest.mark.parametrize("shape, trial, digest", [
-        ((5, 5, 4), 0,
+    @pytest.mark.parametrize("shape, trial, variances, digest", [
+        ((5, 5, 4), 0, {},
          "0aea7e7cedba27a037b70497a8124b493c8b334cba5c58deb95e40ed442cc087"),
-        ((3, 2, 5), 7,
+        ((3, 2, 5), 7, {},
          "737ddd87e1c3ad8356a9bee5db74ff4c8da849322e59a4dde6c5170d672fbe0a"),
-        ((16, 16, 12), 49,
+        ((16, 16, 12), 49, {},
          "e6be501a3a7b34caf65824e5487ed4a1ba3e729894e1cca8e4280966a9b3d99f"),
-    ], ids=["5x5x4-t0", "3x2x5-t7", "16x16x12-t49"])
-    def test_draws_are_pinned(self, shape, trial, digest):
+        ((4, 3, 2), 5, {"sigma_r2": 0.25, "sigma_e2": 3.0},
+         "965a49871852210f065ad4a3c98748004f69ba8a1e25ae0bfcba5461b303388c"),
+        ((3, 2, 5), 1, {"sigma_r2": 0.0},
+         "951f1f0c5cf3e1daf579f72c533cff32df0a30ac3bb08bbaa652197e5f9dc684"),
+    ], ids=["5x5x4-t0", "3x2x5-t7", "16x16x12-t49", "4x3x2-t5-unequal",
+            "3x2x5-t1-zero"])
+    def test_draws_are_pinned(self, shape, trial, variances, digest):
         # Campaign CSVs depend on these bytes; a sampler change shows here
-        # first.
+        # first. The scaled cases pin the variance scaling, the signs of
+        # the zeros that a zero variance leaves included.
         n_t, n_r, n_e = shape
         pair = sample_channel(
-            ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=1), trial)
+            ExperimentConfig(n_t=n_t, n_r=n_r, n_e=n_e, seed=1, **variances),
+            trial)
         data = pair.hr.tobytes() + pair.he.tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
