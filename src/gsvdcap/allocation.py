@@ -11,13 +11,16 @@ Validation happens at the boundary, once per call: SubchannelGains checks
 the gains when it is built, and power_for_mu and solve_mu check the
 multiplier or budget on entry. solve_mu turns the gains into Python floats
 once, keeps the secure entries, and builds one PowerAllocation at the end;
-between, nothing is checked. Its power curve (_power_curve, the one hook
-through which it evaluates power) and the Newton estimate in _anchors write
-_root's arithmetic inline over those entries. _root is the scalar root
-itself, and largest_root, which checks its arguments first, is its public
-form. _roots is the same arithmetic over arrays: it serves power_for_mu and
-_solve_batch, which replays solve_mu over the rows of a whole campaign at
-once.
+between, nothing is checked.
+
+The closed-form root is written twice, once per layout, on the same terms
+cd = c - d, fcd = 4.0 * c * d and mu_a = mu * a in the same operation order:
+_root on Python floats, for largest_root (which checks its arguments first),
+solve_mu's power curve (_power_curve, the one hook through which it
+evaluates power) and the Newton estimate in _anchors; and _roots on arrays,
+for power_for_mu and _solve_batch, which replays solve_mu over the rows of a
+whole campaign at once. The array callers share _terms, which gives insecure
+entries inert terms whose root clamps to zero.
 
 solve_mu's bisection is evaluated only near the root. A safeguarded Newton
 iteration on log power against log mu estimates the root; power is evaluated
@@ -107,11 +110,12 @@ def _check_budget(budget):
         raise ValueError("budget must be positive and finite")
 
 
-def _root(c, d, a, mu):
-    """largest_root's arithmetic with no checks."""
-    lead = (c - d) / (mu * a)
-    radicand = max(1.0 - 4.0 * c * d + 4.0 * c * d * lead, 0.0)
-    return 2.0 * (lead - 1.0) / (1.0 + math.sqrt(radicand))
+def _root(cd, fcd, mu_a):
+    """largest_root's arithmetic with no checks, on cd = c - d,
+    fcd = 4.0 * c * d and mu_a = mu * a: _roots on one entry."""
+    lead = cd / mu_a
+    r = 1.0 - fcd + fcd * lead
+    return 2.0 * (lead - 1.0) / (1.0 + math.sqrt(0.0 if r < 0.0 else r))
 
 
 def largest_root(c, d, a, mu):
@@ -130,7 +134,7 @@ def largest_root(c, d, a, mu):
         raise ValueError("largest_root needs a secure pair (c > d)")
     if not mu > 0:
         raise ValueError("mu must be positive")
-    return _root(c, d, a, mu)
+    return _root(c - d, 4.0 * c * d, mu * a)
 
 
 def _power_curve(gains):
@@ -138,8 +142,8 @@ def _power_curve(gains):
     powers of gains that SubchannelGains checked and their secure entries
     as solve_mu builds them.
 
-    Each secure entry's root is _root's arithmetic inline; insecure entries
-    get exactly zero. The radiated total is the full-length dot product
+    Each secure entry gets its _root clamped at zero; insecure entries get
+    exactly zero. The radiated total is the full-length dot product
     a @ p: a Python sum over the secure entries rounds differently.
     """
     a, secure = gains
@@ -148,9 +152,7 @@ def _power_curve(gains):
     def power(mu):
         p = np.zeros(q)
         for i, _, _, ai, cd, fcd in secure:
-            lead = cd / (mu * ai)
-            r = 1.0 - fcd + fcd * lead
-            x = 2.0 * (lead - 1.0) / (1.0 + math.sqrt(0.0 if r < 0.0 else r))
+            x = _root(cd, fcd, mu * ai)
             if x > 0.0:  # max(0.0, x): zero for NaN too
                 p[i] = x
         return p, float(a.dot(p))
@@ -159,11 +161,20 @@ def _power_curve(gains):
 
 
 def _roots(cd, fcd, mu_a):
-    """_root's arithmetic over arrays of cd = c - d, fcd = 4.0 * c * d and
-    mu_a = mu * a, in the same operation order."""
+    """_root's arithmetic over arrays, in the same operation order."""
     lead = cd / mu_a
     radicand = np.maximum(1.0 - fcd + fcd * lead, 0.0)
     return 2.0 * (lead - 1.0) / (1.0 + np.sqrt(radicand))
+
+
+def _terms(c, d, a):
+    """_roots' (cd, fcd, a) for gain arrays: c - d, 4.0 * c * d and a on
+    secure entries, and 0, 0 and 1 on the rest. An inert entry has a zero
+    lead at unit column power, so its root is -1 at every mu > 0: it clamps
+    to zero and never overflows."""
+    secure = c > d
+    return (np.where(secure, c - d, 0.0), np.where(secure, 4.0 * c * d, 0.0),
+            np.where(secure, a, 1.0))
 
 
 def power_for_mu(gains, mu):
@@ -175,20 +186,17 @@ def power_for_mu(gains, mu):
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
-    c, d, a = gains.c, gains.d, gains.a
-    secure = c > d
-    cs, ds = c[secure], d[secure]
+    cd, fcd, a_den = _terms(gains.c, gains.d, gains.a)
     # mu * a may underflow to zero or the lead overflow; both show as a
     # root that is not finite, which is reported rather than clamped.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        root = _roots(cs - ds, 4.0 * cs * ds, mu * a[secure])
-    if not np.all(np.isfinite(root)):
+        root = _roots(cd, fcd, mu * a_den)
+    if not np.isfinite(root).all():
         raise ValueError(
             f"mu = {mu:g} is too small for these gains: the power of a "
             "secure subchannel is not a finite number")
-    p = np.zeros(gains.q)
-    p[secure] = np.where(root > 0.0, root, 0.0)
-    return PowerAllocation(p=p, mu=float(mu), effective_power=float(a.dot(p)))
+    p = np.where(root > 0.0, root, 0.0)
+    return PowerAllocation(p, float(mu), float(gains.a.dot(p)))
 
 
 def _anchors(power, entries, budget, mu_hi):
@@ -226,9 +234,7 @@ def _anchors(power, entries, budget, mu_hi):
         mu = max(mu, floor)
         f = slope = 0.0
         for _, c, d, a, cd, fcd in entries:
-            lead = cd / (mu * a)  # _root's arithmetic inline
-            r = 1.0 - fcd + fcd * lead
-            x = 2.0 * (lead - 1.0) / (1.0 + math.sqrt(0.0 if r < 0.0 else r))
+            x = _root(cd, fcd, mu * a)
             if x > 0.0:
                 f += a * x
                 xc, xd = 1.0 + x * c, 1.0 + x * d
@@ -577,16 +583,11 @@ def _solve_batch(c, d, a, budgets):
     raises its error: the first unreachable budget's ValueError before any
     bisection's RuntimeError.
     """
-    secure = c > d
-    # Insecure entries get a zero lead at unit column power: their roots are
-    # negative, clamp to zero, and never overflow.
-    cd = np.where(secure, c - d, 0.0)
-    fcd = np.where(secure, 4.0 * c * d, 0.0)
-    a_den = np.where(secure, a, 1.0)
+    cd, fcd, a_den = _terms(c, d, a)
     gains = (cd, fcd, a_den, a)
     # Rows with no secure entry never open: silence at mu = 1.0, as in
     # solve_mu.
-    live = secure.any(axis=1)
+    live = (cd > 0.0).any(axis=1)
     mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
 
     x_lo, x_hi, anchor_gap = _batch_anchors(c, d, gains, budgets, mu_hi, live)

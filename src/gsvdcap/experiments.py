@@ -225,32 +225,22 @@ def _generator(key):
     return gen
 
 
-def _rayleigh(seed, trial, stream, rows, cols, variance):
-    """One CN(0, variance) i.i.d. matrix from the (seed, trial, stream) key:
-    Box-Muller over the uniforms u1, u2 that this thread's generator,
-    restarted at the key, draws as flat arrays."""
-    gen = _generator(_key(seed, trial, stream))
-    n = rows * cols
-    z = _box_muller(gen.random(n), gen.random(n))
-    return (math.sqrt(variance / 2.0) * z).reshape(rows, cols)
-
-
 def sample_channel(config, trial):
-    """Draw the trial's channel pair (hr from stream 0, he from stream 1).
-    The trial must be an integer from 0 to 2**56 - 1."""
+    """Draw the trial's channel pair (hr from stream 0, he from stream 1):
+    the trial's one-row _draw split at n_r. The trial must be an integer
+    from 0 to 2**56 - 1."""
     _check_int("trial", trial, 0, _TRIAL_LIMIT)
-    hr = _rayleigh(config.seed, trial, _STREAM_HR, config.n_r, config.n_t,
-                   config.sigma_r2)
-    he = _rayleigh(config.seed, trial, _STREAM_HE, config.n_e, config.n_t,
-                   config.sigma_e2)
-    return ChannelPair(hr=hr, he=he)
+    h = _draw(config, (trial,))[0]
+    return ChannelPair(hr=h[:config.n_r], he=h[config.n_r:])
 
 
 def _draw(config, trials):
-    """The channel pairs [hr; he] of the given trials, each as
-    sample_channel draws it, as one (len(trials), n_r + n_e, n_t) complex
-    stack: this thread's generator, restarted at each key, fills the
-    uniforms, and Box-Muller runs once over the stack."""
+    """The channel pairs [hr; he] of the given trials as one
+    (len(trials), n_r + n_e, n_t) complex stack, hr CN(0, sigma_r2) and he
+    CN(0, sigma_e2) i.i.d.: this thread's generator, restarted at each
+    (seed, trial, stream) key, fills that matrix's uniforms u1, u2 as flat
+    arrays, Box-Muller runs once over the stack, and each stream's slice is
+    scaled in place by sqrt(sigma / 2). Callers check the trials."""
     split = config.n_r * config.n_t
     size = split + config.n_e * config.n_t
     u1, u2 = np.empty((2, len(trials), size))
@@ -260,10 +250,9 @@ def _draw(config, trials):
             gen = _generator(_key(config.seed, trial, stream))
             gen.random(out=u1[row, part])
             gen.random(out=u2[row, part])
-    scale = np.repeat([math.sqrt(config.sigma_r2 / 2.0) + 0j,
-                       math.sqrt(config.sigma_e2 / 2.0) + 0j],
-                      [split, size - split])
-    z = scale * _box_muller(u1, u2)
+    z = _box_muller(u1, u2)
+    z[:, :split] *= math.sqrt(config.sigma_r2 / 2.0)
+    z[:, split:] *= math.sqrt(config.sigma_e2 / 2.0)
     return z.reshape(len(trials), -1, config.n_t)
 
 
@@ -458,18 +447,19 @@ def read_trial_csv(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ValueError(f"{path}: empty CSV")
-            param_column = reader.fieldnames[1]
-            return [TrialRecord(
-                int(row["trial"]), float(row[param_column]),
+            header = reader.fieldnames  # None for an empty file: no rows
+            records = [TrialRecord(
+                int(row["trial"]), float(row[header[1]]),
                 float(row["uniform_rate_bits"]), float(row["optimal_rate_bits"]),
                 int(row["q"]), int(row["dim_s1"]), int(row["dim_s2"]))
                 for row in reader]
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed trial CSV: {exc}") from exc
+    if header is None:
+        raise ValueError(f"{path}: empty CSV")
+    return records
 
 
 def load_config(path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestLargestRoot:
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_python_and_numpy_scalars(self, kind):
         root = largest_root(kind(0.8), kind(0.2), kind(1.0), kind(0.5))
-        assert root == allocation._root(0.8, 0.2, 1.0, 0.5)
+        assert root == allocation._root(0.8 - 0.2, 4.0 * 0.8 * 0.2, 0.5 * 1.0)
 
     # (c, d, a) breaking each of _check_gains' rules, and its message.
     BAD_GAINS = [((1.25, -0.25, 1.0), r"gains must lie in \[0, 1\]"),
@@ -131,6 +132,25 @@ class TestLargestRoot:
         assert x > 0
         marginal = (c / (1.0 + x * c) - d / (1.0 + x * d)) / a
         assert marginal == pytest.approx(mu, rel=1e-7)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(cd=st.floats(min_value=0.0, max_value=1.0),
+           fcd=st.one_of(st.just(0.0), st.floats(min_value=0.0,
+                                                  max_value=1.0)),
+           mu_a=st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308,
+                                           1e300]),
+                          st.floats(min_value=5e-324, max_value=1e300)))
+    def test_scalar_and_array_layouts_agree_bit_for_bit(self, cd, fcd, mu_a):
+        # _root serves the one-pair path and _roots the arrays; both write
+        # the one closed form, so any drift between them shows here.
+        x = allocation._root(cd, fcd, mu_a)
+        with np.errstate(all="ignore"):
+            y = float(allocation._roots(np.array([cd]), np.array([fcd]),
+                                        np.array([mu_a]))[0])
+        if math.isnan(x) or math.isnan(y):
+            assert math.isnan(x) and math.isnan(y)
+        else:
+            assert struct.pack("<d", x) == struct.pack("<d", y)
 
 
 class TestPowerForMu:

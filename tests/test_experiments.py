@@ -610,6 +610,19 @@ class TestCsv:
         path.write_text("trial,rho\n0,0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="bad.csv"):
             read_trial_csv(path)
+        # A non-numeric field and a one-column header are reported with the
+        # path, as a missing column is; an empty file keeps its own message.
+        header = "trial,rho,uniform_rate_bits,optimal_rate_bits,q,dim_s1,dim_s2"
+        path.write_text(header + "\n0,0.5,abc,1.0,5,1,4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.csv: malformed trial CSV: "
+                                             ".*'abc'"):
+            read_trial_csv(path)
+        path.write_text("trial\n0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.csv: malformed trial CSV"):
+            read_trial_csv(path)
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.csv: empty CSV$"):
+            read_trial_csv(path)
 
     def test_read_missing(self, tmp_path):
         with pytest.raises(OSError, match="absent"):
