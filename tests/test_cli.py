@@ -60,6 +60,15 @@ class TestGsvdCheck:
         assert code == 1
         assert "failed" in capsys.readouterr().err
 
+    def test_seeded_worst_residual_bytes(self, capsys):
+        # CI compares the installed entry point's output on these shapes
+        # with the same bytes.
+        for nt, nr, ne in (("16", "16", "12"), ("3", "2", "5"), ("5", "5", "4")):
+            assert main(["gsvd-check", "--nt", nt, "--nr", nr, "--ne", ne,
+                         "--trials", "50", "--seed", "1"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (DATA / "gsvd_check.txt").read_bytes()
+
 
 class TestAllocate:
     def test_identity_channels_silent(self, tmp_path, capsys):

@@ -333,6 +333,84 @@ class TestOnePairBits:
         assert digest.hexdigest() == self.DIGEST
 
 
+def _edge_factors(case):
+    """(factors, pair) of each edge case TestEdgeCaseBits pins."""
+    if case == "tied cosines":
+        for seed in range(60):
+            pair = tied_cosine_pair(seed, 1e-8)
+            try:
+                yield gsvd(pair), pair
+            except FactorizationError:
+                continue
+    elif case == "silent eavesdropper":
+        rng = np.random.default_rng(53)
+        hr = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        pair = pair_from_arrays(hr, np.zeros((3, 4)))
+        yield gsvd(pair), pair
+    elif case.startswith("eavesdropper x"):
+        # TestNearNullEavesdropper's faint eavesdropper.
+        rng = np.random.default_rng(51)
+        hr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        he = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        pair = pair_from_arrays(hr, float(case.split("x")[1]) * he)
+        yield gsvd(pair), pair
+    else:
+        seed = {"wrong unitary": 41, "float psi_r": 41, "int psi_r": 41,
+                "perturbed diagonal": 42, "broken ordering": 43}[case]
+        pair = random_pair(4, 3, 3, seed=seed)
+        f = gsvd(pair)
+        yield dataclasses.replace(f, **{
+            "wrong unitary": {"psi_r": np.eye(3, dtype=np.complex128)},
+            "float psi_r": {"psi_r": np.eye(3)},
+            "int psi_r": {"psi_r": np.eye(3, dtype=np.int64)},
+            "perturbed diagonal": {"cdiag": np.minimum(f.cdiag + 1e-3, 1.0)},
+            "broken ordering": {"cdiag": f.cdiag[::-1].copy(),
+                                "ddiag": f.ddiag[::-1].copy()},
+        }[case]), pair
+
+
+class TestEdgeCaseBits:
+    """FactorCheck fields and Psi_e, byte for byte, on the cases the
+    Rayleigh draws of TestOnePairBits never reach: a dead slot before a
+    live one (tied cosines), a silent or faint eavesdropper, broken
+    factorizations, and a real or integer Psi_r."""
+
+    DIGESTS = {
+        "tied cosines":
+            "7e561cd2654587f86aca4da56453b4853895f88ee3b7d99a5c25871739f26ba6",
+        "silent eavesdropper":
+            "c2bc929c010c5d14a367dcd58c3073380feae35f2c206a277ab840a1f8671074",
+        "eavesdropper x1e-6":
+            "a15f8eef077dc3e196203735776d0d87c9e767fc843b300fa36f169c36811c47",
+        "eavesdropper x1e-12":
+            "6848199e28c6b1458522430d83f0fa6e0c4bd9f1327adc8ea87f821d7be439fb",
+        "wrong unitary":
+            "9040a554f91ef3cb507058147e9ecabb498a8c8afd9c03b28543245e90685f9e",
+        "perturbed diagonal":
+            "2b44ae78302c1ae76e0c6596fc8c70d68eab46caff6e92048911a4938c87d3fe",
+        "broken ordering":
+            "11b9a466b6cec67259966881613842b4f5fcdcac30fb24c42b38f3f83ac248e9",
+        "float psi_r":
+            "9040a554f91ef3cb507058147e9ecabb498a8c8afd9c03b28543245e90685f9e",
+        "int psi_r":
+            "9040a554f91ef3cb507058147e9ecabb498a8c8afd9c03b28543245e90685f9e",
+    }
+
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_checks_and_psi_e_are_pinned(self, case):
+        digest = hashlib.sha256()
+        for f, pair in _edge_factors(case):
+            check = verify_factors(f, pair)
+            digest.update(np.array(dataclasses.astuple(check),
+                                   dtype=np.float64).tobytes())
+            digest.update(f.psi_e.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[case]
+
+    def test_tied_cosines_reach_a_dead_slot_before_a_live_one(self):
+        masks = [f.ddiag > 0 for f, _ in _edge_factors("tied cosines")]
+        assert any(not live[:np.count_nonzero(live)].all() for live in masks)
+
+
 class TestSvdCalls:
     """perfbench counts linalg.svd calls through the module attribute, so a
     one-pair factorization must make exactly one call through it."""
