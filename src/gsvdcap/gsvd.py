@@ -17,6 +17,7 @@ SVD, rank test and Psi_e orthonormalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,12 @@ class FactorCheck:
 
     @property
     def max_residual(self):
-        return max(
-            self.residual_receiver,
-            self.residual_eavesdropper,
-            self.unitarity_receiver,
-            self.unitarity_eavesdropper,
-            self.cs_identity,
-        )
+        """The largest residual, or NaN when any residual is NaN."""
+        fields = (self.residual_receiver, self.residual_eavesdropper,
+                  self.unitarity_receiver, self.unitarity_eavesdropper,
+                  self.cs_identity)
+        # Python's max keeps a NaN only when it comes first.
+        return math.nan if any(map(math.isnan, fields)) else max(fields)
 
     def passed(self, tol):
         return self.ordering_ok and self.max_residual <= tol
@@ -257,18 +257,19 @@ def gsvd(channels):
     # information and any orthonormal choice reconstructs equally well). A
     # complete QR also spans the complement: its trailing columns fill the
     # dead slots.
-    idx = np.flatnonzero(live)
-    k = idx.size
-    qfac, rfac = np.linalg.qr(m[:, idx], mode="complete")
-    phases = rfac.diagonal().copy()
+    k = np.count_nonzero(live)
+    prefix = live[:k].all()  # ddiag descends, so the live slots come first
+    qfac, rfac = np.linalg.qr(m[:, :k] if prefix else m[:, live],
+                              mode="complete")
+    phases = rfac.diagonal()
     mags = np.abs(phases)
     if (mags == 0).any():
         raise linalg.FactorizationError(_RANK_LOSS)
     qfac[:, :k] *= phases / mags
     psi_e = qfac
-    if k and idx[-1] != k - 1:  # a dead slot before a live one
+    if not prefix:  # a dead slot before a live one
         slot = np.zeros(n_e, dtype=bool)
-        slot[idx] = True
+        slot[np.flatnonzero(live)] = True
         psi_e = np.empty_like(qfac)
         psi_e[:, slot] = qfac[:, :k]
         psi_e[:, ~slot] = qfac[:, k:]
@@ -347,8 +348,10 @@ def verify_factors(factors, channels, tol=None):
     """
     hr, he = channels.hr, channels.he
     n_r, n_e, q = channels.n_r, channels.n_e, factors.q
-    if factors.a.shape != (channels.n_t, q) or factors.psi_r.shape != (n_r, n_r) \
-            or factors.psi_e.shape != (n_e, n_e):
+    psi_r, psi_e, cdiag, ddiag = (factors.psi_r, factors.psi_e,
+                                  factors.cdiag, factors.ddiag)
+    if factors.a.shape != (channels.n_t, q) or psi_r.shape != (n_r, n_r) \
+            or psi_e.shape != (n_e, n_e) or ddiag.shape != cdiag.shape:
         raise ValueError("factor shapes do not match the channel pair")
 
     fro = linalg._fro
@@ -356,12 +359,20 @@ def verify_factors(factors, channels, tol=None):
     def rel(delta, ref):
         return float(fro(delta) / max(1.0, fro(ref)))
 
-    c, d = factors.c_matrix(), factors.d_matrix()
-    res_r = rel(hr @ factors.a - factors.psi_r @ c, hr)
-    res_e = rel(he @ factors.a - factors.psi_e @ d, he)
-    uni_r = float(fro(factors.psi_r.conj().T @ factors.psi_r - np.eye(n_r)))
-    uni_e = float(fro(factors.psi_e.conj().T @ factors.psi_e - np.eye(n_e)))
-    cdiag, ddiag = factors.cdiag, factors.ddiag
+    def unitarity(psi):
+        gram = psi.conj().T @ psi  # a fresh product, so ravel is a view
+        gram.ravel()[::gram.shape[0] + 1] -= 1
+        return float(fro(gram))
+
+    # Psi_r C and Psi_e D column by column: C holds cdiag[i] at row
+    # i - shift of column i, D holds ddiag[i] at (i, i) for i < k, and
+    # every product with one of their zeros is an exact zero.
+    shift, k = max(0, q - n_r), min(n_e, q)
+    delta_r, delta_e = hr @ factors.a, he @ factors.a
+    delta_r[:, shift:] -= psi_r[:, :q - shift] * cdiag[shift:]
+    delta_e[:, :k] -= psi_e[:, :k] * ddiag[:k]
+    res_r, res_e = rel(delta_r, hr), rel(delta_e, he)
+    uni_r, uni_e = unitarity(psi_r), unitarity(psi_e)
     cs = float(np.abs(cdiag**2 + ddiag**2 - 1.0).max())
     slack = linalg.ORDER_SLACK
     ordering = bool((cdiag[1:] - cdiag[:-1] >= -slack).all()

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsvdcap import experiments, linalg, read_trial_csv
+from gsvdcap import FactorCheck, cli, experiments, linalg, read_trial_csv
 from gsvdcap.cli import build_parser, main, parse_range
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -59,6 +59,16 @@ class TestGsvdCheck:
                      "--trials", "2", "--seed", "7", "--tol", "1e-300"])
         assert code == 1
         assert "failed" in capsys.readouterr().err
+
+    def test_nan_residual_stays_the_worst(self, monkeypatch, capsys):
+        checks = iter([FactorCheck(np.nan, 0.0, 0.0, 0.0, 0.0, True),
+                       FactorCheck(1e-15, 0.0, 0.0, 0.0, 0.0, True)])
+        monkeypatch.setattr(cli, "verify_factors",
+                            lambda factors, channels: next(checks))
+        code = main(["gsvd-check", "--nt", "3", "--nr", "2", "--ne", "2",
+                     "--trials", "2", "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().out == "checked 2 pairs: worst residual nan\n"
 
     def test_seeded_worst_residual_bytes(self, capsys):
         # CI compares the installed entry point's output on these shapes

@@ -13,6 +13,7 @@ from gsvdcap import (
     ChannelPair,
     DegenerateChannelError,
     ExperimentConfig,
+    FactorCheck,
     FactorizationError,
     classify_subspaces,
     gsvd,
@@ -256,6 +257,31 @@ class TestVerifyFactors:
             check.cs_identity,
         ]
         assert check.max_residual == max(fields)
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_any_nan_residual_is_the_max(self, field):
+        residuals = [1e-15] * 5
+        residuals[field] = np.nan
+        check = FactorCheck(*residuals, ordering_ok=True)
+        assert np.isnan(check.max_residual)
+        assert not check.passed(1e-8)
+
+    def test_nan_psi_e_fails(self):
+        pair = random_pair(4, 3, 3, seed=44)
+        f = gsvd(pair)
+        broken = dataclasses.replace(f, psi_e=np.full_like(f.psi_e, np.nan))
+        check = verify_factors(broken, pair)
+        assert np.isnan(check.max_residual)
+        assert not check.passed(1e-8)
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_ddiag_length_must_match_cdiag(self, length):
+        pair = random_pair(4, 3, 3, seed=45)
+        f = gsvd(pair)
+        assert f.q == 4
+        broken = dataclasses.replace(f, ddiag=np.zeros(length))
+        with pytest.raises(ValueError, match="factor shapes do not match"):
+            verify_factors(broken, pair)
 
 
 class TestNearNullEavesdropper:
