@@ -289,6 +289,16 @@ class TestOracleVerify:
         assert code == 0
         assert "worst |closed - grid|" in capsys.readouterr().out
 
+    def test_seeded_worst_deviation_bytes(self, capsys):
+        # CI compares the installed entry point's output for q = 1 to 4
+        # with the same bytes.
+        for q in ("1", "2", "3", "4"):
+            assert main(["oracle-verify", "--q", q, "--trials", "6",
+                         "--budget", "10", "--seed", "5",
+                         "--resolution", "60"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (DATA / "oracle_verify.txt").read_bytes()
+
 
 class TestUsageErrors:
     def assert_usage_exit(self, argv):

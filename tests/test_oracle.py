@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracle and the optimality checker."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -77,6 +78,21 @@ class TestGridMaximize:
         gains = random_gains(2, seed=97)
         alloc, _ = grid_maximize(gains, 2.0, resolution=60)
         assert alloc.mu is None
+
+    def test_outputs_are_pinned(self):
+        # p, rate and effective power for q = 1 to 4 and an all-insecure
+        # q = 1 pair, at three budgets, hashed byte for byte.
+        cases = [random_gains(q, seed=7) for q in (1, 2, 3, 4)]
+        cases.append(SubchannelGains(c=[0.3], d=[0.7], a=[1.5]))
+        digest = hashlib.sha256()
+        for gains in cases:
+            for budget in (0.1, 10.0, 1000.0):
+                alloc, rate = grid_maximize(gains, budget, resolution=60)
+                digest.update(alloc.p.tobytes())
+                digest.update(np.float64(rate).tobytes())
+                digest.update(np.float64(alloc.effective_power).tobytes())
+        assert digest.hexdigest() == (
+            "b66d76b174609221b5120b8e1202a0f0645be1bac58a6fb0b532871ee27e1d6f")
 
 
 class TestKktCheck:
