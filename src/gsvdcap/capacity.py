@@ -9,8 +9,8 @@ the remaining live directions (S2) according to a fraction rho.
 The uniform baselines check their inputs once per call. fraction_sweep
 validates the budget, the whole rho grid and the partition once, then
 computes every grid point's powers and rates as array expressions, with no
-per-point allocation object; _uniform_secure_powers does the same for the
-secure-set baseline over a column of budgets. Both work on boolean set
+per-point allocation object; the secure-set baseline spreads a column of
+budgets over {c > d} through the same _spread. Both work on boolean set
 masks over the last axis, so one pair's gains and a stack of trials' gains
 run the same code. _rate_bits is the one rate expression, over the last
 axis of any stack of allocations, and _clamp the one rule that floors
@@ -215,16 +215,9 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     all-zero allocation when nothing is secure.
     """
     _check_budget(budget)
-    p = _uniform_secure_powers(gains.c, gains.d, gains.a,
-                               np.array([budget], dtype=float), mode)[0]
+    p = _spread(gains.c > gains.d, np.array([[budget]], dtype=float),
+                gains.a, mode)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
-
-
-def _uniform_secure_powers(c, d, a, budgets, mode):
-    """The powers of uniform_secure_allocation for each entry of the 1-D
-    array of positive budgets, over the last axis of the gains, which may
-    carry leading axes: (..., budgets, q)."""
-    return _spread(c > d, budgets[:, None], a, mode)
 
 
 def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",

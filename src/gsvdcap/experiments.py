@@ -35,7 +35,7 @@ import numpy as np
 # names.
 from .allocation import _check_budget, _solve_batch, solve_mu  # noqa: F401
 from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
-                       _rate_bits, _subspace_masks, _uniform_secure_powers,
+                       _rate_bits, _spread, _subspace_masks,
                        classify_subspaces, fraction_sweep, secrecy_rate,
                        uniform_secure_allocation)
 from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
@@ -349,7 +349,7 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     budgets = _snr_budgets(grid)
 
     def uniform_rates(c, d, a, s1, s2):
-        p = _uniform_secure_powers(c, d, a, budgets, mode)
+        p = _spread(c > d, budgets[:, None], a, mode)
         return _clamp(_rate_bits(p, c[:, None, :], d[:, None, :]))
 
     return _run_campaign(config, grid, uniform_rates, budgets)

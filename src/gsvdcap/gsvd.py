@@ -77,6 +77,7 @@ class GsvdFactors:
     psi_e: n_e x n_e unitary.
     cdiag: length-q receiver diagonal, ascending, entries in [0, 1].
     ddiag: length-q eavesdropper diagonal, descending, cdiag**2 + ddiag**2 = 1.
+    C and D are not built; verify_factors places the diagonals in them.
     """
 
     a: np.ndarray
@@ -88,31 +89,6 @@ class GsvdFactors:
     @property
     def q(self):
         return self.cdiag.shape[0]
-
-    def c_matrix(self):
-        """Embed cdiag as the n_r x q receiver diagonal factor.
-
-        cdiag ascends, so when q exceeds n_r the leading (zero) entries have
-        no row to live on: entry i sits at row i - max(0, q - n_r).
-        """
-        n_r = self.psi_r.shape[0]
-        c = np.zeros((n_r, self.q))
-        shift = max(0, self.q - n_r)
-        cols = np.arange(shift, self.q)
-        c[cols - shift, cols] = self.cdiag[shift:]
-        return c
-
-    def d_matrix(self):
-        """Embed ddiag as the n_e x q eavesdropper diagonal factor.
-
-        ddiag descends, so entries beyond the row count (which are zero up
-        to roundoff) are dropped: entry i sits at (i, i) for i < n_e.
-        """
-        n_e = self.psi_e.shape[0]
-        d = np.zeros((n_e, self.q))
-        k = np.arange(min(n_e, self.q))
-        d[k, k] = self.ddiag[k]
-        return d
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,7 @@ HERMITIAN_TOL = 1e-8  # rel: ||Q - Q^H||_F to max(1, ||Q||_F)
 BUDGET_TOL = 1e-10  # rel: bisection stops at |sum a p - P| <= BUDGET_TOL * P
 BUDGET_SLACK = 1e-12  # rel: grid points radiating up to P (1 + slack) count
 ACTIVE_EPS = 1e-15  # abs: kkt_check's power above it is active, at most it zero
+KKT_SLACK = 1e-6  # rel: an inactive marginal may exceed mu by this fraction
 # Command line (cli.parse_range):
 RANGE_EPS = 1e-12  # abs: stop is included within this of a grid point
 

@@ -9,6 +9,7 @@ Desk-scale on purpose: the grid is exponential in q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,31 +116,25 @@ def grid_maximize(gains, budget, resolution=200):
     power_tab = [a[i] * axes[i] for i in range(q)]
     cap = budget * (1.0 + linalg.BUDGET_SLACK)
 
-    # Scan 2-D blocks over the trailing two axes, iterating the leading axes
-    # in C order so the first maximum found is the lexicographically smallest.
-    last2_rate = rate_tab[-2][:, None] + rate_tab[-1][None, :] if q >= 2 else None
-    last2_power = power_tab[-2][:, None] + power_tab[-1][None, :] if q >= 2 else None
-
+    # Scan blocks over the trailing min(q, 2) axes, iterating the leading
+    # axes in C order so the first maximum found is the lexicographically
+    # smallest.
+    tail = min(q, 2)
+    tail_rate = functools.reduce(np.add.outer, rate_tab[q - tail:])
+    tail_power = functools.reduce(np.add.outer, power_tab[q - tail:])
     best_rate = -math.inf
-    best_idx = None
-    if q == 1:
-        feasible = power_tab[0] <= cap
-        rates = np.where(feasible, rate_tab[0], -math.inf)
-        k = int(np.argmax(rates))
-        best_rate, best_idx = float(rates[k]), (k,)
-    else:
-        for lead in np.ndindex(*[resolution] * (q - 2)):
-            base_rate = sum(rate_tab[i][lead[i]] for i in range(q - 2))
-            base_power = sum(power_tab[i][lead[i]] for i in range(q - 2))
-            block = np.where(last2_power <= cap - base_power,
-                             last2_rate + base_rate, -math.inf)
-            k = int(np.argmax(block))
-            r = float(block.flat[k])
-            if r > best_rate:
-                best_rate = r
-                best_idx = lead + divmod(k, block.shape[1])
+    for lead in np.ndindex(*[resolution] * (q - tail)):
+        base_rate = sum(rate_tab[i][lead[i]] for i in range(q - tail))
+        base_power = sum(power_tab[i][lead[i]] for i in range(q - tail))
+        block = np.where(tail_power <= cap - base_power,
+                         tail_rate + base_rate, -math.inf)
+        k = int(np.argmax(block))
+        r = float(block.flat[k])
+        if r > best_rate:
+            best_rate = r
+            best_idx = lead + np.unravel_index(k, block.shape)
 
-    if best_idx is None or best_rate == -math.inf:
+    if best_rate == -math.inf:  # no block held a feasible point
         raise RuntimeError("no feasible grid point found")
     p0 = np.array([axes[i][best_idx[i]] for i in range(q)])
     p = _refine(p0, c, d, a, budget)
@@ -155,8 +150,8 @@ class KktReport:
         c <= d.
     stationarity_dev: worst relative deviation of the marginal rate per unit
         radiated power from mu on active subchannels.
-    inactive_ok: inactive secure subchannels have marginal value <= mu
-        (within tolerance).
+    inactive_ok: inactive secure subchannels have marginal value <= mu,
+        up to the relative linalg.KKT_SLACK.
     budget_dev: relative budget mismatch of the radiated power.
     """
 
@@ -170,7 +165,7 @@ class KktReport:
                 and self.stationarity_dev <= tol and self.budget_dev <= tol)
 
 
-def kkt_check(gains, alloc, budget, tol=1e-6):
+def kkt_check(gains, alloc, budget):
     """Check the first-order conditions of the secrecy water-filling optimum.
 
     Requires an allocation produced with a multiplier (alloc.mu set). The
@@ -192,7 +187,7 @@ def kkt_check(gains, alloc, budget, tol=1e-6):
         stationarity = float(np.max(np.abs(marginal[active] - mu)) / mu)
 
     inactive = ~active & ~insecure
-    inactive_ok = bool(np.all(marginal[inactive] <= mu * (1.0 + tol)))
+    inactive_ok = bool(np.all(marginal[inactive] <= mu * (1.0 + linalg.KKT_SLACK)))
 
     secure_any = bool(np.any(~insecure))
     effective = float(a @ p)
