@@ -95,16 +95,19 @@ def secrecy_rate(gains, alloc):
 def matrix_rate(channels, qx):
     """log2 det(I + Hr Qx Hr^H) - log2 det(I + He Qx He^H).
 
-    The covariance qx must be Hermitian PSD with n_t rows; this is the
-    slow-path cross-check for secrecy_rate.
+    The covariance qx must be finite, Hermitian and PSD with n_t rows (its
+    smallest eigenvalue at least -linalg.PSD_TOL * max(1, ||qx||_F)); this
+    is the slow-path cross-check for secrecy_rate.
     """
-    qx = np.asarray(qx, dtype=np.complex128)
+    qx = linalg.as_matrix(qx)
     n_t = channels.n_t
     if qx.shape != (n_t, n_t):
         raise ValueError(f"covariance must be {n_t} x {n_t}, got {qx.shape}")
-    tol = linalg.HERMITIAN_TOL * max(1.0, np.linalg.norm(qx))
-    if np.linalg.norm(qx - qx.conj().T) > tol:
+    scale = max(1.0, np.linalg.norm(qx))
+    if np.linalg.norm(qx - qx.conj().T) > linalg.HERMITIAN_TOL * scale:
         raise ValueError("covariance must be Hermitian")
+    if np.linalg.eigvalsh(qx)[0] < -linalg.PSD_TOL * scale:
+        raise ValueError("covariance is not positive semidefinite")
     hr, he = channels.hr, channels.he
     sign_r, logdet_r = np.linalg.slogdet(
         np.eye(channels.n_r) + hr @ qx @ hr.conj().T)

@@ -478,7 +478,7 @@ def load_config(path):
         raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
     try:
         return ExperimentConfig(**obj)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from exc
 
 

@@ -54,6 +54,10 @@ class ChannelPair:
                 f"channel column mismatch: hr has {self.hr.shape[1]} transmit "
                 f"antennas, he has {self.he.shape[1]}"
             )
+        if min(self.n_t, self.n_r + self.n_e) == 0:
+            raise ValueError(
+                f"channel pair has no subchannels: hr is {self.hr.shape}, "
+                f"he is {self.he.shape}, so q = min(n_t, n_r + n_e) = 0")
 
     @property
     def n_r(self):

@@ -64,6 +64,7 @@ NULL_EPS = 1e-9  # abs: a squared gain c or d below it is null (S1, excluded)
 # Checks on factors and covariances (verify_factors, matrix_rate):
 ORDER_SLACK = 1e-12  # abs: allowed step against cdiag's ascent, ddiag's descent
 HERMITIAN_TOL = 1e-8  # rel: ||Q - Q^H||_F to max(1, ||Q||_F)
+PSD_TOL = 1e-8  # rel: accept min eig(Q) >= -PSD_TOL * max(1, ||Q||_F)
 # Power allocation and its oracle (solve_mu, _solve_batch, oracle):
 BUDGET_TOL = 1e-10  # rel: bisection stops at |sum a p - P| <= BUDGET_TOL * P
 BUDGET_SLACK = 1e-12  # rel: grid points radiating up to P (1 + slack) count

@@ -24,7 +24,8 @@ from gsvdcap import (
 
 from gsvdcap.capacity import _subset_sums
 
-from conftest import gains_st, random_pair, reference_uniform_p
+from conftest import (gains_st, pair_from_arrays, random_pair,
+                      reference_uniform_p)
 
 RATE_AT_REFERENCE_POWER = 0.15322472820876368
 
@@ -89,6 +90,24 @@ class TestMatrixRate:
     def test_zero_covariance_zero_rate(self):
         pair = random_pair(3, 2, 2, seed=74)
         assert matrix_rate(pair, np.zeros((3, 3))) == 0.0
+
+    @pytest.mark.parametrize("qx, reason", [
+        (-0.5 * np.eye(3), "positive semidefinite"),
+        (np.diag([5.0, -0.2, 1.0]), "positive semidefinite"),
+        (np.full((3, 3), np.nan), "finite"),
+        (np.full((3, 3), np.inf), "finite"),
+    ], ids=["negative", "one-negative-eigenvalue", "nan", "inf"])
+    def test_rejects_non_psd_and_non_finite(self, qx, reason):
+        # Unchecked, these read -2.6147 bits, 2.1671 bits and nan.
+        pair = pair_from_arrays(np.eye(3), 0.5 * np.eye(3)[:2])
+        with pytest.raises(ValueError, match=reason):
+            matrix_rate(pair, qx)
+
+    def test_accepts_roundoff_below_psd_tol(self):
+        pair = pair_from_arrays(np.eye(3), 0.5 * np.eye(3)[:2])
+        qx = np.diag([2.0, 1.0, -1e-12])
+        assert matrix_rate(pair, qx) == pytest.approx(
+            math.log2(3.0 * 2.0 / (1.25 * 1.5)), abs=1e-10)
 
 
 class TestClassifySubspaces:

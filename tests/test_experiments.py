@@ -652,7 +652,12 @@ class TestConfigIo:
         ("[4, 4, 4]", "config must be a JSON object"),
         ("{", "not valid JSON"),
         ('{"n_r": 4, "n_e": 4}', "bad config: .*n_t"),
-    ], ids=["unknown-field", "not-an-object", "invalid-json", "missing-n_t"])
+        ('{"n_t": 4, "n_r": 4, "n_e": 4, "trials": 2.5}',
+         "bad config: trials must be an integer"),
+        ('{"n_t": 4, "n_r": 4, "n_e": 4, "rho_grid": "abc"}',
+         "bad config: could not convert string to float"),
+    ], ids=["unknown-field", "not-an-object", "invalid-json", "missing-n_t",
+            "fractional-trials", "string-grid"])
     def test_rejection_names_the_path(self, text, reason, tmp_path):
         path = tmp_path / "named.json"
         path.write_text(text, encoding="utf-8")

@@ -16,6 +16,7 @@ from gsvdcap import (
     FactorCheck,
     FactorizationError,
     classify_subspaces,
+    cli,
     gsvd,
     linalg,
     sample_channel,
@@ -23,7 +24,7 @@ from gsvdcap import (
     verify_factors,
 )
 from gsvdcap.capacity import _subspace_masks
-from gsvdcap.gsvd import _stacked_gains
+from gsvdcap.gsvd import _RANK_LOSS, _stacked_gains
 from gsvdcap.linalg import NULLSPACE_TOL
 
 from conftest import pair_from_arrays, random_pair
@@ -51,6 +52,22 @@ class TestChannelPair:
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             pair_from_arrays(bad, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("hr_shape, he_shape", [
+        ((2, 0), (1, 0)), ((0, 3), (0, 3))], ids=["no-antennas", "no-rows"])
+    def test_no_subchannels_rejected(self, hr_shape, he_shape):
+        # q = min(n_t, n_r + n_e) = 0 left gsvd to raise a bare IndexError.
+        with pytest.raises(ValueError, match="no subchannels"):
+            ChannelPair(np.zeros(hr_shape), np.zeros(he_shape))
+
+    @pytest.mark.parametrize("n_r, n_e", [(0, 2), (2, 0)])
+    def test_one_empty_receiver_still_factors(self, n_r, n_e):
+        rng = np.random.default_rng(41)
+        h = rng.standard_normal((n_r + n_e, 3))
+        pair = ChannelPair(h[:n_r], h[n_r:])
+        factors = gsvd(pair)
+        assert factors.q == 2
+        assert verify_factors(factors, pair).passed(1e-10)
 
 
 class TestFactorizationInvariants:
@@ -161,6 +178,41 @@ class TestDegeneracy:
 
     def test_error_is_value_error(self):
         assert issubclass(DegenerateChannelError, ValueError)
+
+
+def _zero_r_diagonal(monkeypatch):
+    """Make np.linalg.qr return an R with a zero diagonal, as it would for
+    an eavesdropper block that lost rank."""
+    qr = np.linalg.qr
+
+    def fake(a, mode="reduced"):
+        out = qr(a, mode=mode)
+        r = out if mode == "r" else out[1]
+        k = np.arange(min(r.shape[-2:]))
+        r[..., k, k] = 0.0
+        return out
+
+    monkeypatch.setattr(np.linalg, "qr", fake)
+
+
+class TestRankLoss:
+    def test_one_pair_and_stacked_paths_raise(self, monkeypatch):
+        pair = random_pair(5, 5, 4, seed=42)
+        _zero_r_diagonal(monkeypatch)
+        with pytest.raises(FactorizationError, match=_RANK_LOSS):
+            gsvd(pair)
+        h = np.vstack([pair.hr, pair.he])[None]
+        with pytest.raises(FactorizationError, match=_RANK_LOSS):
+            _stacked_gains(h, pair.n_r)
+
+    def test_campaign_exits_with_the_message(self, monkeypatch, tmp_path,
+                                             capsys):
+        _zero_r_diagonal(monkeypatch)
+        code = cli.main(["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
+                         "--snr-db", "0:10:20", "--trials", "2", "--seed", "5",
+                         "--out", str(tmp_path / "snr")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {_RANK_LOSS}\n"
 
 
 class TestSubchannelGains:
