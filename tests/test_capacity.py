@@ -98,7 +98,6 @@ class TestMatrixRate:
         (np.full((3, 3), np.inf), "finite"),
     ], ids=["negative", "one-negative-eigenvalue", "nan", "inf"])
     def test_rejects_non_psd_and_non_finite(self, qx, reason):
-        # Unchecked, these read -2.6147 bits, 2.1671 bits and nan.
         pair = pair_from_arrays(np.eye(3), 0.5 * np.eye(3)[:2])
         with pytest.raises(ValueError, match=reason):
             matrix_rate(pair, qx)

@@ -56,7 +56,6 @@ class TestChannelPair:
     @pytest.mark.parametrize("hr_shape, he_shape", [
         ((2, 0), (1, 0)), ((0, 3), (0, 3))], ids=["no-antennas", "no-rows"])
     def test_no_subchannels_rejected(self, hr_shape, he_shape):
-        # q = min(n_t, n_r + n_e) = 0 left gsvd to raise a bare IndexError.
         with pytest.raises(ValueError, match="no subchannels"):
             ChannelPair(np.zeros(hr_shape), np.zeros(he_shape))
 
