@@ -229,12 +229,33 @@ REFERENCE_CAMPAIGNS = [
       "snr_aggregate.csv": "b57aad86032f518cb31ac8f473ada43d"
                            "3b718bcd618f7988bc5c257f517dc124"}),
 ]
+# The README's two campaigns, --trials 100 --seed 1. The SNR campaign solves
+# its 700 (trial, budget) rows in one batch.
+README_CAMPAIGNS = [
+    (REFERENCE_CAMPAIGNS[0][0],
+     {"fraction_trials.csv": "614b024884924d178e03772ace69bea8"
+                             "075b677e7bffb98399ada7b88397ca3b",
+      "fraction_aggregate.csv": "35dc621f015b50ee8a19c3dfc2952328"
+                                "37472248deff732c5911086c203971f2"}),
+    (REFERENCE_CAMPAIGNS[1][0],
+     {"snr_trials.csv": "84e485f69207a82a76f5f5459c40321e"
+                        "9427d1f8f9ac3de0cc57f3b15b918d6a",
+      "snr_aggregate.csv": "aee2b9b1e74f158877c72b4f6ce7d41e"
+                           "72574499a17c09a9963ca0946395ce8d"}),
+]
 
 
 class TestReferenceBytes:
     @pytest.mark.parametrize("argv, digests", REFERENCE_CAMPAIGNS)
     def test_reference_campaign_csv_digests(self, argv, digests, tmp_path):
         assert main(argv + ["--trials", "10", "--seed", "1",
+                            "--out", str(tmp_path)]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
+
+    @pytest.mark.parametrize("argv, digests", README_CAMPAIGNS)
+    def test_readme_campaign_csv_digests(self, argv, digests, tmp_path):
+        assert main(argv + ["--trials", "100", "--seed", "1",
                             "--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
