@@ -24,18 +24,19 @@ entries inert terms whose root clamps to zero.
 
 solve_mu's bisection is evaluated only near the root. A safeguarded Newton
 iteration on log power against log mu estimates the root; power is evaluated
-at anchors est / (1 + w) and est (1 + w), w from 1e-9 widened x100 until one
-anchor is over the budget and one under it by more than the stop rule's
-tolerance. The bisection is then replayed midpoint for midpoint, and a
-midpoint at or beyond an anchor pulled out by the relative margin
-_SEP = 2**-30 takes the anchor's comparison without an evaluation: power is
-monotone across such gaps even in floating point. If the replay ends at the
-ulp exit with a best gap that a skipped midpoint could have beaten, the loop
-runs again with no anchors. Either way p, mu and the effective power equal
-the full bisection's bit for bit. _solve_batch does the same over the rows
-of a batch: anchors for every row at once, then one replay in which a
-decided step costs a few comparisons on (n,) arrays and power is evaluated
-only on the rows that wait inside their anchor windows.
+at anchors est / (1 + w) and est (1 + w), w from _WIDTH = 4 BUDGET_TOL
+widened x100 until one anchor is over the budget and one under it by more
+than the stop rule's tolerance. The bisection is then replayed midpoint for
+midpoint, and a midpoint at or beyond an anchor pulled out by the relative
+margin _SEP = 2**-34 takes the anchor's comparison without an evaluation:
+power is monotone across such gaps even in floating point. If the replay
+ends at the ulp exit with a best gap that a skipped midpoint could have
+beaten, the loop runs again with no anchors. Either way p, mu and the
+effective power equal the full bisection's bit for bit: anchors only place
+evaluations. _solve_batch does the same over the rows of a batch: anchors
+for every row at once, then one replay in which a decided step costs a few
+comparisons on (n,) arrays and each evaluation round is one power
+evaluation over every row, whose results only the open rows keep.
 """
 
 from __future__ import annotations
@@ -70,12 +71,18 @@ _BISECT_EXTRA = 60
 # half of it, each up to a few ulp u of rounding, so every clamped p_i is at
 # least its value at mu'. The radiated total a @ p adds nonnegative terms
 # with a > 0 in a fixed order, with relative rounding at most q u, and every
-# rounding is monotone, so it is at least its value at mu' too. _SEP = 2**-30
-# is far above (q + 6) u for any q a channel has. Hence a point at or below
-# an over-budget anchor pulled down by _SEP is over budget by at least as
-# much, and one at or above an under-budget anchor pulled up by _SEP falls
-# short by at least as much.
-_SEP = 2.0 ** -30
+# rounding is monotone, so it is at least its value at mu' too. All of this
+# needs _SEP well above (q + 6) u, u = 2**-53: _SEP = 2**-34 = 2**19 u, so
+# every q with q + 6 <= 2**13 leaves a 64x margin, (q + 6) u <= _SEP / 64.
+# Hence a point at or below an over-budget anchor pulled down by _SEP is
+# over budget by at least as much, and one at or above an under-budget
+# anchor pulled up by _SEP falls short by at least as much.
+_SEP = 2.0 ** -34
+# The anchors' first half-width. Every power curve falls at least as fast as
+# mu**-1/2, so anchors est / (1 + w) and est (1 + w) around the exact root
+# miss the budget by at least w / 2 relative: w = 2 BUDGET_TOL is the
+# narrowest width whose anchors clear the stop rule, and _WIDTH twice that.
+_WIDTH = 4.0 * linalg.BUDGET_TOL
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,7 @@ def _anchors(power, entries, budget, mu_hi):
     whose m' is not negative uses the large-root slope -p/(2 mu), and a total
     that is not finite -f/(2 mu). Squares are products, since float ** raises
     OverflowError at huge roots. Anchors are then evaluated at est / (1 + w)
-    and est (1 + w) for w = 1e-9, widened x100 up to 6 times until both
+    and est (1 + w) for w = _WIDTH, widened x100 up to 6 times until both
     sides are found. Nothing rests on the estimate: the anchors are real
     evaluations of power.
     """
@@ -259,7 +266,7 @@ def _anchors(power, entries, budget, mu_hi):
         mu = est
     mu = max(est, floor)
 
-    x_lo, x_hi, w = 0.0, math.inf, 1e-9
+    x_lo, x_hi, w = 0.0, math.inf, _WIDTH
     gap_lo = gap_hi = math.inf
     for _ in range(7):
         for low, x in ((True, mu / (1.0 + w)), (False, mu * (1.0 + w))):
@@ -390,7 +397,7 @@ def _batch_anchors(c, d, gains, budgets, mu_hi, live):
     on every row at once from the water-filling level, each step clipped to
     +-2 and kept inside the bracket the row's own estimates have found, at
     most 12 times or until every live row moves by 1e-7 relative or less.
-    Power is then evaluated at est / (1 + w) and est (1 + w), w = 1e-9
+    Power is then evaluated at est / (1 + w) and est (1 + w), w = _WIDTH
     widened x100 up to 6 times on the rows that still lack a side, in one
     _batch_power call per width. Only these are evaluations of power, so the
     estimate need not be _anchors': any real anchor pulled out by _SEP keeps
@@ -431,7 +438,7 @@ def _batch_anchors(c, d, gains, budgets, mu_hi, live):
     tol = linalg.BUDGET_TOL * budgets
     x_lo, x_hi = np.zeros_like(mu), np.full_like(mu, math.inf)
     gap_lo, gap_hi = np.full_like(mu, math.inf), np.full_like(mu, math.inf)
-    w = 1e-9
+    w = _WIDTH
     for _ in range(7):
         down, up = mu / (1.0 + w), mu * (1.0 + w)
         low = np.flatnonzero(live & (x_lo == 0.0) & (down >= floor))
@@ -461,11 +468,13 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
     above x_hi as under it, by comparison alone, in place on (n,) arrays;
     x_lo < x_hi, since no point is both (see _SEP).
     A row whose point lies inside its window does not move: it waits there
-    until every row waits, and then power is evaluated once, on the open
-    rows only. So decided steps run in unchecked blocks of _BLOCK, and an
-    evaluation costs only the rows that need it. A closed row is parked at
-    x_lo = 0.0 and x_hi = inf, where no step is decided, and is not
-    evaluated again. A decided step keeps [x_lo, x_hi] inside the bracket,
+    until every row waits, and then one evaluation round runs: power is
+    evaluated once over every row, at mu_hi on the rows that are not open
+    (where every power is finite), and each open row takes its result
+    through a mask. So decided steps run in unchecked blocks of _BLOCK, and
+    an evaluation round is one _batch_power call with no gathers. A closed
+    row is parked at x_lo = 0.0 and x_hi = inf, where no step is decided,
+    and no result is taken for it again. A decided step keeps [x_lo, x_hi] inside the bracket,
     so while lo <= x_lo < x_hi <= hi and x_hi - x_lo > 8 ulp(x_hi) the
     collapse rule hi - lo <= 4 ulp(mid) cannot fire on it: mid below 2 x_hi
     has an ulp of at most 2 ulp(x_hi), and one above it leaves a bracket of
@@ -475,14 +484,13 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
     inf on rows that are not live or never evaluated. With x_lo = 0.0 and
     x_hi = inf every point is evaluated: the full bisection.
     """
-    cd, fcd, a_den, a = gains
     x_lo = np.where(live, x_lo, 0.0)
     x_hi = np.where(live, x_hi, math.inf)
     n = budgets.size
     move, over, under = (np.empty(n, dtype=bool) for _ in range(3))
 
-    def effective(rows, mu):
-        return _batch_power(cd[rows], fcd[rows], a_den[rows], a[rows], mu)[1]
+    def radiated(mu):
+        return _batch_power(*gains, np.where(open_, mu, mu_hi))[1]
 
     def park(rows):
         open_[rows] = False
@@ -509,14 +517,11 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
         if move.any():
             continue
         open_ &= lo > x_lo
-        rows = np.flatnonzero(open_)
-        if not rows.size:
+        if not open_.any():
             break
-        short = rows[effective(rows, lo[rows]) < budgets[rows]]
-        open_[rows] = False
-        open_[short] = True
-        lo[short] *= 0.5
-        halvings[short] += 1
+        open_ &= radiated(lo) < budgets
+        np.multiply(lo, 0.5, out=lo, where=open_)
+        halvings += open_
     if unreachable.any():
         raise ValueError(
             f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
@@ -551,18 +556,16 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
                 break
         if move.any():
             continue
-        rows = np.flatnonzero(open_)
-        at = mid[rows]
-        total = effective(rows, at)
-        gap = np.abs(total - budgets[rows])
-        better = gap < best_gap[rows]
-        mu[rows[better]], best_gap[rows[better]] = at[better], gap[better]
-        up = total > budgets[rows]
-        lo[rows[up]] = at[up]
-        hi[rows[~up]] = at[~up]
-        steps[rows] += 1
-        park(rows[(gap <= tol[rows])
-                  | (hi[rows] - lo[rows] <= 4.0 * np.spacing(at))])
+        total = radiated(mid)
+        gap = np.abs(total - budgets)
+        better = open_ & (gap < best_gap)
+        np.copyto(mu, mid, where=better)
+        np.copyto(best_gap, gap, where=better)
+        np.greater(total, budgets, out=over)
+        np.copyto(lo, mid, where=open_ & over)
+        np.copyto(hi, mid, where=open_ & ~over)
+        steps += open_
+        park(open_ & ((gap <= tol) | (hi - lo <= 4.0 * np.spacing(mid))))
     return mu, best_gap
 
 

@@ -111,14 +111,20 @@ def grid_maximize(gains, budget, resolution=200):
     _check_budget(budget)
     c, d, a = gains.c, gains.d, gains.a
     q = gains.q
-    axes = [np.linspace(0.0, budget / a[i], resolution) for i in range(q)]
+    with np.errstate(over="ignore"):
+        tops = budget / a
+    if not np.isfinite(tops).all():
+        raise ValueError(f"budget {budget:g} is too large for these gains: "
+                         "budget / a_i is not a finite number")
+    axes = [np.linspace(0.0, tops[i], resolution) for i in range(q)]
     rate_tab = [np.log1p(axes[i] * c[i]) - np.log1p(axes[i] * d[i]) for i in range(q)]
     power_tab = [a[i] * axes[i] for i in range(q)]
     cap = budget * (1.0 + linalg.BUDGET_SLACK)
 
     # Scan blocks over the trailing min(q, 2) axes, iterating the leading
     # axes in C order so the first maximum found is the lexicographically
-    # smallest.
+    # smallest. Every axis is finite and starts at 0, so the first block's
+    # first point (all zero: power 0, rate 0) is feasible.
     tail = min(q, 2)
     tail_rate = functools.reduce(np.add.outer, rate_tab[q - tail:])
     tail_power = functools.reduce(np.add.outer, power_tab[q - tail:])
@@ -134,8 +140,6 @@ def grid_maximize(gains, budget, resolution=200):
             best_rate = r
             best_idx = lead + np.unravel_index(k, block.shape)
 
-    if best_rate == -math.inf:  # no block held a feasible point
-        raise RuntimeError("no feasible grid point found")
     p0 = np.array([axes[i][best_idx[i]] for i in range(q)])
     p = _refine(p0, c, d, a, budget)
     alloc = PowerAllocation(p=p, mu=None, effective_power=float(a @ p))

@@ -364,9 +364,9 @@ class TestEvaluationCount:
         hr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         he = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         readme = subchannel_gains(gsvd(ChannelPair(hr, he)))
-        cases = [(readme, 1.0, 7), (readme, 100.0, 8), (readme, 1e4, 8),
-                 (subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1))), 10.0, 7),
-                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 6)]
+        cases = [(readme, 1.0, 5), (readme, 100.0, 5), (readme, 1e4, 5),
+                 (subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1))), 10.0, 5),
+                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 5)]
         counts = []
         for gains, budget, _ in cases:
             evaluated.clear()
@@ -549,10 +549,10 @@ class TestBatchEvaluationCount:
     @pytest.mark.parametrize("run, config, calls, rows", [
         (run_snr_sweep, ExperimentConfig(
             n_t=4, n_r=4, n_e=4, trials=5, snr_db_grid=(0, 5, 10, 15, 20,
-                                                        25, 30)), 8, 216),
+                                                        25, 30)), 5, 210),
         (run_fraction_experiment, ExperimentConfig(
             n_t=5, n_r=5, n_e=4, trials=10, budget=100.0,
-            rho_grid=(0.0, 0.5, 1.0)), 7, 70),
+            rho_grid=(0.0, 0.5, 1.0)), 5, 60),
     ], ids=["S5", "F10"])
     def test_campaign_batches(self, monkeypatch, run, config, calls, rows):
         sizes = []
@@ -562,10 +562,26 @@ class TestBatchEvaluationCount:
             sizes.append(mu.size)
             return power(cd, fcd, a_den, a, mu)
 
+        windows = []
+        anchors = allocation._batch_anchors
+
+        def recorded(c, d, gains, budgets, mu_hi, live):
+            x_lo, x_hi, gap = anchors(c, d, gains, budgets, mu_hi, live)
+            windows.append((x_lo[live], x_hi[live]))
+            return x_lo, x_hi, gap
+
         monkeypatch.setattr(allocation, "_batch_power", counted)
+        monkeypatch.setattr(allocation, "_batch_anchors", recorded)
         run(config)
         assert (len(sizes), sum(sizes)) == (calls, rows)
         assert len(sizes) <= 15
+        # Every live row finds both anchors at the first width: its window
+        # is at most est / (1 + w) to est (1 + w), each pulled out by _SEP.
+        w, sep = allocation._WIDTH, allocation._SEP
+        widest = (1.0 + w) ** 2 * (1.0 + sep) / (1.0 - sep) * (1.0 + 1e-15)
+        (x_lo, x_hi), = windows
+        assert 2 * x_lo.size == sizes[0]  # both sides of every live row
+        assert np.all((x_lo > 0.0) & (x_hi <= widest * x_lo))
 
 
 class TestInputCovariance:

@@ -103,6 +103,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field):
             fraction_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho_grid", "01"), ("snr_db_grid", "159"), ("snr_db_grid", b"12"),
+        ("rho_grid", bytearray(b"0"))])
+    def test_string_grids_rejected(self, field, value):
+        # Iterated, each would give a grid of its characters or byte values.
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a sequence of numbers"):
+            fraction_config(**{field: value})
+
 
 class TestSampleChannel:
     def test_deterministic(self):
@@ -521,6 +530,63 @@ class TestCsv:
             "trial,snr_db,uniform_rate_bits,optimal_rate_bits,q,dim_s1,dim_s2\n"
         )
 
+    def test_rewrite_with_shorter_content_leaves_only_the_new_bytes(
+            self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(b"x" * 10000)
+        write_csv(self.records(), path, param_column="rho")
+        fresh = tmp_path / "fresh.csv"
+        write_csv(self.records(), fresh, param_column="rho")
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_chunks_that_raise_leave_only_what_was_written(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(b"old bytes " * 1000)
+
+        def chunks():
+            yield "first\n"
+            raise KeyError("chunk 2")
+
+        with pytest.raises(KeyError, match="chunk 2"):
+            experiments._write_chunks(path, chunks())
+        assert path.read_bytes() == b"first\n"
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="symlinks need privileges on Windows")
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"y" * 5000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_csv(self.records(), link, param_column="rho")
+        assert link.is_symlink()
+        assert read_trial_csv(target) == self.records()
+
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="POSIX permission bits")
+    def test_existing_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_bytes(b"z" * 5000)
+        path.chmod(0o640)
+        inode = path.stat().st_ino
+        write_csv(self.records(), path, param_column="rho")
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.stat().st_ino == inode
+        assert read_trial_csv(path) == self.records()
+
+    def test_new_file_is_created(self, tmp_path):
+        path = tmp_path / "new.csv"
+        write_csv(self.records(), path, param_column="rho")
+        assert read_trial_csv(path) == self.records()
+        # With the permission bits open(path, "w") gives under this umask.
+        plain = tmp_path / "plain.csv"
+        plain.write_text("")
+        assert path.stat().st_mode == plain.stat().st_mode
+
+    def test_unwritable_path_names_the_path(self, tmp_path):
+        with pytest.raises(OSError, match=f"^cannot write {re.escape(str(tmp_path))}"):
+            write_csv(self.records(), tmp_path, param_column="rho")
+
     def test_param_column_validated(self, tmp_path):
         with pytest.raises(ValueError, match="column"):
             write_csv([], tmp_path / "x.csv", param_column="epsilon")
@@ -655,9 +721,11 @@ class TestConfigIo:
         ('{"n_t": 4, "n_r": 4, "n_e": 4, "trials": 2.5}',
          "bad config: trials must be an integer"),
         ('{"n_t": 4, "n_r": 4, "n_e": 4, "rho_grid": "abc"}',
-         "bad config: could not convert string to float"),
+         "bad config: rho_grid must be a sequence of numbers, not str 'abc'"),
+        ('{"n_t": 4, "n_r": 4, "n_e": 4, "rho_grid": "01"}',
+         "bad config: rho_grid must be a sequence of numbers, not str '01'"),
     ], ids=["unknown-field", "not-an-object", "invalid-json", "missing-n_t",
-            "fractional-trials", "string-grid"])
+            "fractional-trials", "string-grid", "numeric-string-grid"])
     def test_rejection_names_the_path(self, text, reason, tmp_path):
         path = tmp_path / "named.json"
         path.write_text(text, encoding="utf-8")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestGridMaximize:
         for budget in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="budget"):
                 grid_maximize(gains, budget)
+
+    def test_refuses_a_budget_whose_axis_overflows(self):
+        # budget / a = 1e310 is not a float; the grid would be inf and NaN.
+        gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="budget 1e\\+10 is too large"):
+                grid_maximize(gains, 1e10, resolution=50)
 
     def test_oracle_has_no_multiplier(self):
         gains = random_gains(2, seed=97)
