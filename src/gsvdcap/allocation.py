@@ -474,12 +474,12 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
     through a mask. So decided steps run in unchecked blocks of _BLOCK, and
     an evaluation round is one _batch_power call with no gathers. A closed
     row is parked at x_lo = 0.0 and x_hi = inf, where no step is decided,
-    and no result is taken for it again. A decided step keeps [x_lo, x_hi] inside the bracket,
-    so while lo <= x_lo < x_hi <= hi and x_hi - x_lo > 8 ulp(x_hi) the
-    collapse rule hi - lo <= 4 ulp(mid) cannot fire on it: mid below 2 x_hi
-    has an ulp of at most 2 ulp(x_hi), and one above it leaves a bracket of
-    over mid / 2. Only the other rows check the rule on decided steps;
-    every evaluated step checks it.
+    and no result is taken for it again. A decided step keeps [x_lo, x_hi]
+    inside the bracket, so while lo <= x_lo < x_hi <= hi and
+    x_hi - x_lo > 8 ulp(x_hi) the collapse rule hi - lo <= 4 ulp(mid)
+    cannot fire on it: mid below 2 x_hi has an ulp of at most 2 ulp(x_hi),
+    and one above it leaves a bracket of over mid / 2. Only the other rows
+    check the rule on decided steps; every evaluated step checks it.
     Returns (mu, gap): each row's best-gap midpoint and its gap, mu_hi and
     inf on rows that are not live or never evaluated. With x_lo = 0.0 and
     x_hi = inf every point is evaluated: the full bisection.
@@ -492,9 +492,9 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
     def radiated(mu):
         return _batch_power(*gains, np.where(open_, mu, mu_hi))[1]
 
-    def park(rows):
-        open_[rows] = False
-        x_lo[rows], x_hi[rows] = 0.0, math.inf
+    def park(mask):
+        open_[mask] = False
+        x_lo[mask], x_hi[mask] = 0.0, math.inf
 
     # Bracket: halve mu from mu_hi until the power reaches the budget. A
     # candidate at or above x_hi is halved again, one at or below x_lo has

@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -376,23 +375,11 @@ def _aggregates(grid, uniform, optimal):
 
 
 def _write_chunks(path, chunks):
-    """Write an iterable of text chunks to path, in order.
-
-    An existing file is written over in place and then cut at the end of
-    what was written, even when a chunk raises: it ends with the same
-    bytes, inode, permission bits and symlink target as after
-    open(path, "w"). Emptying a file first, as "w" does, makes some file
-    systems (ext4's auto_da_alloc) flush it at close.
-    """
+    """Write an iterable of text chunks to path, in order."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
-                     0o666)
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            try:
-                for chunk in chunks:
-                    fh.write(chunk)
-            finally:
-                fh.truncate()
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

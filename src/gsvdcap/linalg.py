@@ -33,8 +33,9 @@ changes outputs, so none is made yet:
 
 Not in the table: pass/fail limits a caller chooses (FactorCheck.passed's
 and KktReport.passed's tol, gsvd-check's --tol, oracle-verify's limits),
-and the widths and Newton stop of solve_mu's anchor search, which place
-evaluations but change no result.
+and the anchor search of solve_mu and _solve_batch: its first width
+(allocation._WIDTH, derived from BUDGET_TOL), its widening and its Newton
+stop place evaluations but change no result.
 
 Every count or index the package takes from outside (ExperimentConfig's
 dimensions, trials and seed, sample_channel's and random_gains' trial,

@@ -102,7 +102,8 @@ def grid_maximize(gains, budget, resolution=200):
 
     Args:
         gains: SubchannelGains with q <= 4.
-        budget: radiated power bound (sum a_i p_i <= budget).
+        budget: radiated power bound (sum a_i p_i <= budget); a budget
+            whose axis budget / a_i is not a finite number is refused.
         resolution: points per axis, >= 50.
     """
     if gains.q > _MAX_GRID_Q:
