@@ -595,12 +595,15 @@ def _solve_batch(c, d, a, budgets):
 
     x_lo, x_hi, anchor_gap = _batch_anchors(c, d, gains, budgets, mu_hi, live)
     mu, best_gap = _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi)
-    again = live & ~(best_gap < anchor_gap)
-    if again.any():
-        n = budgets.size
-        full = _replay_batch(gains, budgets, mu_hi, again, np.zeros(n),
-                             np.full(n, math.inf))[0]
-        mu = np.where(again, full, mu)
+    # The full bisection runs on the ulp-exit rows alone: each of its
+    # evaluation rounds costs every row it is given.
+    again = np.flatnonzero(live & ~(best_gap < anchor_gap))
+    if again.size:
+        k = again.size
+        mu[again] = _replay_batch(tuple(g[again] for g in gains),
+                                  budgets[again], mu_hi[again],
+                                  np.ones(k, dtype=bool), np.zeros(k),
+                                  np.full(k, math.inf))[0]
     p, effective = _batch_power(*gains, mu)
     return p, mu, effective
 
