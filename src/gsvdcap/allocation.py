@@ -462,7 +462,7 @@ def _batch_anchors(c, d, gains, budgets, mu_hi, live):
 
 def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
     """_replay over the live rows of a batch: each row's bracket and
-    bisection, evaluating power only strictly between its x_lo and x_hi.
+    bisection, using power only strictly between its x_lo and x_hi.
 
     A point at or below x_lo is decided as over the budget and one at or
     above x_hi as under it, by comparison alone, in place on (n,) arrays;
@@ -578,13 +578,13 @@ def _solve_batch(c, d, a, budgets):
     Rows must be gains that SubchannelGains accepts and budgets positive
     and finite. The rows follow solve_mu's design together: batched anchors
     (_batch_anchors), one batched replay of the bracket and the bisection
-    that evaluates power only inside each row's anchor window
-    (_replay_batch), and a replay with no anchors of the rows whose best
-    gap does not beat their anchors' (the ulp exit). So p, mu and the
-    effective power equal solve_mu's bit for bit. Returns (p, mu,
-    effective), shaped (n, q), (n,), (n,). A row that solve_mu would reject
-    raises its error: the first unreachable budget's ValueError before any
-    bisection's RuntimeError.
+    that uses power only inside each row's anchor window (_replay_batch),
+    and a replay with no anchors of the rows whose best gap does not beat
+    their anchors' (the ulp exit). So p, mu and the effective power equal
+    solve_mu's bit for bit. Returns (p, mu, effective), shaped (n, q),
+    (n,), (n,). A row that solve_mu would reject raises its error: the
+    first unreachable budget's ValueError before any bisection's
+    RuntimeError.
     """
     cd, fcd, a_den = _terms(c, d, a)
     gains = (cd, fcd, a_den, a)
