@@ -98,18 +98,13 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field, value", [
         ("sigma_r2", float("nan")), ("sigma_e2", float("inf")),
         ("budget", float("inf")), ("rho_grid", (0.0, 1.5)),
-        ("snr_db_grid", (0.0, 4000.0)), ("snr_db_grid", (float("nan"),))])
-    def test_rejects_values_that_would_fail_later(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            fraction_config(**{field: value})
-
-    @pytest.mark.parametrize("field, value", [
+        ("snr_db_grid", (0.0, 4000.0)), ("snr_db_grid", (float("nan"),)),
+        # Strings: iterated, each would give a grid of its characters or
+        # byte values.
         ("rho_grid", "01"), ("snr_db_grid", "159"), ("snr_db_grid", b"12"),
         ("rho_grid", bytearray(b"0"))])
-    def test_string_grids_rejected(self, field, value):
-        # Iterated, each would give a grid of its characters or byte values.
-        with pytest.raises(ValueError,
-                           match=f"^{field} must be a sequence of numbers"):
+    def test_rejects_values_that_would_fail_later(self, field, value):
+        with pytest.raises(ValueError, match=field):
             fraction_config(**{field: value})
 
 
