@@ -117,6 +117,13 @@ def _check_budget(budget):
         raise ValueError("budget must be positive and finite")
 
 
+def _check_powers(alloc, q, owner):
+    """The one length rule: raise unless alloc has q powers, one per
+    subchannel of owner, the gains or factors named in the message."""
+    if alloc.p.shape[0] != q:
+        raise ValueError(f"allocation has {alloc.p.shape[0]} powers, {owner} have {q}")
+
+
 def _root(cd, fcd, mu_a):
     """largest_root's arithmetic with no checks, on cd = c - d,
     fcd = 4.0 * c * d and mu_a = mu * a: _roots on one entry."""
@@ -614,9 +621,6 @@ def input_covariance(factors, alloc):
     Hermitian PSD by construction; its trace equals the allocation's
     effective power up to roundoff.
     """
-    if alloc.p.shape[0] != factors.q:
-        raise ValueError(
-            f"allocation has {alloc.p.shape[0]} powers, factors have {factors.q}"
-        )
+    _check_powers(alloc, factors.q, "factors")
     qx = (factors.a * alloc.p) @ factors.a.conj().T
     return 0.5 * (qx + qx.conj().T)

@@ -6,15 +6,16 @@ an explicit transmit covariance (cross-check path). The uniform baselines
 split the budget between the eavesdropper's nullspace (S1, where d = 0) and
 the remaining live directions (S2) according to a fraction rho.
 
-The uniform baselines check their inputs once per call. fraction_sweep
-validates the budget, the whole rho grid and the partition once, then
-computes every grid point's powers and rates as array expressions, with no
-per-point allocation object; the secure-set baseline spreads a column of
-budgets over {c > d} through the same _spread. Both work on boolean set
-masks over the last axis, so one pair's gains and a stack of trials' gains
-run the same code. _rate_bits is the one rate expression, over the last
-axis of any stack of allocations, and _clamp the one rule that floors
-rates at zero.
+The uniform baselines take the gains alone: S1 and S2 come from the one
+rule _subspace_masks, which classify_subspaces reports as index sets. The
+baselines check their inputs once per call. fraction_sweep validates the
+budget and the whole rho grid once, then computes every grid point's
+powers and rates as array expressions, with no per-point allocation
+object; the secure-set baseline spreads a column of budgets over {c > d}
+through the same _spread. Both work on boolean set masks over the last
+axis, so one pair's gains and a stack of trials' gains run the same
+code. _rate_bits is the one rate expression, over the last axis of any
+stack of allocations, and _clamp the one rule that floors rates at zero.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .allocation import LN2, PowerAllocation, _check_budget
+from .allocation import LN2, PowerAllocation, _check_budget, _check_powers
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,8 @@ def secrecy_rate(gains, alloc):
     For closed-form allocations this is nonnegative (power sits only where
     c > d); arbitrary allocations can push it negative.
     """
-    p = alloc.p
-    if p.shape[0] != gains.q:
-        raise ValueError(f"allocation has {p.shape[0]} powers, gains have {gains.q}")
-    return float(_rate_bits(p, gains.c, gains.d))
+    _check_powers(alloc, gains.q, "gains")
+    return float(_rate_bits(alloc.p, gains.c, gains.d))
 
 
 def matrix_rate(channels, qx):
@@ -122,21 +121,16 @@ def classify_subspaces(gains):
     """Partition subchannel indices by which receivers can see them."""
     s1, s2 = _subspace_masks(gains.c, gains.d)
     return SubspacePartition(s1=np.flatnonzero(s1), s2=np.flatnonzero(s2),
-                             excluded=np.flatnonzero(gains.c < linalg.NULL_EPS))
+                             excluded=np.flatnonzero(~(s1 | s2)))
 
 
 def _subspace_masks(c, d):
-    """classify_subspaces' S1 and S2 as boolean masks over the last axis of
-    c and d, for one pair's gains or a stack of them."""
+    """The one S1/S2 rule: classify_subspaces' S1 and S2 as boolean masks
+    over the last axis of c and d, for one pair's gains or a stack of them.
+    Entries in neither mask are receiver-null (c < eps)."""
     eps = linalg.NULL_EPS
     seen = c >= eps
     return seen & (d < eps), seen & (d >= eps)
-
-
-def _index_mask(indices, q):
-    mask = np.zeros(q, dtype=bool)
-    mask[indices] = True
-    return mask
 
 
 def _spread(mask, share, a, mode):
@@ -168,10 +162,11 @@ def _subset_sums(a, mask):
     return np.reshape(sums, mask.shape[:-1])
 
 
-def _uniform_powers(c, d, a, s1, s2, budget, rho, mode, secure_only):
+def _uniform_powers(c, d, a, budget, rho, mode, secure_only):
     """Checked once, the powers of uniform_allocation for each entry of the
-    1-D array rho, over the last axis of the gains and of the boolean set
-    masks s1, s2, which may carry leading axes: (..., rho, q)."""
+    1-D array rho, over the last axis of the gains, which may carry leading
+    axes: (..., rho, q). S1 and S2 are the gains' own _subspace_masks."""
+    s1, s2 = _subspace_masks(c, d)
     _check_budget(budget)
     if not np.all((rho >= 0.0) & (rho <= 1.0)):
         raise ValueError("rho must lie in [0, 1]")
@@ -190,9 +185,11 @@ def _uniform_powers(c, d, a, s1, s2, budget, rho, mode, secure_only):
     return np.where(target2[..., None, :], p2, p1)
 
 
-def uniform_allocation(gains, partition, budget, rho, mode="transmit",
+def uniform_allocation(gains, budget, rho, mode="transmit",
                        secure_only=False):
     """Uniform baseline: fraction rho of the budget to S2, the rest to S1.
+
+    S1 and S2 are classify_subspaces(gains)' sets, worked out from the gains.
 
     With an empty S1 the whole budget goes to S2 (and the other way round),
     whatever rho says; excluded directions never get power. The budget is in
@@ -202,10 +199,8 @@ def uniform_allocation(gains, partition, budget, rho, mode="transmit",
     the eavesdropper hears better. (Falls back to all of S2 when none of it
     is secure, so the budget is always radiated in full.)
     """
-    p = _uniform_powers(
-        gains.c, gains.d, gains.a, _index_mask(partition.s1, gains.q),
-        _index_mask(partition.s2, gains.q), budget,
-        np.array([rho], dtype=float), mode, secure_only)[0]
+    p = _uniform_powers(gains.c, gains.d, gains.a, budget,
+                        np.array([rho], dtype=float), mode, secure_only)[0]
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
@@ -223,7 +218,7 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
-def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
+def fraction_sweep(gains, budget, rho_grid, mode="transmit",
                    secure_only=True):
     """Uniform-baseline rate as a function of the S2 power fraction rho.
 
@@ -236,14 +231,13 @@ def fraction_sweep(gains, partition, budget, rho_grid, mode="transmit",
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty 1-D array")
-    rates = _fraction_rates(
-        gains.c, gains.d, gains.a, _index_mask(partition.s1, gains.q),
-        _index_mask(partition.s2, gains.q), budget, grid, mode, secure_only)
+    rates = _fraction_rates(gains.c, gains.d, gains.a, budget, grid, mode,
+                            secure_only)
     return RateCurve(param=grid, rate_bits=rates)
 
 
-def _fraction_rates(c, d, a, s1, s2, budget, grid, mode, secure_only=True):
-    """fraction_sweep's clamped rates over the last axis of the gains and
-    set masks, which may carry leading axes: (..., grid)."""
-    p = _uniform_powers(c, d, a, s1, s2, budget, grid, mode, secure_only)
+def _fraction_rates(c, d, a, budget, grid, mode, secure_only=True):
+    """fraction_sweep's clamped rates over the last axis of the gains,
+    which may carry leading axes: (..., grid)."""
+    p = _uniform_powers(c, d, a, budget, grid, mode, secure_only)
     return _clamp(_rate_bits(p, c[..., None, :], d[..., None, :]))

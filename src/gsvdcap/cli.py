@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import experiments, linalg
+from . import experiments, linalg, oracle
 from .allocation import solve_mu
 from .capacity import secrecy_rate
 from .experiments import ExperimentConfig
@@ -180,7 +180,8 @@ def build_parser():
 
     p = sub.add_parser("oracle-verify",
                        help="closed form vs grid search on synthetic gains")
-    p.add_argument("--q", type=_integer("q", 1), required=True)
+    p.add_argument("--q", type=_integer("q", 1, oracle._MAX_GRID_Q + 1),
+                   required=True)
     p.add_argument("--trials", type=_trials, required=True)
     p.add_argument("--budget", type=_positive_float, required=True)
     p.add_argument("--seed", type=_seed, required=True)

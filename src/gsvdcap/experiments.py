@@ -264,15 +264,14 @@ def _run_campaign(config, grid, uniform_rates, budgets):
     grid chunk by chunk, then solve the optimum at each of budgets for
     every trial in batches.
 
-    uniform_rates(c, d, a, s1, s2) returns the uniform-baseline rates of a
-    chunk of trials, from their (trials, q) gains and S1/S2 masks: one row
-    per trial, one column per grid point. The optimum has one column per
-    budget.
+    uniform_rates(c, d, a) returns the uniform-baseline rates of a chunk of
+    trials, from their (trials, q) gains: one row per trial, one column per
+    grid point. The optimum has one column per budget. The S1/S2 masks are
+    taken once, over every trial, for dim_s1 and dim_s2.
     """
     trials = config.trials
     q = min(config.n_t, config.n_r + config.n_e)
     c, d, a = (np.empty((trials, q)) for _ in range(3))
-    s1, s2 = (np.empty((trials, q), dtype=bool) for _ in range(2))
     uniform = np.empty((trials, grid.size))
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_CELLS // grid.size))
     for start in range(0, trials, chunk):
@@ -286,10 +285,9 @@ def _run_campaign(config, grid, uniform_rates, budgets):
             error.args = (f"trial {rows[bad]}: {error}",)
             raise error
         c[rows], d[rows], a[rows] = gains
-        s1[rows], s2[rows] = _subspace_masks(c[rows], d[rows])
-        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows], s1[rows],
-                                      s2[rows])
+        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows])
     optimal = _optimal_rates(c, d, a, budgets)
+    s1, s2 = _subspace_masks(c, d)
     columns = _aggregates(grid, uniform, optimal)
     return CampaignResult(
         grid=grid, uniform=uniform, optimal=optimal, q=np.full(trials, q),
@@ -327,8 +325,8 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
             "degenerates to the all-S2 split", stacklevel=2)
     grid = np.asarray(config.rho_grid, dtype=float)
 
-    def uniform_rates(c, d, a, s1, s2):
-        return _fraction_rates(c, d, a, s1, s2, config.budget, grid, mode)
+    def uniform_rates(c, d, a):
+        return _fraction_rates(c, d, a, config.budget, grid, mode)
 
     return _run_campaign(config, grid, uniform_rates,
                          np.array([config.budget], dtype=float))
@@ -351,7 +349,7 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     grid = np.asarray(config.snr_db_grid, dtype=float)
     budgets = _snr_budgets(grid)
 
-    def uniform_rates(c, d, a, s1, s2):
+    def uniform_rates(c, d, a):
         p = _spread(c > d, budgets[:, None], a, mode)
         return _clamp(_rate_bits(p, c[:, None, :], d[:, None, :]))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiments, linalg
-from .allocation import LN2, PowerAllocation, _check_budget
+from .allocation import LN2, PowerAllocation, _check_budget, _check_powers
 from .gsvd import SubchannelGains
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -173,13 +173,15 @@ class KktReport:
 def kkt_check(gains, alloc, budget):
     """Check the first-order conditions of the secrecy water-filling optimum.
 
-    Requires an allocation produced with a multiplier (alloc.mu set). The
-    marginal here uses the ln2-free convention matching the closed form:
+    Requires an allocation produced with a multiplier (alloc.mu set), with
+    one power per subchannel as secrecy_rate does. The marginal here uses
+    the ln2-free convention matching the closed form:
     (c/(1+pc) - d/(1+pd))/a compared against mu.
     """
     if alloc.mu is None:
         raise ValueError("kkt_check needs a multiplier-generated allocation")
     _check_budget(budget)
+    _check_powers(alloc, gains.q, "gains")
     c, d, a, p, mu = gains.c, gains.d, gains.a, alloc.p, alloc.mu
 
     insecure = c <= d

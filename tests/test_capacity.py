@@ -1,6 +1,8 @@
 """Unit tests for rate evaluation and the uniform baselines."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,8 +142,7 @@ class TestClassifySubspaces:
 class TestUniformAllocation:
     def test_all_power_to_nullspace_at_rho_zero(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
-        alloc = uniform_allocation(gains, part, budget=10.0, rho=0.0)
+        alloc = uniform_allocation(gains, budget=10.0, rho=0.0)
         assert alloc.p[3] == pytest.approx(10.0 / 1.5)
         assert np.all(alloc.p[:3] == 0.0)
         # The eavesdropper hears nothing, so the rate is pure receiver log
@@ -152,8 +153,7 @@ class TestUniformAllocation:
 
     def test_rho_one_spreads_over_s2(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
-        alloc = uniform_allocation(gains, part, budget=6.0, rho=1.0)
+        alloc = uniform_allocation(gains, budget=6.0, rho=1.0)
         # transmit mode: equal radiated power per S2 direction.
         assert gains.a[1] * alloc.p[1] == pytest.approx(3.0)
         assert gains.a[2] * alloc.p[2] == pytest.approx(3.0)
@@ -161,9 +161,8 @@ class TestUniformAllocation:
 
     def test_secure_only_narrows_s2(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         alloc = uniform_allocation(
-            gains, part, budget=6.0, rho=1.0, secure_only=True
+            gains, budget=6.0, rho=1.0, secure_only=True
         )
         # Index 1 is insecure (c < d); only index 2 is a secure S2 member.
         assert alloc.p[1] == 0.0
@@ -171,9 +170,8 @@ class TestUniformAllocation:
 
     def test_secure_only_falls_back_when_nothing_secure(self):
         gains = SubchannelGains(c=[0.3, 1.0], d=[0.7, 0.0], a=[1.0, 1.0])
-        part = classify_subspaces(gains)
         alloc = uniform_allocation(
-            gains, part, budget=4.0, rho=0.5, secure_only=True
+            gains, budget=4.0, rho=0.5, secure_only=True
         )
         assert alloc.p[0] == pytest.approx(2.0)
         assert alloc.effective_power == pytest.approx(4.0)
@@ -182,7 +180,7 @@ class TestUniformAllocation:
         gains = SubchannelGains(c=[0.6, 0.4], d=[0.4, 0.6], a=[1.0, 1.0])
         part = classify_subspaces(gains)
         assert part.dim_s1 == 0
-        alloc = uniform_allocation(gains, part, budget=2.0, rho=0.25)
+        alloc = uniform_allocation(gains, budget=2.0, rho=0.25)
         assert alloc.effective_power == pytest.approx(2.0)
         assert np.all(alloc.p > 0)
 
@@ -190,36 +188,43 @@ class TestUniformAllocation:
         gains = SubchannelGains(c=[1.0, 1.0], d=[0.0, 0.0], a=[1.0, 2.0])
         part = classify_subspaces(gains)
         assert part.dim_s2 == 0
-        alloc = uniform_allocation(gains, part, budget=2.0, rho=0.9)
+        alloc = uniform_allocation(gains, budget=2.0, rho=0.9)
         assert alloc.effective_power == pytest.approx(2.0)
 
     def test_symbol_mode_equalizes_symbol_power(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         alloc = uniform_allocation(
-            gains, part, budget=6.0, rho=1.0, mode="symbol"
+            gains, budget=6.0, rho=1.0, mode="symbol"
         )
         assert alloc.p[1] == pytest.approx(alloc.p[2])
         assert alloc.effective_power == pytest.approx(6.0)
 
     def test_unknown_mode_rejected(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         with pytest.raises(ValueError, match="mode"):
-            uniform_allocation(gains, part, budget=1.0, rho=1.0, mode="even")
+            uniform_allocation(gains, budget=1.0, rho=1.0, mode="even")
 
     def test_rho_out_of_range(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         with pytest.raises(ValueError):
-            uniform_allocation(gains, part, budget=1.0, rho=1.5)
+            uniform_allocation(gains, budget=1.0, rho=1.5)
+
+    def test_partition_argument_is_gone(self):
+        # S1 and S2 come from the gains alone: a partition passed in the old
+        # position lands on the budget and fails loudly.
+        gains = mixed_gains()
+        foreign = classify_subspaces(subchannel_gains(gsvd(
+            random_pair(4, 2, 2, seed=79))))
+        with pytest.raises(TypeError):
+            uniform_allocation(gains, foreign, 10.0, 0.5)
+        with pytest.raises(ValueError):
+            fraction_sweep(gains, foreign, 10.0, [0.0, 1.0])
 
     def test_no_usable_directions(self):
         gains = SubchannelGains(c=[0.0, 1e-12], d=[1.0, 1.0 - 1e-12],
                                 a=[1.0, 1.0])
-        part = classify_subspaces(gains)
         with pytest.raises(ValueError, match="usable"):
-            uniform_allocation(gains, part, budget=1.0, rho=0.5)
+            uniform_allocation(gains, budget=1.0, rho=0.5)
 
 
 class TestUniformSecureAllocation:
@@ -238,11 +243,10 @@ class TestUniformSecureAllocation:
 
     def test_baselines_reject_a_bad_budget(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         baselines = (
             lambda b: uniform_secure_allocation(gains, b),
-            lambda b: uniform_allocation(gains, part, b, 0.5),
-            lambda b: fraction_sweep(gains, part, b, [0.0, 1.0]))
+            lambda b: uniform_allocation(gains, b, 0.5),
+            lambda b: fraction_sweep(gains, b, [0.0, 1.0]))
         for baseline in baselines:
             for budget in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(ValueError,
@@ -267,18 +271,16 @@ class TestFractionSweep:
     def test_domination_on_seeded_instance(self):
         pair = random_pair(5, 5, 4, seed=81)
         gains = subchannel_gains(gsvd(pair))
-        part = classify_subspaces(gains)
         optimal = secrecy_rate(gains, solve_mu(gains, 100.0))
-        curve = fraction_sweep(gains, part, 100.0, np.linspace(0, 1, 101))
+        curve = fraction_sweep(gains, 100.0, np.linspace(0, 1, 101))
         assert np.all(curve.rate_bits <= optimal + 1e-9)
 
     def test_rates_clamped_nonnegative(self):
         # Insecure S2 spread (secure_only off) can go negative in raw form;
         # the sweep reports the achievable zero instead.
         gains = SubchannelGains(c=[1.0, 0.3], d=[0.0, 0.7], a=[1.0, 1.0])
-        part = classify_subspaces(gains)
         curve = fraction_sweep(
-            gains, part, 50.0, [0.0, 0.5, 1.0], secure_only=False
+            gains, 50.0, [0.0, 0.5, 1.0], secure_only=False
         )
         assert np.all(curve.rate_bits >= 0.0)
         assert curve.rate_bits[-1] == 0.0
@@ -288,18 +290,16 @@ class TestFractionSweep:
         # (rho near 0 or 1), so only the interior is held to a step bound.
         pair = random_pair(5, 5, 4, seed=82)
         gains = subchannel_gains(gsvd(pair))
-        part = classify_subspaces(gains)
-        curve = fraction_sweep(gains, part, 100.0, np.linspace(0, 1, 101))
+        curve = fraction_sweep(gains, 100.0, np.linspace(0, 1, 101))
         interior = np.diff(curve.rate_bits)[20:80]
         assert np.all(np.abs(interior) < 0.3)
 
     def test_grid_validation(self):
         gains = mixed_gains()
-        part = classify_subspaces(gains)
         with pytest.raises(ValueError):
-            fraction_sweep(gains, part, 1.0, [])
+            fraction_sweep(gains, 1.0, [])
         with pytest.raises(ValueError):
-            fraction_sweep(gains, part, 1.0, [0.0, 1.2])
+            fraction_sweep(gains, 1.0, [0.0, 1.2])
 
     @settings(max_examples=150, derandomize=True)
     @given(
@@ -315,13 +315,25 @@ class TestFractionSweep:
         part = classify_subspaces(gains)
         assume(part.dim_s1 + part.dim_s2 > 0)
         grid = sorted(rhos)
-        curve = fraction_sweep(gains, part, budget, grid, mode, secure_only)
+        curve = fraction_sweep(gains, budget, grid, mode, secure_only)
         for j, rho in enumerate(grid):
-            alloc = uniform_allocation(gains, part, budget, rho, mode,
+            alloc = uniform_allocation(gains, budget, rho, mode,
                                        secure_only)
             assert np.array_equal(alloc.p, reference_uniform_p(
                 gains, part, budget, rho, mode, secure_only))
             assert curve.rate_bits[j] == max(0, secrecy_rate(gains, alloc))
+
+
+class TestReadmeExample:
+    def test_library_block_runs(self):
+        # The README's one python block is the documented library use,
+        # baseline signature included: it must run as written.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+        assert len(blocks) == 1
+        assert "uniform_allocation(gains, budget=" in blocks[0]
+        exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 class TestRateCurve:

@@ -358,6 +358,9 @@ class TestUsageErrors:
           "--seed", "1", "--resolution", "10"],
          "argument --resolution: resolution must be an integer at least 50, "
          "got 10"),
+        (["oracle-verify", "--q", "5", "--trials", "2", "--budget", "10",
+          "--seed", "1"],
+         "argument --q: q must be an integer from 1 to 4, got 5"),
         (["gsvd-check", "--nt", "4", "--nr", "4", "--ne", "4", "--trials",
           "1", "--seed", "18446744073709551616"],
          "argument --seed: seed must be an integer from 0 to 2**64 - 1, got "
@@ -366,7 +369,7 @@ class TestUsageErrors:
           "0:5:30", "--seed", "1", "--trials", "72057594037927937"],
          "argument --trials: trials must be an integer from 1 to 2**56, got "
          "72057594037927937"),
-    ], ids=["resolution", "seed", "trials"])
+    ], ids=["resolution", "q", "seed", "trials"])
     def test_library_integer_range(self, argv, message, tmp_path, capsys):
         # The library refuses these values too, but only once the command
         # runs; out-of-range flags are usage errors.

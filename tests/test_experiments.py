@@ -35,7 +35,7 @@ from gsvdcap import (
     write_aggregate_csv,
     write_csv,
 )
-from gsvdcap.capacity import _subspace_masks, _uniform_powers
+from gsvdcap.capacity import _uniform_powers
 from gsvdcap.gsvd import _stacked_gains
 
 from conftest import reference_uniform_p
@@ -387,7 +387,7 @@ def scalar_reference(cfg, mode):
         partition = classify_subspaces(gains)
         dims.append((gains.q, partition.dim_s1, partition.dim_s2))
         if cfg.rho_grid is not None:
-            uniform.append(fraction_sweep(gains, partition, cfg.budget,
+            uniform.append(fraction_sweep(gains, cfg.budget,
                                           cfg.rho_grid, mode).rate_bits)
             looped = [max(0.0, secrecy_rate(gains, PowerAllocation(
                 p=reference_uniform_p(gains, partition, cfg.budget, rho,
@@ -484,8 +484,7 @@ class TestScalarReference:
         rank, c, d, a = _stacked_gains(
             experiments._draw(cfg, np.arange(cfg.trials)), cfg.n_r)
         assert np.all(rank == min(cfg.n_t, cfg.n_r + cfg.n_e))
-        s1, s2 = _subspace_masks(c, d)
-        p = _uniform_powers(c, d, a, s1, s2, cfg.budget,
+        p = _uniform_powers(c, d, a, cfg.budget,
                             np.asarray(cfg.rho_grid), mode, True)
         for t in range(cfg.trials):
             gains = SubchannelGains(c=c[t], d=d[t], a=a[t])

@@ -161,6 +161,15 @@ class TestKktCheck:
         with pytest.raises(ValueError, match="multiplier"):
             kkt_check(gains, alloc, 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_refuses_wrong_length(self, n):
+        # The same length rule as secrecy_rate, named in the message.
+        gains = random_gains(3, seed=113)
+        alloc = PowerAllocation(p=np.ones(n), mu=1.0, effective_power=1.0)
+        with pytest.raises(ValueError,
+                           match=f"^allocation has {n} powers, gains have 3$"):
+            kkt_check(gains, alloc, 1.0)
+
     def test_requires_positive_budget(self):
         gains = SubchannelGains(c=[0.8], d=[0.2], a=[1.0])
         alloc = solve_mu(gains, 1.0)
