@@ -23,19 +23,22 @@ whole campaign at once. The array callers share _terms, which gives insecure
 entries inert terms whose root clamps to zero.
 
 solve_mu's bisection is evaluated only near the root. A safeguarded Newton
-iteration on log power against log mu estimates the root; power is evaluated
-at anchors est / (1 + w) and est (1 + w), w from _WIDTH = 4 BUDGET_TOL
-widened x100 until one anchor is over the budget and one under it by more
-than the stop rule's tolerance. The bisection is then replayed midpoint for
-midpoint, and a midpoint at or beyond an anchor pulled out by the relative
-margin _SEP = 2**-34 takes the anchor's comparison without an evaluation:
-power is monotone across such gaps even in floating point. If the replay
-ends at the ulp exit with a best gap that a skipped midpoint could have
-beaten, the loop runs again with no anchors. Either way p, mu and the
-effective power equal the full bisection's bit for bit: anchors only place
-evaluations. _solve_batch does the same over the rows of a batch: anchors
-for every row at once, then one replay in which a decided step costs a few
-comparisons on (n,) arrays and each evaluation round is one power
+iteration estimates the root: with A the total a of the entries that get
+power, it steps log mu by (log(f + A) - log(budget + A)) (f + A) / g, where
+g = -mu df/dmu = sum a / (c/(1+pc) + d/(1+pd)) comes from the marginal
+condition itself, so water-filling entries land in one step. Power is
+evaluated at anchors est / (1 + w) and est (1 + w), w from
+_WIDTH = 4 BUDGET_TOL widened x100 until one anchor is over the budget and
+one under it by more than the stop rule's tolerance. The bisection is then replayed
+midpoint for midpoint, and a midpoint at or beyond an anchor pulled out by
+the relative margin _SEP = 2**-34 takes the anchor's comparison without an
+evaluation: power is monotone across such gaps even in floating point. If
+the replay ends at the ulp exit with a best gap that a skipped midpoint
+could have beaten, the loop runs again with no anchors. Either way p, mu and
+the effective power equal the full bisection's bit for bit: anchors only
+place evaluations. _solve_batch does the same over the rows of a batch:
+anchors for every row at once, then one replay in which a decided step costs
+a few comparisons on (n,) arrays and each evaluation round is one power
 evaluation over every row, whose results only the open rows keep.
 """
 
@@ -222,19 +225,21 @@ def _anchors(power, entries, budget, mu_hi):
     the smallest one that falls short by more than it (0.0 and inf stand
     for none), and gap the smaller of their two gaps |effective - budget|.
 
-    Where to look comes from an estimate: Newton on log f against log mu,
-    f the radiated power, from the water-filling level
+    Where to look comes from an estimate: Newton on log (f + A) against
+    log mu, f the radiated power and A the total a of the entries with
+    positive power, from the water-filling level
     n / (budget + sum a/(c - d)) capped at mu_hi / 2, with at most 12 steps
-    each clipped to +-2 in log mu and kept inside the bracket its own
+    each clipped to +-8 in log mu and kept inside the bracket its own
     evaluations have found (a step that leaves it takes the bracket's
-    geometric midpoint). The slope is df/dmu = sum a dp/dmu with
-    dp/dmu = a / m'(p) and m'(x) = d^2/(1+xd)^2 - c^2/(1+xc)^2; an entry
-    whose m' is not negative uses the large-root slope -p/(2 mu), and a total
-    that is not finite -f/(2 mu). Squares are products, since float ** raises
-    OverflowError at huge roots. Anchors are then evaluated at est / (1 + w)
-    and est (1 + w) for w = _WIDTH, widened x100 up to 6 times until both
-    sides are found. Nothing rests on the estimate: the anchors are real
-    evaluations of power.
+    geometric midpoint). At a positive root u - v = mu a for
+    u = c/(1+xc) and v = d/(1+xd), so m'(x) = v^2 - u^2 = -mu a (u + v) and
+    g = -mu df/dmu = sum a / (u + v), a sum of positive terms with no
+    cancellation. The step (log(f + A) - log(budget + A)) (f + A) / g is
+    exact in one iteration for water-filling entries (d = 0), whose
+    f + A = n / mu, once the set with positive power is right. Anchors are
+    then evaluated at est / (1 + w) and est (1 + w) for w = _WIDTH, widened
+    x100 up to 6 times until both sides are found. Nothing rests on the
+    estimate: the anchors are real evaluations of power.
     """
     # Below mu_hi 2**-_HALVING_CAP a lead may overflow and its root turn NaN,
     # which clamps to 0: power stops growing there, so nothing is evaluated
@@ -246,25 +251,23 @@ def _anchors(power, entries, budget, mu_hi):
     mu = min(len(entries) / (budget + level), 0.5 * mu_hi)
     for _ in range(12):
         mu = max(mu, floor)
-        f = slope = 0.0
+        f = active = g = 0.0
         for _, c, d, a, cd, fcd in entries:
             x = _root(cd, fcd, mu * a)
             if x > 0.0:
                 f += a * x
-                xc, xd = 1.0 + x * c, 1.0 + x * d
-                m = d * d / (xd * xd) - c * c / (xc * xc)
-                slope += a * a / m if m < 0.0 else -0.5 * a * x / mu
-        if not math.isfinite(slope):
-            slope = -0.5 * f / mu
+                active += a
+                g += a / (c / (1.0 + x * c) + d / (1.0 + x * d))
         if f > budget:
             lo = mu
         else:
             hi = mu
-        step = 2.0 if f > budget else -2.0
-        if slope < 0.0 and f > 0.0:
-            newton = (math.log(budget) - math.log(f)) * (f / mu) / slope
+        step = 8.0 if f > budget else -8.0
+        if f > 0.0:
+            newton = ((math.log(f + active) - math.log(budget + active))
+                      * (f + active) / g)
             if math.isfinite(newton):
-                step = max(-2.0, min(2.0, newton))
+                step = max(-8.0, min(8.0, newton))
         est = mu * math.exp(step)
         if abs(est - mu) <= 1e-7 * mu:
             break
@@ -400,16 +403,17 @@ _BLOCK = 8
 def _batch_anchors(c, d, gains, budgets, mu_hi, live):
     """_anchors over the rows of a batch: (x_lo, x_hi, gap), each (n,).
 
-    The same two stages in array form. Newton on log f against log mu runs
-    on every row at once from the water-filling level, each step clipped to
-    +-2 and kept inside the bracket the row's own estimates have found, at
-    most 12 times or until every live row moves by 1e-7 relative or less.
-    Power is then evaluated at est / (1 + w) and est (1 + w), w = _WIDTH
-    widened x100 up to 6 times on the rows that still lack a side, in one
-    _batch_power call per width. Only these are evaluations of power, so the
-    estimate need not be _anchors': any real anchor pulled out by _SEP keeps
-    the replay exact, and a row with none gets 0.0 and inf. The estimate's
-    own overflows and 0/0s go unreported: a bad estimate only widens w.
+    The same two stages in array form. _anchors' Newton step on log (f + A)
+    against log mu runs on every row at once from the water-filling level,
+    each step clipped to +-8 and kept inside the bracket the row's own
+    estimates have found, at most 12 times or until every live row moves by
+    1e-7 relative or less. Power is then evaluated at est / (1 + w) and est
+    (1 + w), w = _WIDTH widened x100 up to 6 times on the rows that still
+    lack a side, in one _batch_power call per width. Only these are
+    evaluations of power, so the estimate need not be _anchors': any real
+    anchor pulled out by _SEP keeps the replay exact, and a row with none
+    gets 0.0 and inf. The estimate's own overflows and 0/0s go unreported: a
+    bad estimate only widens w.
     """
     cd, fcd, a_den, a = gains
     secure = cd > 0.0
@@ -422,18 +426,16 @@ def _batch_anchors(c, d, gains, budgets, mu_hi, live):
         mu = np.maximum(mu, floor)
         x = _roots(cd, fcd, mu[:, None] * a_den)
         rising = x > 0.0
-        ax = np.where(rising, a * x, 0.0)
-        f = ax.sum(axis=1)
-        xc, xd = 1.0 + x * c, 1.0 + x * d
-        m = d * d / (xd * xd) - c * c / (xc * xc)
-        slope = np.where(m < 0.0, a * a / m, -0.5 * ax / mu[:, None])
-        slope = np.where(rising, slope, 0.0).sum(axis=1)
-        slope = np.where(np.isfinite(slope), slope, -0.5 * f / mu)
+        f = np.where(rising, a * x, 0.0).sum(axis=1)
+        active = np.where(rising, a, 0.0).sum(axis=1)
+        g = np.where(rising, a / (c / (1.0 + x * c) + d / (1.0 + x * d)),
+                     0.0).sum(axis=1)
         over = f > budgets
         lo, hi = np.where(over, mu, lo), np.where(over, hi, mu)
-        newton = (np.log(budgets) - np.log(f)) * (f / mu) / slope
-        step = np.where((slope < 0.0) & (f > 0.0) & np.isfinite(newton),
-                        np.clip(newton, -2.0, 2.0), np.where(over, 2.0, -2.0))
+        newton = ((np.log(f + active) - np.log(budgets + active))
+                  * (f + active) / g)
+        step = np.where((f > 0.0) & np.isfinite(newton),
+                        np.clip(newton, -8.0, 8.0), np.where(over, 8.0, -8.0))
         est = mu * np.exp(step)
         settled = np.abs(est - mu) <= 1e-7 * mu
         mu = np.where(settled | (lo < est) & (est < hi), est,

@@ -174,7 +174,8 @@ def build_parser():
                        help="optimal vs secure-uniform rates across SNR")
     _add_dims(p)
     p.add_argument("--snr-db", type=parse_range, required=True,
-                   metavar="START:STEP:STOP")
+                   metavar="START:STEP:STOP",
+                   help="join a range below 0 with =, as in --snr-db=-10:10:10")
     _add_sweep_common(p)
     p.set_defaults(func=_cmd_sweep, campaign="snr")
 

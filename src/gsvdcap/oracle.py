@@ -101,7 +101,7 @@ def grid_maximize(gains, budget, resolution=200):
     (PowerAllocation with mu=None, rate_bits).
 
     Args:
-        gains: SubchannelGains with q <= 4.
+        gains: SubchannelGains with q <= 4; q = 0 gives silence at rate 0.
         budget: radiated power bound (sum a_i p_i <= budget); a budget
             whose axis budget / a_i is not a finite number is refused.
         resolution: points per axis, >= 50.
@@ -112,6 +112,8 @@ def grid_maximize(gains, budget, resolution=200):
     _check_budget(budget)
     c, d, a = gains.c, gains.d, gains.a
     q = gains.q
+    if q == 0:  # no subchannel: silence is the whole simplex
+        return PowerAllocation(p=np.zeros(0), mu=None, effective_power=0.0), 0.0
     with np.errstate(over="ignore"):
         tops = budget / a
     if not np.isfinite(tops).all():

@@ -343,7 +343,9 @@ class TestSkipAhead:
 
 class TestEvaluationCount:
     """Exact power evaluations per solve. The full bisection needs 37 to 75
-    on these, so a silent fall-back to it fails here."""
+    on these, so a silent fall-back to it fails here. The two small budgets
+    put the root near the last threshold, far from the water-filling start
+    of the anchor estimate."""
 
     def test_readme_and_allocate_shapes(self, monkeypatch):
         evaluated = []
@@ -364,9 +366,11 @@ class TestEvaluationCount:
         hr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         he = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         readme = subchannel_gains(gsvd(ChannelPair(hr, he)))
+        tall = subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1)))
         cases = [(readme, 1.0, 5), (readme, 100.0, 5), (readme, 1e4, 5),
-                 (subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1))), 10.0, 5),
-                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 5)]
+                 (tall, 10.0, 5),
+                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 5),
+                 (readme, 1e-3, 13), (tall, 1e-4, 11)]
         counts = []
         for gains, budget, _ in cases:
             evaluated.clear()
@@ -546,15 +550,9 @@ class TestBatchEvaluationCount:
     bisection takes 76 calls of 35 rows on the S5 batch and 53 of 10 on
     the F10 one, so a silent fall-back to it fails here."""
 
-    @pytest.mark.parametrize("run, config, calls, rows", [
-        (run_snr_sweep, ExperimentConfig(
-            n_t=4, n_r=4, n_e=4, trials=5, snr_db_grid=(0, 5, 10, 15, 20,
-                                                        25, 30)), 5, 210),
-        (run_fraction_experiment, ExperimentConfig(
-            n_t=5, n_r=5, n_e=4, trials=10, budget=100.0,
-            rho_grid=(0.0, 0.5, 1.0)), 5, 60),
-    ], ids=["S5", "F10"])
-    def test_campaign_batches(self, monkeypatch, run, config, calls, rows):
+    def counted_run(self, monkeypatch, run, config):
+        """Run a campaign; return its _batch_power row counts, having
+        checked that every live row found both anchors at the first width."""
         sizes = []
         power = allocation._batch_power
 
@@ -573,15 +571,35 @@ class TestBatchEvaluationCount:
         monkeypatch.setattr(allocation, "_batch_power", counted)
         monkeypatch.setattr(allocation, "_batch_anchors", recorded)
         run(config)
-        assert (len(sizes), sum(sizes)) == (calls, rows)
-        assert len(sizes) <= 15
-        # Every live row finds both anchors at the first width: its window
-        # is at most est / (1 + w) to est (1 + w), each pulled out by _SEP.
+        # A first-width window is at most est / (1 + w) to est (1 + w),
+        # each pulled out by _SEP.
         w, sep = allocation._WIDTH, allocation._SEP
         widest = (1.0 + w) ** 2 * (1.0 + sep) / (1.0 - sep) * (1.0 + 1e-15)
         (x_lo, x_hi), = windows
         assert 2 * x_lo.size == sizes[0]  # both sides of every live row
         assert np.all((x_lo > 0.0) & (x_hi <= widest * x_lo))
+        return sizes
+
+    @pytest.mark.parametrize("run, config, calls, rows", [
+        (run_snr_sweep, ExperimentConfig(
+            n_t=4, n_r=4, n_e=4, trials=5, snr_db_grid=(0, 5, 10, 15, 20,
+                                                        25, 30)), 5, 210),
+        (run_fraction_experiment, ExperimentConfig(
+            n_t=5, n_r=5, n_e=4, trials=10, budget=100.0,
+            rho_grid=(0.0, 0.5, 1.0)), 5, 60),
+    ], ids=["S5", "F10"])
+    def test_campaign_batches(self, monkeypatch, run, config, calls, rows):
+        sizes = self.counted_run(monkeypatch, run, config)
+        assert (len(sizes), sum(sizes)) == (calls, rows)
+        assert len(sizes) <= 15
+
+    def test_wide_snr_grid(self, monkeypatch):
+        # 320 rows from -60 to 90 dB, whose budgets span 15 decades: the
+        # estimate must still bring every row within the first width.
+        sizes = self.counted_run(monkeypatch, run_snr_sweep, ExperimentConfig(
+            n_t=4, n_r=4, n_e=4, trials=20, seed=0,
+            snr_db_grid=tuple(range(-60, 91, 10))))
+        assert (len(sizes), sum(sizes)) == (24, 8000)
 
 
 class TestInputCovariance:

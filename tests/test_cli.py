@@ -272,6 +272,17 @@ class TestReferenceBytes:
             assert ((tmp_path / name).read_bytes()
                     == (DATA / "snr_symbol" / name).read_bytes())
 
+    def test_wide_snr_grid_csv_bytes(self, tmp_path):
+        # -60 to 90 dB, where the solver's anchor estimate has the most
+        # ground to cover. CI compares the installed entry point's output
+        # with the same files.
+        assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
+                     "--snr-db=-60:10:90", "--trials", "10", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        for name in ("snr_trials.csv", "snr_aggregate.csv"):
+            assert ((tmp_path / name).read_bytes()
+                    == (DATA / "snr_wide" / name).read_bytes())
+
 
 class TestParserReuse:
     def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys):
@@ -379,6 +390,17 @@ class TestUsageErrors:
         assert err.startswith("usage: gsvdcap " + argv[0])
         assert err.endswith(f"gsvdcap {argv[0]}: error: {message}\n")
         assert not any(tmp_path.iterdir())
+
+    def test_negative_range_needs_the_equals_form(self, tmp_path, capsys):
+        argv = ["sweep-snr", "--nt", "3", "--nr", "2", "--ne", "2",
+                "--trials", "2", "--seed", "0", "--out", str(tmp_path)]
+        self.assert_usage_exit(argv + ["--snr-db", "-10:10:10"])
+        assert capsys.readouterr().err.endswith(
+            "error: argument --snr-db: expected one argument\n")
+        assert not any(tmp_path.iterdir())
+        assert main(argv + ["--snr-db=-10:10:10"]) == 0
+        rows = (tmp_path / "snr_aggregate.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["-10", "0", "10"]
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "x"), ("--power", "0"),

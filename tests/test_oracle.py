@@ -36,6 +36,18 @@ class TestGridMaximize:
         assert rate == pytest.approx(0.0, abs=1e-15)
         assert np.all(alloc.p <= 1e-12)
 
+    def test_no_subchannel_is_silent(self):
+        gains = SubchannelGains(c=[], d=[], a=[])
+        alloc, rate = grid_maximize(gains, budget=5.0, resolution=60)
+        assert alloc.p.shape == (0,) and alloc.mu is None
+        assert alloc.effective_power == 0.0 and rate == 0.0
+        assert type(rate) is float
+        # The argument checks still come first.
+        with pytest.raises(ValueError, match="resolution"):
+            grid_maximize(gains, budget=5.0, resolution=10)
+        with pytest.raises(ValueError, match="budget"):
+            grid_maximize(gains, budget=0.0, resolution=60)
+
     def test_matches_closed_form(self):
         worst = 0.0
         for trial in range(8):
