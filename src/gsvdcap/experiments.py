@@ -40,7 +40,7 @@ from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
                        uniform_secure_allocation)
 from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
                    _stacked_gains, gsvd, subchannel_gains)
-from .linalg import _check_int
+from .linalg import _check_int, _load_json, _opened
 
 _STREAM_HR = 0
 _STREAM_HE = 1
@@ -374,12 +374,8 @@ def _aggregates(grid, uniform, optimal):
 
 def _write_chunks(path, chunks):
     """Write an iterable of text chunks to path, in order."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with _opened(path, "w", "") as fh:
+        fh.writelines(chunks)
 
 
 def _trial_header(param_column):
@@ -446,7 +442,7 @@ def write_campaign_aggregate_csv(result, path):
 def read_trial_csv(path):
     """Read back a trial CSV written by write_csv."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with _opened(path, "r", "") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames  # None for an empty file: no rows
             records = [TrialRecord(
@@ -454,8 +450,6 @@ def read_trial_csv(path):
                 float(row["uniform_rate_bits"]), float(row["optimal_rate_bits"]),
                 int(row["q"]), int(row["dim_s1"]), int(row["dim_s2"]))
                 for row in reader]
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed trial CSV: {exc}") from exc
     if header is None:
@@ -465,13 +459,7 @@ def read_trial_csv(path):
 
 def load_config(path):
     """Read an ExperimentConfig from JSON (field names mirror the class)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    obj = _load_json(path, "config ")
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
@@ -485,9 +473,6 @@ def load_config(path):
 
 def save_config(config, path):
     """Write an ExperimentConfig as the JSON load_config reads."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(config), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write config {path}: {exc}") from exc
+    with _opened(path, "w", "config ") as fh:
+        json.dump(asdict(config), fh, indent=2)
+        fh.write("\n")

@@ -43,10 +43,17 @@ random_gains' q and seed, grid_maximize's resolution, load_matrix's rows
 and cols) passes one rule, _check_int beside the table: an integer that is
 not a bool, within a range, or a ValueError naming the field and the
 range. Nothing truncates: 1.7, 2.0, True and "3" are all refused.
+
+Every file the package reads or writes (matrices, configs, campaign CSVs)
+passes one rule too, _opened beside _check_int: UTF-8 text with
+newline="", and an OSError from the open or the body becomes one naming
+the path. _load_json adds the decode rule: bytes that are not UTF-8 or
+not JSON are a ValueError naming the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 
@@ -92,6 +99,28 @@ def _int_text(n):
     if n < 2**16 or (1 << k) - n not in (0, 1):
         return str(n)
     return f"2**{k}" if n == 1 << k else f"2**{k} - 1"
+
+
+@contextlib.contextmanager
+def _opened(path, mode, what):
+    """open(path, mode) as UTF-8 text with newline=""; an OSError from the
+    open or the body becomes "cannot read|write {what}{path}: {exc}"."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        verb = "read" if mode == "r" else "write"
+        raise OSError(f"cannot {verb} {what}{path}: {exc}") from exc
+
+
+def _load_json(path, what):
+    """The JSON value in path, read through _opened; a ValueError naming
+    path for bytes that are not UTF-8 or not JSON."""
+    with _opened(path, "r", what) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 class FactorizationError(RuntimeError):
@@ -177,13 +206,7 @@ def rank_with_tol(s, tol):
 
 def load_matrix(path):
     """Read a matrix from JSON: {"rows", "cols", "re", "im"}, row-major."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read matrix file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    obj = _load_json(path, "matrix file ")
     try:
         rows, cols = obj["rows"], obj["cols"]
         _check_int("rows", rows, 1)
@@ -206,8 +229,5 @@ def save_matrix(m, path):
         "re": m.real.ravel().tolist(),
         "im": m.imag.ravel().tolist(),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-    except OSError as exc:
-        raise OSError(f"cannot write matrix file {path}: {exc}") from exc
+    with _opened(path, "w", "matrix file ") as fh:
+        json.dump(obj, fh)

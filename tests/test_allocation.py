@@ -58,6 +58,15 @@ class TestPowerAllocation:
         with pytest.raises(ValueError):
             PowerAllocation(p=[1.0], mu=0.0, effective_power=1.0)
 
+    def test_two_dimensional_power_rejected(self):
+        with pytest.raises(ValueError, match="p must be a 1-D array"):
+            PowerAllocation(p=[[1.0]], mu=1.0, effective_power=1.0)
+
+    def test_negative_effective_power_rejected(self):
+        with pytest.raises(ValueError,
+                           match="effective_power must be nonnegative"):
+            PowerAllocation(p=[1.0], mu=1.0, effective_power=-1.0)
+
 
 class TestLargestRoot:
     def test_reference_instance(self):
@@ -173,6 +182,11 @@ class TestPowerForMu:
         gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-10])
         with pytest.raises(ValueError, match=f"mu = {mu:g}"):
             power_for_mu(gains, mu)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            power_for_mu(single_gain(), mu)
 
     def test_monotone_in_mu(self):
         gains = SubchannelGains(

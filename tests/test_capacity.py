@@ -110,6 +110,15 @@ class TestMatrixRate:
         assert matrix_rate(pair, qx) == pytest.approx(
             math.log2(3.0 * 2.0 / (1.25 * 1.5)), abs=1e-10)
 
+    def test_log_det_sign_rejects_what_the_eigenvalue_test_passes(self):
+        # min eig -1e-9 is within PSD_TOL, but det(1 + 1e10 Q) = -9: the
+        # log-det sign is the last guard. With Hr = 1 both dets are
+        # positive and equal.
+        qx = np.array([[-1e-9]])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            matrix_rate(pair_from_arrays([[1e5]], [[1.0]]), qx)
+        assert matrix_rate(pair_from_arrays([[1.0]], [[1.0]]), qx) == 0.0
+
 
 class TestClassifySubspaces:
     def test_mixed_instance(self):

@@ -8,10 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsvdcap import FactorCheck, cli, experiments, linalg, read_trial_csv
+from gsvdcap import (FactorCheck, PowerAllocation, cli, experiments, linalg,
+                     read_trial_csv)
 from gsvdcap.cli import build_parser, main, parse_range
 
 DATA = Path(__file__).resolve().parent / "data"
+README = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def assert_printed_in_readme(out):
+    """Every line of out is in README.md verbatim, as a "# " comment line
+    of a command's example."""
+    for line in out.splitlines():
+        assert f"# {line}\n" in README, line
 
 
 class TestParseRange:
@@ -30,6 +39,20 @@ class TestParseRange:
     def test_stop_not_on_grid(self):
         values = parse_range("0:0.3:1")
         assert values == pytest.approx((0.0, 0.3, 0.6, 0.9))
+
+    def test_quotient_rounding_low_adds_a_point(self):
+        # (stop + RANGE_EPS - start) / step is just under 2.
+        assert parse_range("100000:0.1:100000.2") == (
+            100000.0, 100000.1, 100000.2)
+
+    @pytest.mark.parametrize("text, count, last", [
+        ("-10:0.01:-1.0001e-12", 1000, -0.009999999999999787),
+        ("-10:0.01:-1e-12", 1001, -1e-12)])
+    def test_quotient_on_the_count_removes_a_point(self, text, count, last):
+        # The quotient is 1000.0 for both, but -10 + 1000 * 0.01 = 0 lies
+        # past stop + RANGE_EPS for the first stop: it loses that point.
+        values = parse_range(text)
+        assert (len(values), values[-1]) == (count, last)
 
     @pytest.mark.parametrize("bad", ["0:0:1", "1:2", "a:b:c", "2:1:1", "",
                                      "0:5:inf", "nan:1:2", "0:inf:1",
@@ -116,6 +139,16 @@ class TestAllocate:
                      str(tmp_path / "nope.json"), "--power", "10"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_undecodable_file_names_its_path(self, tmp_path, capsys):
+        hr, _ = identity_files(tmp_path)
+        he = tmp_path / "bytes.json"
+        he.write_bytes(b"\xff")
+        assert main(["allocate", "--hr", hr, "--he", str(he),
+                     "--power", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {he}: not valid JSON: 'utf-8' codec can't decode byte "
+            "0xff in position 0: invalid start byte\n")
 
 
 class TestSweeps:
@@ -254,11 +287,14 @@ class TestReferenceBytes:
                 for name in digests} == digests
 
     @pytest.mark.parametrize("argv, digests", README_CAMPAIGNS)
-    def test_readme_campaign_csv_digests(self, argv, digests, tmp_path):
+    def test_readme_campaign_csv_digests(self, argv, digests, tmp_path,
+                                         capsys):
         assert main(argv + ["--trials", "100", "--seed", "1",
                             "--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+        # sweep-fraction's summary line; sweep-snr prints none.
+        assert_printed_in_readme(capsys.readouterr().out)
 
     def test_unequal_variance_symbol_mode_csv_bytes(self, tmp_path):
         # Unequal variances and symbol mode, which the perfbench references
@@ -282,6 +318,17 @@ class TestReferenceBytes:
         for name in ("snr_trials.csv", "snr_aggregate.csv"):
             assert ((tmp_path / name).read_bytes()
                     == (DATA / "snr_wide" / name).read_bytes())
+
+
+class TestReadmeOutput:
+    @pytest.mark.parametrize("command", [
+        "gsvd-check --nt 4 --nr 3 --ne 3 --trials 20 --seed 7",
+        "oracle-verify --q 3 --trials 10 --budget 10 --seed 5 --resolution 60",
+    ], ids=["gsvd-check", "oracle-verify"])
+    def test_printed_lines_are_in_readme(self, command, capsys):
+        assert f"gsvdcap {command}\n" in README
+        assert main(command.split()) == 0
+        assert_printed_in_readme(capsys.readouterr().out)
 
 
 class TestParserReuse:
@@ -330,6 +377,17 @@ class TestOracleVerify:
                          "--resolution", "60"]) == 0
         out = capsys.readouterr().out.encode()
         assert out == (DATA / "oracle_verify.txt").read_bytes()
+
+    def test_silent_closed_form_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_mu", lambda gains, budget:
+                            PowerAllocation(p=np.zeros(len(gains.c)), mu=None,
+                                            effective_power=0.0))
+        assert main(["oracle-verify", "--q", "2", "--trials", "2",
+                     "--budget", "10", "--seed", "5",
+                     "--resolution", "50"]) == 1
+        assert capsys.readouterr().err == (
+            "verification failed: worst deviation 1.098e+00, 1 instances "
+            "where the grid beat the closed form\n")
 
 
 class TestUsageErrors:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsvdcap import (ExperimentConfig, SubchannelGains, grid_maximize, linalg,
-                     random_gains, sample_channel)
+                     load_config, random_gains, read_trial_csv, sample_channel,
+                     save_config, write_csv)
 
 
 def seeded(rows, cols, seed):
@@ -96,6 +97,9 @@ class TestRankWithTol:
 
     def test_full_rank(self):
         assert linalg.rank_with_tol(np.array([3.0, 2.0, 1.0]), 1e-9) == 3
+
+    def test_empty(self):
+        assert linalg.rank_with_tol(np.array([]), 1e-9) == 0
 
 
 class TestMatrixIo:
@@ -207,3 +211,47 @@ class TestIntegerRule:
         message = f"n must be an integer {text}, got -1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             linalg._check_int("n", -1, 0, hi)
+
+
+# Every function that opens a path: (what its OSError says it could not do,
+# call(path)). _write_chunks serves all four CSV writers.
+FILE_SITES = {
+    "load_matrix": ("read matrix file", linalg.load_matrix),
+    "save_matrix": ("write matrix file",
+                    lambda path: linalg.save_matrix(np.eye(1), path)),
+    "load_config": ("read config", load_config),
+    "save_config": ("write config",
+                    lambda path: save_config(ExperimentConfig(**CONFIG), path)),
+    "read_trial_csv": ("read", read_trial_csv),
+    "write_csv": ("write", lambda path: write_csv([], path, "rho")),
+}
+
+
+class TestFileRule:
+    """linalg._opened and _load_json, the one file rule: every failure
+    names the path."""
+
+    @pytest.mark.parametrize("site", FILE_SITES)
+    def test_missing_directory_names_the_path(self, site, tmp_path):
+        action, call = FILE_SITES[site]
+        path = tmp_path / "absent" / "f"
+        with pytest.raises(OSError, match=(
+                f"^cannot {action} {re.escape(str(path))}: \\[Errno 2\\] ")):
+            call(path)
+
+    def test_error_in_the_body_names_the_path(self, tmp_path):
+        path = tmp_path / "f.csv"
+        with pytest.raises(OSError,
+                           match=f"^cannot write {re.escape(str(path))}: boom$"):
+            with linalg._opened(path, "w", ""):
+                raise OSError("boom")
+
+    @pytest.mark.parametrize("load", [linalg.load_matrix, load_config],
+                             ids=["load_matrix", "load_config"])
+    def test_undecodable_bytes_name_the_path(self, load, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff{")
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: not valid JSON: "
+                "'utf-8' codec can't decode byte 0xff in position 0")):
+            load(path)
