@@ -37,9 +37,12 @@ the replay ends at the ulp exit with a best gap that a skipped midpoint
 could have beaten, the loop runs again with no anchors. Either way p, mu and
 the effective power equal the full bisection's bit for bit: anchors only
 place evaluations. _solve_batch does the same over the rows of a batch:
-anchors for every row at once, then one replay in which a decided step costs
-a few comparisons on (n,) arrays and each evaluation round is one power
-evaluation over every row, whose results only the open rows keep.
+anchors for every row at once, then one replay of the rows with both
+anchors, in which a decided step costs a few comparisons on (n,) arrays and
+each evaluation round is one power evaluation over every row, whose results
+only the open rows keep. A row that this does not settle (an anchor
+missing, a window of 8 ulp or less, a bracket candidate inside the window,
+or the ulp exit) takes solve_mu itself.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gsvd import _check_gains
+from .gsvd import SubchannelGains, _check_gains
 
 LN2 = math.log(2.0)
 # Bracketing halves mu from mu_hi = max (c - d)/a at most k times. Then every
@@ -469,50 +472,46 @@ def _batch_anchors(c, d, gains, budgets, mu_hi, live):
     return x_lo * (1.0 - _SEP), x_hi * (1.0 + _SEP), np.minimum(gap_lo, gap_hi)
 
 
-def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
-    """_replay over the live rows of a batch: each row's bracket and
+def _replay_batch(gains, budgets, mu_hi, anchored, x_lo, x_hi):
+    """_replay over the anchored rows of a batch: each row's bracket and
     bisection, using power only strictly between its x_lo and x_hi.
 
     A point at or below x_lo is decided as over the budget and one at or
     above x_hi as under it, by comparison alone, in place on (n,) arrays;
-    x_lo < x_hi, since no point is both (see _SEP).
-    A row whose point lies inside its window does not move: it waits there
-    until every row waits, and then one evaluation round runs: power is
-    evaluated once over every row, at mu_hi on the rows that are not open
-    (where every power is finite), and each open row takes its result
-    through a mask. So decided steps run in unchecked blocks of _BLOCK, and
-    an evaluation round is one _batch_power call with no gathers. A closed
-    row is parked at x_lo = 0.0 and x_hi = inf, where no step is decided,
-    and no result is taken for it again. A decided step keeps [x_lo, x_hi]
-    inside the bracket, so while lo <= x_lo < x_hi <= hi and
-    x_hi - x_lo > 8 ulp(x_hi) the collapse rule hi - lo <= 4 ulp(mid)
-    cannot fire on it: mid below 2 x_hi has an ulp of at most 2 ulp(x_hi),
-    and one above it leaves a bracket of over mid / 2. Only the other rows
-    check the rule on decided steps; every evaluated step checks it.
+    x_lo < x_hi, since no point is both (see _SEP), and the caller anchors
+    only rows with x_hi - x_lo > 8 ulp(x_hi). The bracket halves mu from
+    mu_hi while its candidate is decided as under; a row whose candidate
+    then lies above x_lo (it would need an evaluation) or that passed
+    _HALVING_CAP (solve_mu raises there) is parked for the caller.
+    In the bisection a row whose midpoint lies inside its window does not
+    move: it waits there until every row waits, and then one evaluation
+    round runs: power is evaluated once over every row, at mu_hi on the
+    rows that are not open (where every power is finite), and each open row
+    takes its result through a mask. So decided steps run in unchecked
+    blocks of _BLOCK, and an evaluation round is one _batch_power call with
+    no gathers. A closed row is parked at x_lo = 0.0 and x_hi = inf, where
+    no step is decided, and no result is taken for it again. A decided step
+    keeps [x_lo, x_hi] inside the bracket, so while lo <= x_lo < x_hi <= hi
+    the collapse rule hi - lo <= 4 ulp(mid) cannot fire on it: mid below
+    2 x_hi has an ulp of at most 2 ulp(x_hi), and one above it leaves a
+    bracket of over mid / 2. Only the other rows check the rule on decided
+    steps; every evaluated step checks it.
     Returns (mu, gap): each row's best-gap midpoint and its gap, mu_hi and
-    inf on rows that are not live or never evaluated. With x_lo = 0.0 and
-    x_hi = inf every point is evaluated: the full bisection.
+    inf on rows that are not anchored, parked in the bracket or never
+    evaluated.
     """
-    x_lo = np.where(live, x_lo, 0.0)
-    x_hi = np.where(live, x_hi, math.inf)
+    x_lo = np.where(anchored, x_lo, 0.0)
+    x_hi = np.where(anchored, x_hi, math.inf)
     n = budgets.size
     move, over, under = (np.empty(n, dtype=bool) for _ in range(3))
-
-    def radiated(mu):
-        return _batch_power(*gains, np.where(open_, mu, mu_hi))[1]
 
     def park(mask):
         open_[mask] = False
         x_lo[mask], x_hi[mask] = 0.0, math.inf
 
-    # Bracket: halve mu from mu_hi until the power reaches the budget. A
-    # candidate at or above x_hi is halved again, one at or below x_lo has
-    # reached it. A row whose candidate reached zero or passed the cap is
-    # unreachable; a row halved past that point stays so.
-    lo = np.where(live, 0.5 * mu_hi, mu_hi)
-    halvings = live.astype(int)
-    open_ = live.copy()
-    unreachable = np.zeros(n, dtype=bool)
+    # Bracket: halve mu from mu_hi while the candidate is at or above x_hi.
+    lo = np.where(anchored, 0.5 * mu_hi, mu_hi)
+    halvings = anchored.astype(int)
     while True:
         for k in range(_BLOCK):
             np.greater_equal(lo, x_hi, out=move)
@@ -520,35 +519,23 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
             halvings += move
             if k == 0 and not move.any():
                 break
-        stuck = open_ & ((lo == 0.0) | (halvings > _HALVING_CAP))
-        unreachable |= stuck
-        park(stuck)
-        if move.any():
-            continue
-        open_ &= lo > x_lo
-        if not open_.any():
+        if not move.any():
             break
-        open_ &= radiated(lo) < budgets
-        np.multiply(lo, 0.5, out=lo, where=open_)
-        halvings += open_
-    if unreachable.any():
-        raise ValueError(
-            f"power budget {float(budgets[np.argmax(unreachable)]):g} is "
-            "beyond what any representable multiplier reaches on these gains")
+    open_ = anchored & (lo <= x_lo) & (halvings <= _HALVING_CAP)
+    park(anchored & ~open_)
 
     # Bisect each row's bracket, keeping its best midpoint.
     cap = halvings + _BISECT_EXTRA
     steps = np.zeros(n, dtype=int)
-    open_, hi = live.copy(), mu_hi.copy()
+    hi = mu_hi.copy()
     mu, best_gap = mu_hi.copy(), np.full(n, math.inf)
     tol = linalg.BUDGET_TOL * budgets
     mid = np.empty(n)
-    wide = x_hi - x_lo > 8.0 * np.spacing(x_hi)
     while open_.any():
         room = np.min(cap[open_] - steps[open_])
         if room <= 0:
             raise RuntimeError("power-budget bisection failed to converge")
-        watch = open_ & ~((lo <= x_lo) & (x_hi <= hi) & wide)
+        watch = open_ & ~((lo <= x_lo) & (x_hi <= hi))
         watched = watch.any()
         for k in range(min(_BLOCK, room)):
             np.add(lo, hi, out=mid)
@@ -565,7 +552,7 @@ def _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi):
                 break
         if move.any():
             continue
-        total = radiated(mid)
+        total = _batch_power(*gains, np.where(open_, mid, mu_hi))[1]
         gap = np.abs(total - budgets)
         better = open_ & (gap < best_gap)
         np.copyto(mu, mid, where=better)
@@ -586,14 +573,15 @@ def _solve_batch(c, d, a, budgets):
 
     Rows must be gains that SubchannelGains accepts and budgets positive
     and finite. The rows follow solve_mu's design together: batched anchors
-    (_batch_anchors), one batched replay of the bracket and the bisection
-    that uses power only inside each row's anchor window (_replay_batch),
-    and a replay with no anchors of the rows whose best gap does not beat
-    their anchors' (the ulp exit). So p, mu and the effective power equal
-    solve_mu's bit for bit. Returns (p, mu, effective), shaped (n, q),
-    (n,), (n,). A row that solve_mu would reject raises its error: the
-    first unreachable budget's ValueError before any bisection's
-    RuntimeError.
+    (_batch_anchors), then one batched replay of the bracket and the
+    bisection on the rows with both anchors, using power only inside each
+    row's anchor window (_replay_batch). A row that this does not settle
+    takes solve_mu itself: it lacks an anchor, its anchors are 8 ulp apart
+    or less, its bracket needs an evaluation, or its best gap does not beat
+    its anchors' (the ulp exit).
+    So p, mu and the effective power equal solve_mu's bit for bit. Returns
+    (p, mu, effective), shaped (n, q), (n,), (n,). A row that solve_mu
+    would reject raises its error.
     """
     cd, fcd, a_den = _terms(c, d, a)
     gains = (cd, fcd, a_den, a)
@@ -603,16 +591,14 @@ def _solve_batch(c, d, a, budgets):
     mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
 
     x_lo, x_hi, anchor_gap = _batch_anchors(c, d, gains, budgets, mu_hi, live)
-    mu, best_gap = _replay_batch(gains, budgets, mu_hi, live, x_lo, x_hi)
-    # The full bisection runs on the ulp-exit rows alone: each of its
-    # evaluation rounds costs every row it is given.
-    again = np.flatnonzero(live & ~(best_gap < anchor_gap))
-    if again.size:
-        k = again.size
-        mu[again] = _replay_batch(tuple(g[again] for g in gains),
-                                  budgets[again], mu_hi[again],
-                                  np.ones(k, dtype=bool), np.zeros(k),
-                                  np.full(k, math.inf))[0]
+    # Anchors are about 2 _SEP apart, far above 8 ulp, except where they
+    # are subnormal: there a decided step could pass the collapse rule.
+    anchored = (live & (x_lo > 0.0) & (x_hi < math.inf)
+                & (x_hi - x_lo > 8.0 * np.spacing(x_hi)))
+    mu, best_gap = _replay_batch(gains, budgets, mu_hi, anchored, x_lo, x_hi)
+    for r in np.flatnonzero(live & ~(best_gap < anchor_gap)):
+        mu[r] = solve_mu(SubchannelGains(c[r], d[r], a[r]),
+                         float(budgets[r])).mu
     p, effective = _batch_power(*gains, mu)
     return p, mu, effective
 

@@ -260,14 +260,16 @@ def _draw(config, trials):
 
 
 def _run_campaign(config, grid, uniform_rates, budgets):
-    """Factor the trials and take their uniform-baseline rates over the
-    grid chunk by chunk, then solve the optimum at each of budgets for
-    every trial in batches.
+    """Factor the trials chunk by chunk, solve the optimum at each of
+    budgets for every trial in batches, then take the uniform-baseline
+    rates over the grid chunk by chunk.
 
     uniform_rates(c, d, a) returns the uniform-baseline rates of a chunk of
     trials, from their (trials, q) gains: one row per trial, one column per
-    grid point. The optimum has one column per budget. The S1/S2 masks are
-    taken once, over every trial, for dim_s1 and dim_s2.
+    grid point. The optimum has one column per budget, and is solved before
+    the baselines so that a budget no multiplier reaches fails before a
+    baseline overflows on it. The S1/S2 masks are taken once, over every
+    trial, for dim_s1 and dim_s2.
     """
     trials = config.trials
     q = min(config.n_t, config.n_r + config.n_e)
@@ -285,8 +287,10 @@ def _run_campaign(config, grid, uniform_rates, budgets):
             error.args = (f"trial {rows[bad]}: {error}",)
             raise error
         c[rows], d[rows], a[rows] = gains
-        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows])
     optimal = _optimal_rates(c, d, a, budgets)
+    for start in range(0, trials, chunk):
+        rows = slice(start, start + chunk)
+        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows])
     s1, s2 = _subspace_masks(c, d)
     columns = _aggregates(grid, uniform, optimal)
     return CampaignResult(

@@ -25,8 +25,9 @@ from gsvdcap import (
     subchannel_gains,
 )
 
-from gsvdcap import allocation
+from gsvdcap import allocation, experiments
 from gsvdcap.allocation import _solve_batch
+from gsvdcap.gsvd import _stacked_gains
 
 from conftest import gains_st, random_pair
 
@@ -433,12 +434,14 @@ def batch_outcome(c, d, a, budgets):
 
 
 def full_batch_outcome(c, d, a, budgets):
-    """batch_outcome with no batch anchors: every midpoint of every row's
-    bracket and bisection is evaluated."""
+    """batch_outcome with no anchors, batched or scalar: every midpoint of
+    every row's bracket and bisection is evaluated."""
     n = budgets.size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(allocation, "_batch_anchors", lambda *args: (
             np.zeros(n), np.full(n, math.inf), np.full(n, math.inf)))
+        mp.setattr(allocation, "_anchors",
+                   lambda *args: (0.0, math.inf, math.inf))
         return batch_outcome(c, d, a, budgets)
 
 
@@ -494,6 +497,18 @@ class TestBatchSolve:
         assert mu[0] == alloc.mu
         assert effective[0] == alloc.effective_power
 
+    @pytest.mark.parametrize("budget", [1e307, 1e308])
+    def test_subnormal_anchor_windows_equal_solve_mu(self, budget):
+        # The root lies below 1e-314, where the anchors are 8 ulp apart or
+        # less: a decided step could then pass the collapse rule unchecked.
+        gains = single_gain(0.5 + 2.0 ** -20, a=1e305)
+        p, mu, effective = _solve_batch(gains.c[None], gains.d[None],
+                                        gains.a[None], np.array([budget]))
+        alloc = solve_mu(gains, budget)
+        assert np.array_equal(p[0], alloc.p)
+        assert mu[0] == alloc.mu < 1e-314
+        assert effective[0] == alloc.effective_power
+
     def test_unreachable_budget_named(self):
         # Row 1 is TestSolveMu's unreachable case; row 0 solves.
         c = np.array([[0.8], [0.8]])
@@ -512,11 +527,11 @@ class TestBatchSolve:
             min_size=len(rows), max_size=len(rows))))
         assert_batch_same_as_full_bisection(*stack(rows), budgets)
 
-    def test_only_ulp_exit_rows_run_again(self, monkeypatch):
+    def test_unsettled_rows_take_solve_mu(self, monkeypatch):
         # Rows 0 and 1 are TestSkipAhead's ulp exit (c = 0.8, d = 0.2,
         # a = 1, padded with silent entries) at 1e-100 and 1e-17; row 2 has
-        # no secure entry; rows 3-5 are the extreme column powers; row 6 is
-        # an ordinary row.
+        # no secure entry; rows 3-5 are the extreme column powers, which
+        # get no batch anchors; row 6 is an ordinary row.
         ulp = SubchannelGains(c=[0.8, 0.3, 0.3, 0.3, 0.3],
                               d=[0.2, 0.7, 0.7, 0.7, 0.7], a=[1.0] * 5)
         c = np.array([0.6, 0.7, 0.8, 0.9, 0.95])
@@ -528,18 +543,19 @@ class TestBatchSolve:
                 extreme, extreme, extreme,
                 SubchannelGains(c=c, d=1.0 - c, a=[0.5, 1.0, 2.0, 1.0, 3.0])]
         budgets = np.array([1e-100, 1e-17, 1.0, 1.49e-85, 1.0, 1e10, 10.0])
-        replayed = []
-        replay = allocation._replay_batch
+        solved = []
+        scalar = allocation.solve_mu
 
-        def counted(*args):
-            replayed.append(np.flatnonzero(args[3]).tolist())
-            return replay(*args)
+        def counted(gains, budget):
+            solved.append(budget)
+            return scalar(gains, budget)
 
-        monkeypatch.setattr(allocation, "_replay_batch", counted)
+        monkeypatch.setattr(allocation, "solve_mu", counted)
         p, mu, effective = assert_batch_same_as_full_bisection(*stack(rows),
                                                                budgets)
-        # Anchored, again without anchors, and the reference's one replay.
-        assert replayed == [[0, 1, 3, 4, 5, 6], [0, 1], [0, 1, 3, 4, 5, 6]]
+        # Rows 0, 1, 3, 4 and 5, then every live row for the reference.
+        assert solved == ([1e-100, 1e-17, 1.49e-85, 1.0, 1e10]
+                          + [1e-100, 1e-17, 1.49e-85, 1.0, 1e10, 10.0])
         for r, gains in enumerate(rows):
             alloc = solve_mu(gains, budgets[r])
             assert np.array_equal(p[r], alloc.p)
@@ -560,13 +576,14 @@ class TestBatchSolve:
 
 
 class TestBatchEvaluationCount:
-    """Exact _batch_power calls and rows per campaign solve. The full
+    """Exact _batch_power calls and rows per campaign solve. A batched full
     bisection takes 76 calls of 35 rows on the S5 batch and 53 of 10 on
-    the F10 one, so a silent fall-back to it fails here."""
+    the F10 one, and solve_mu on every row takes 2, so a silent fall-back
+    to either fails here."""
 
-    def counted_run(self, monkeypatch, run, config):
-        """Run a campaign; return its _batch_power row counts, having
-        checked that every live row found both anchors at the first width."""
+    def counted_power(self, monkeypatch):
+        """The list to which every later _batch_power call appends its row
+        count."""
         sizes = []
         power = allocation._batch_power
 
@@ -574,6 +591,13 @@ class TestBatchEvaluationCount:
             sizes.append(mu.size)
             return power(cd, fcd, a_den, a, mu)
 
+        monkeypatch.setattr(allocation, "_batch_power", counted)
+        return sizes
+
+    def counted_run(self, monkeypatch, run, config):
+        """Run a campaign; return its _batch_power row counts, having
+        checked that every live row found both anchors at the first width."""
+        sizes = self.counted_power(monkeypatch)
         windows = []
         anchors = allocation._batch_anchors
 
@@ -582,7 +606,6 @@ class TestBatchEvaluationCount:
             windows.append((x_lo[live], x_hi[live]))
             return x_lo, x_hi, gap
 
-        monkeypatch.setattr(allocation, "_batch_power", counted)
         monkeypatch.setattr(allocation, "_batch_anchors", recorded)
         run(config)
         # A first-width window is at most est / (1 + w) to est (1 + w),
@@ -614,6 +637,54 @@ class TestBatchEvaluationCount:
             n_t=4, n_r=4, n_e=4, trials=20, seed=0,
             snr_db_grid=tuple(range(-60, 91, 10))))
         assert (len(sizes), sum(sizes)) == (24, 8000)
+
+    def test_row_without_anchors_adds_no_batch_rounds(self, monkeypatch):
+        # S5's 35 rows and one whose column powers span 222 decades: it gets
+        # no batch anchors and takes solve_mu alone. A batched full
+        # bisection of that row makes 374 calls over 13 290 rows.
+        config = ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=5,
+                                  snr_db_grid=(0, 5, 10, 15, 20, 25, 30))
+        budgets = experiments._snr_budgets(config.snr_db_grid)
+        _, *gains = _stacked_gains(experiments._draw(config, np.arange(5)),
+                                   config.n_r)
+        extreme = SubchannelGains(c=[0.7, 0.8, 0.9, 0.95],
+                                  d=[0.3, 0.2, 0.1, 0.05],
+                                  a=[1e-50, 1.0, 1e80, 1.3e172])
+        c, d, a = (np.vstack([np.repeat(x, budgets.size, axis=0),
+                              getattr(extreme, name)])
+                   for x, name in zip(gains, "cda"))
+        sizes = self.counted_power(monkeypatch)
+        p, mu, effective = _solve_batch(c, d, a,
+                                        np.append(np.tile(budgets, 5), 1.0))
+        assert (len(sizes), sum(sizes)) == (11, 222)
+        alloc = solve_mu(extreme, 1.0)
+        assert np.array_equal(p[-1], alloc.p)
+        assert mu[-1] == alloc.mu
+        assert effective[-1] == alloc.effective_power
+
+    def test_undecided_bracket_takes_solve_mu(self, monkeypatch):
+        # Row 0 radiates exactly its budget at mu_hi / 2, the bracket's
+        # first candidate, which lies inside its anchor window; row 1 is an
+        # ordinary row. An evaluated bracket round makes 7 calls over 16.
+        solved = []
+        scalar = allocation.solve_mu
+
+        def counted(gains, budget):
+            solved.append(gains.c.tolist())
+            return scalar(gains, budget)
+
+        monkeypatch.setattr(allocation, "solve_mu", counted)
+        sizes = self.counted_power(monkeypatch)
+        c = np.array([[1.0], [0.8]])
+        p, mu, effective = _solve_batch(c, 1.0 - c, np.ones((2, 1)),
+                                        np.ones(2))
+        assert solved == [[1.0]]
+        assert (len(sizes), sum(sizes)) == (5, 12)
+        for r in range(2):
+            alloc = scalar(single_gain(c[r, 0]), 1.0)
+            assert np.array_equal(p[r], alloc.p)
+            assert mu[r] == alloc.mu
+            assert effective[r] == alloc.effective_power
 
 
 class TestInputCovariance:

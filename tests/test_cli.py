@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +238,21 @@ class TestSweeps:
         name = argv[0].removeprefix("sweep-") + "_aggregate.csv"
         assert ((tmp_path / name).read_bytes()
                 == (tmp_path / "rows.csv").read_bytes())
+
+    def test_unreachable_budget_is_one_error_line(self, tmp_path):
+        # Out of process, so that stderr is what a user sees, with no
+        # warning filter of the test session in between.
+        env = dict(os.environ, PYTHONPATH=str(DATA.parents[1] / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        run = subprocess.run(
+            [sys.executable, "-m", "gsvdcap.cli", "sweep-fraction", "--nt",
+             "3", "--nr", "2", "--ne", "2", "--power", "1e308", "--rho-grid",
+             "0:0.5:1", "--trials", "2", "--seed", "1", "--out",
+             str(tmp_path / "out")], capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert run.stderr == (
+            "error: power budget 1e+308 is beyond what any representable "
+            "multiplier reaches on these gains\n")
 
     def test_snr_sweep_at_300_db(self, tmp_path):
         # Budget 1e30: the multiplier bracket needs over 200 halvings.
