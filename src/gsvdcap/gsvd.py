@@ -266,6 +266,11 @@ def _gains(cdiag, ddiag, a):
     low = c < 0.5
     d = np.where(low, d, 1.0 - c)
     c = np.where(low, 1.0 - d, c)
+    # A direction the eavesdropper cannot hear gets exactly c = 1 and d = 0,
+    # not the 1 - c that a cosine a rounding short of 1 would leave.
+    null = ddiag == 0.0
+    c = np.where(null, 1.0, c)
+    d = np.where(null, 0.0, d)
     # Snap noise-level ties to an exact draw. Both parties hearing a
     # direction equally well (identical channels, for instance) must not
     # let sub-ulp ordering noise mark it secure: a tie carries no secrecy

@@ -11,7 +11,7 @@ one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
 take it.
 
 Every threshold the package applies on its own (to count rank, classify
-a direction, stop the budget bisection or accept an input) is defined
+a direction, stop the budget search or accept an input) is defined
 once, in the table below, and read from here by the module that applies
 it. Each entry says what it compares, against what, and whether it is
 absolute or relative. Three known defects each sit on one entry; each fix
@@ -22,9 +22,9 @@ changes outputs, so none is made yet:
   about 3.2e-5. A direction in between (Hr 3x3 and He 1e-6 times one right
   singular vector of Hr give ddiag 3e-7) stays live in Psi_e but is counted
   in S1 as eavesdropper-null.
-- BUDGET_TOL is relative, and solve_mu overshoots budgets below what the
-  closed form resolves: on c = 0.8, d = 0.2, a = 1 a budget of 1e-14 ends
-  at 9.77e-15 and one of 1e-17 at 4.44e-16.
+- BUDGET_TOL is relative, and solve_mu misses budgets below what the
+  closed form resolves next to mu_hi: on c = 0.8, d = 0.2, a = 1 a budget
+  of 1e-14 ends at 9.99e-15 and one of 1e-17 at 2.22e-16.
 - NULLSPACE_TOL cuts between near-equal norms on a weak eavesdropper:
   with Hr = I3 and He = s times two orthonormal rows, every cosine rounds
   to 1 and the receiver block's SVD spreads the eavesdropper's energy over
@@ -33,9 +33,8 @@ changes outputs, so none is made yet:
 
 Not in the table: pass/fail limits a caller chooses (FactorCheck.passed's
 and KktReport.passed's tol, gsvd-check's --tol, oracle-verify's limits),
-and the anchor search of solve_mu and _solve_batch: its first width
-(allocation._WIDTH, derived from BUDGET_TOL), its widening and its Newton
-stop place evaluations but change no result.
+and the budget search's stop on a step of 4 ulp (allocation._FOUR_ULP),
+which is the resolution of a double, not a choice.
 
 Every count or index the package takes from outside (ExperimentConfig's
 dimensions, trials and seed, sample_channel's and random_gains' trial,
@@ -74,7 +73,7 @@ ORDER_SLACK = 1e-12  # abs: allowed step against cdiag's ascent, ddiag's descent
 HERMITIAN_TOL = 1e-8  # rel: ||Q - Q^H||_F to max(1, ||Q||_F)
 PSD_TOL = 1e-8  # rel: accept min eig(Q) >= -PSD_TOL * max(1, ||Q||_F)
 # Power allocation and its oracle (solve_mu, _solve_batch, oracle):
-BUDGET_TOL = 1e-10  # rel: bisection stops at |sum a p - P| <= BUDGET_TOL * P
+BUDGET_TOL = 2.0 ** -50  # rel: the solve stops at |sum a p - P| <= BUDGET_TOL * P
 BUDGET_SLACK = 1e-12  # rel: grid points radiating up to P (1 + slack) count
 ACTIVE_EPS = 1e-15  # abs: kkt_check's power above it is active, at most it zero
 KKT_SLACK = 1e-6  # rel: an inactive marginal may exceed mu by this fraction

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -298,94 +299,92 @@ def solve_outcome(gains, budget):
     return alloc.p, alloc.mu, alloc.effective_power
 
 
-def full_bisection_outcome(gains, budget):
-    """solve_outcome of the same loop with no anchors: every midpoint of the
-    bracket and the bisection is evaluated."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocation, "_anchors",
-                   lambda *args: (0.0, math.inf, math.inf))
-        return solve_outcome(gains, budget)
+def counted_solves(monkeypatch):
+    """The list to which every later solve_mu evaluation appends its mu."""
+    evaluated = []
+    power = allocation._power
+
+    def counted(secure, a, cd, mu):
+        evaluated.append(mu)
+        return power(secure, a, cd, mu)
+
+    monkeypatch.setattr(allocation, "_power", counted)
+    return evaluated
 
 
-def assert_same_as_full_bisection(gains, budget):
-    got = solve_outcome(gains, budget)
-    want = full_bisection_outcome(gains, budget)
-    if isinstance(want[0], type):
-        assert got == want
-    else:
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1] and got[2] == want[2]
-    return got
+def assert_root(gains, budget, alloc):
+    """alloc's mu is the root to working precision: power at 2**-48 of mu
+    (16 to 32 ulp) below it reaches the budget, and power as far above it
+    does not exceed the budget."""
+    step = 16.0 * sys.float_info.epsilon * alloc.mu
+    assert power_for_mu(gains, alloc.mu - step).effective_power >= budget
+    assert power_for_mu(gains, alloc.mu + step).effective_power <= budget
 
 
-class TestSkipAhead:
-    """The skip-ahead solve_mu against its own loop run with no anchors."""
+class TestNewtonSolve:
+    """Where solve_mu's Newton iteration on 1/mu stops, and what it
+    returns there."""
 
     @settings(max_examples=200, derandomize=True)
     @given(gains=gains_st(),
            log_budget=st.floats(min_value=-9.0, max_value=29.0))
-    def test_equals_full_bisection(self, gains, log_budget):
-        assert_same_as_full_bisection(gains, 10.0 ** log_budget)
+    def test_meets_the_budget_or_resolves_the_root(self, gains, log_budget):
+        budget = 10.0 ** log_budget
+        alloc = solve_mu(gains, budget)
+        if alloc.effective_power > 0.0:  # else nothing is secure
+            assert_root(gains, budget, alloc)
 
-    def test_ulp_exit_runs_again_without_anchors(self, monkeypatch):
-        # No double near mu_hi radiates 1e-100, so the bracket collapses to
-        # the ulp with every gap above the tolerance; a skipped midpoint
-        # could have had the best gap, so the loop runs again.
-        calls = []
-        replay = allocation._replay
+    def test_tiny_budget_ends_below_the_top_threshold(self, monkeypatch):
+        # No double radiates 1e-100: the largest one below mu_hi = c - d
+        # radiates the smallest positive power, 2**-52, and the search
+        # closes in on it from the start level mu_hi / 2.
+        evaluated = counted_solves(monkeypatch)
+        alloc = solve_mu(single_gain(), 1e-100)
+        assert alloc.mu == math.nextafter(0.8 - 0.2, 0.0)
+        assert alloc.effective_power == 2.0 ** -52
+        assert len(evaluated) == 28
 
-        def counted(*args):
-            calls.append(args[3:])
-            return replay(*args)
-
-        monkeypatch.setattr(allocation, "_replay", counted)
-        got = assert_same_as_full_bisection(single_gain(), 1e-100)
-        assert got[2] > 0.0
-        assert len(calls) == 3  # anchored, again without, and the reference
-        assert calls[0] != () and calls[1] == ()
-
-    def test_unreachable_budget_matches(self):
+    def test_unreachable_budget_raises_at_the_floor(self, monkeypatch):
+        # With a = 1e-300 the largest finite root radiates far below 1e10.
+        # The start level lies below the floor mu_hi 2**-_HALVING_CAP, so
+        # the floor is the one point evaluated.
+        evaluated = counted_solves(monkeypatch)
         gains = SubchannelGains(c=[0.8], d=[0.2], a=[1e-300])
-        got = assert_same_as_full_bisection(gains, 1e10)
-        assert got[0] is ValueError and "1e+10" in got[1]
+        with pytest.raises(ValueError, match="1e\\+10"):
+            solve_mu(gains, 1e10)
+        assert evaluated == [math.ldexp((0.8 - 0.2) / 1e-300,
+                                        -allocation._HALVING_CAP)]
 
-    def test_wide_scales_match(self):
+    def test_wide_scales_resolve_the_root(self):
         gains = SubchannelGains(c=[1.0, 0.9, 0.5, 0.7], d=[0.0, 0.1, 0.5, 0.3],
                                 a=[1e-3, 1e3, 1.0, 1e-250])
-        for budget in (1e-300, 1e-9, 1.0, 1e29, 1e300):
-            assert_same_as_full_bisection(gains, budget)
+        for budget in (1e-300, 1e-9, 1.0, 1e29):
+            alloc = solve_mu(gains, budget)
+            assert np.array_equal(alloc.p, power_for_mu(gains, alloc.mu).p)
+            assert_root(gains, budget, alloc)
+        with pytest.raises(ValueError, match="1e\\+300"):
+            solve_mu(gains, 1e300)
 
 
 class TestEvaluationCount:
-    """Exact power evaluations per solve. The full bisection needs 37 to 75
-    on these, so a silent fall-back to it fails here. The two small budgets
-    put the root near the last threshold, far from the water-filling start
-    of the anchor estimate."""
+    """Exact power evaluations per solve. A bisection of mu needs 37 to 75
+    on these, so a slower search fails here. The two small budgets put the
+    root near the last threshold, far from the water-filling start level;
+    the tall pair's secure entries are all water-filling ones (d = 0), so
+    its start level is the root."""
 
     def test_readme_and_allocate_shapes(self, monkeypatch):
-        evaluated = []
-        curve = allocation._power_curve
-
-        def counted_curve(gains):
-            power = curve(gains)
-
-            def counted(mu):
-                evaluated.append(mu)
-                return power(mu)
-
-            return counted
-
-        monkeypatch.setattr(allocation, "_power_curve", counted_curve)
+        evaluated = counted_solves(monkeypatch)
         # The README's library example.
         rng = np.random.default_rng(0)
         hr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         he = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
         readme = subchannel_gains(gsvd(ChannelPair(hr, he)))
         tall = subchannel_gains(gsvd(random_pair(8, 3, 2, seed=1)))
-        cases = [(readme, 1.0, 5), (readme, 100.0, 5), (readme, 1e4, 5),
-                 (tall, 10.0, 5),
-                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 5),
-                 (readme, 1e-3, 13), (tall, 1e-4, 11)]
+        cases = [(readme, 1.0, 4), (readme, 100.0, 5), (readme, 1e4, 4),
+                 (tall, 10.0, 1),
+                 (subchannel_gains(gsvd(random_pair(4, 6, 6, seed=2))), 1e3, 8),
+                 (readme, 1e-3, 4), (tall, 1e-4, 4)]
         counts = []
         for gains, budget, _ in cases:
             evaluated.clear()
@@ -403,7 +402,7 @@ class TestAllocateBits:
     # perfbench's allocate shapes (n_t, n_r, n_e) and budgets in dB.
     SHAPES = ((2, 2, 2), (4, 4, 4), (8, 8, 6), (8, 3, 2), (4, 6, 6))
     BUDGETS_DB = (0, 5, 10, 15, 20, 25, 30)
-    DIGEST = "7a21c45fa93b8f257b43bd1f4a0773281837293f30bb975ba668e54dca937699"
+    DIGEST = "e75297faa98439dfb5e367733250109aa5ecd1f7eb07a962b08042e1a3ec2bb8"
 
     def test_factors_gains_and_solves_are_pinned(self):
         digest = hashlib.sha256()
@@ -433,36 +432,12 @@ def batch_outcome(c, d, a, budgets):
         return type(exc), str(exc)
 
 
-def full_batch_outcome(c, d, a, budgets):
-    """batch_outcome with no anchors, batched or scalar: every midpoint of
-    every row's bracket and bisection is evaluated."""
-    n = budgets.size
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(allocation, "_batch_anchors", lambda *args: (
-            np.zeros(n), np.full(n, math.inf), np.full(n, math.inf)))
-        mp.setattr(allocation, "_anchors",
-                   lambda *args: (0.0, math.inf, math.inf))
-        return batch_outcome(c, d, a, budgets)
-
-
-def assert_batch_same_as_full_bisection(c, d, a, budgets):
-    got = batch_outcome(c, d, a, budgets)
-    want = full_batch_outcome(c, d, a, budgets)
-    if isinstance(want[0], type):
-        assert got == want
-    else:
-        for x, y in zip(got, want):
-            assert np.array_equal(x, y)
-    return got
-
-
 def stack(rows):
     return tuple(np.array([getattr(g, name) for g in rows]) for name in "cda")
 
 
 class TestBatchSolve:
-    """_solve_batch against solve_mu row by row, and against its own replay
-    with no anchors."""
+    """_solve_batch against solve_mu row by row."""
 
     @settings(max_examples=60, derandomize=True)
     @given(data=st.data())
@@ -516,46 +491,27 @@ class TestBatchSolve:
         with pytest.raises(ValueError, match="1e\\+10"):
             _solve_batch(c, 1.0 - c, a, np.array([1.0, 1e10]))
 
-    @settings(max_examples=60, derandomize=True)
-    @given(data=st.data())
-    def test_equals_full_bisection(self, data):
-        q = data.draw(st.integers(min_value=1, max_value=16))
-        rows = data.draw(st.lists(gains_st(min_q=q, max_q=q), min_size=1,
-                                  max_size=40))
-        budgets = 10.0 ** np.array(data.draw(st.lists(
-            st.floats(min_value=-9.0, max_value=29.0),
-            min_size=len(rows), max_size=len(rows))))
-        assert_batch_same_as_full_bisection(*stack(rows), budgets)
-
-    def test_unsettled_rows_take_solve_mu(self, monkeypatch):
-        # Rows 0 and 1 are TestSkipAhead's ulp exit (c = 0.8, d = 0.2,
+    def test_edge_rows_equal_solve_mu(self):
+        # Rows 0 and 1 are TestNewtonSolve's tiny budget (c = 0.8, d = 0.2,
         # a = 1, padded with silent entries) at 1e-100 and 1e-17; row 2 has
-        # no secure entry; rows 3-5 are the extreme column powers, which
-        # get no batch anchors; row 6 is an ordinary row.
+        # no secure entry; rows 3-5 are the extreme column powers; rows 6-9
+        # its wide scales, padded, at 1e-300 to 1e29; row 10 is ordinary.
         ulp = SubchannelGains(c=[0.8, 0.3, 0.3, 0.3, 0.3],
                               d=[0.2, 0.7, 0.7, 0.7, 0.7], a=[1.0] * 5)
         c = np.array([0.6, 0.7, 0.8, 0.9, 0.95])
         extreme = SubchannelGains(c=c, d=1.0 - c,
                                   a=[6.5e-139, 1e-50, 1.0, 1e80, 1.3e172])
+        wide = SubchannelGains(c=[1.0, 0.9, 0.5, 0.7, 0.3],
+                               d=[0.0, 0.1, 0.5, 0.3, 0.7],
+                               a=[1e-3, 1e3, 1.0, 1e-250, 1.0])
         rows = [ulp, ulp,
                 SubchannelGains(c=[0.1, 0.2, 0.3, 0.4, 0.5],
                                 d=[0.9, 0.8, 0.7, 0.6, 0.5], a=[1.0] * 5),
-                extreme, extreme, extreme,
+                extreme, extreme, extreme, wide, wide, wide, wide,
                 SubchannelGains(c=c, d=1.0 - c, a=[0.5, 1.0, 2.0, 1.0, 3.0])]
-        budgets = np.array([1e-100, 1e-17, 1.0, 1.49e-85, 1.0, 1e10, 10.0])
-        solved = []
-        scalar = allocation.solve_mu
-
-        def counted(gains, budget):
-            solved.append(budget)
-            return scalar(gains, budget)
-
-        monkeypatch.setattr(allocation, "solve_mu", counted)
-        p, mu, effective = assert_batch_same_as_full_bisection(*stack(rows),
-                                                               budgets)
-        # Rows 0, 1, 3, 4 and 5, then every live row for the reference.
-        assert solved == ([1e-100, 1e-17, 1.49e-85, 1.0, 1e10]
-                          + [1e-100, 1e-17, 1.49e-85, 1.0, 1e10, 10.0])
+        budgets = np.array([1e-100, 1e-17, 1.0, 1.49e-85, 1.0, 1e10, 1e-300,
+                            1e-9, 1.0, 1e29, 10.0])
+        p, mu, effective = _solve_batch(*stack(rows), budgets)
         for r, gains in enumerate(rows):
             alloc = solve_mu(gains, budgets[r])
             assert np.array_equal(p[r], alloc.p)
@@ -564,11 +520,13 @@ class TestBatchSolve:
         assert effective[0] > 0.0 and effective[2] == 0.0 and mu[2] == 1.0
 
     def test_unreachable_row_raises_the_same_error(self):
-        # Row 1 is TestSolveMu's unreachable case between two that solve.
-        c = np.array([[0.8], [0.8], [0.9]])
-        a = np.array([[1.0], [1e-300], [2.0]])
-        budgets = np.array([1.0, 1e10, 5.0])
-        got = assert_batch_same_as_full_bisection(c, 1.0 - c, a, budgets)
+        # Rows 1 and 3 are TestSolveMu's unreachable case at two budgets,
+        # between rows that solve: the first of them is named, in
+        # solve_mu's words.
+        c = np.array([[0.8], [0.8], [0.9], [0.8]])
+        a = np.array([[1.0], [1e-300], [2.0], [1e-300]])
+        budgets = np.array([1.0, 1e10, 5.0, 1e11])
+        got = batch_outcome(c, 1.0 - c, a, budgets)
         assert got == (ValueError, "power budget 1e+10 is beyond what any "
                        "representable multiplier reaches on these gains")
         assert got == solve_outcome(SubchannelGains(c=[0.8], d=[0.2],
@@ -576,10 +534,10 @@ class TestBatchSolve:
 
 
 class TestBatchEvaluationCount:
-    """Exact _batch_power calls and rows per campaign solve. A batched full
-    bisection takes 76 calls of 35 rows on the S5 batch and 53 of 10 on
-    the F10 one, and solve_mu on every row takes 2, so a silent fall-back
-    to either fails here."""
+    """Exact _batch_power calls and rows per campaign solve, the final
+    evaluation at each row's best mu included. A batched bisection of mu
+    takes 76 calls of 35 rows on the S5 batch and 53 of 10 on the F10 one,
+    so a slower search fails here."""
 
     def counted_power(self, monkeypatch):
         """The list to which every later _batch_power call appends its row
@@ -594,54 +552,32 @@ class TestBatchEvaluationCount:
         monkeypatch.setattr(allocation, "_batch_power", counted)
         return sizes
 
-    def counted_run(self, monkeypatch, run, config):
-        """Run a campaign; return its _batch_power row counts, having
-        checked that every live row found both anchors at the first width."""
-        sizes = self.counted_power(monkeypatch)
-        windows = []
-        anchors = allocation._batch_anchors
-
-        def recorded(c, d, gains, budgets, mu_hi, live):
-            x_lo, x_hi, gap = anchors(c, d, gains, budgets, mu_hi, live)
-            windows.append((x_lo[live], x_hi[live]))
-            return x_lo, x_hi, gap
-
-        monkeypatch.setattr(allocation, "_batch_anchors", recorded)
-        run(config)
-        # A first-width window is at most est / (1 + w) to est (1 + w),
-        # each pulled out by _SEP.
-        w, sep = allocation._WIDTH, allocation._SEP
-        widest = (1.0 + w) ** 2 * (1.0 + sep) / (1.0 - sep) * (1.0 + 1e-15)
-        (x_lo, x_hi), = windows
-        assert 2 * x_lo.size == sizes[0]  # both sides of every live row
-        assert np.all((x_lo > 0.0) & (x_hi <= widest * x_lo))
-        return sizes
-
     @pytest.mark.parametrize("run, config, calls, rows", [
         (run_snr_sweep, ExperimentConfig(
             n_t=4, n_r=4, n_e=4, trials=5, snr_db_grid=(0, 5, 10, 15, 20,
-                                                        25, 30)), 5, 210),
+                                                        25, 30)), 9, 265),
         (run_fraction_experiment, ExperimentConfig(
             n_t=5, n_r=5, n_e=4, trials=10, budget=100.0,
-            rho_grid=(0.0, 0.5, 1.0)), 5, 60),
+            rho_grid=(0.0, 0.5, 1.0)), 6, 60),
     ], ids=["S5", "F10"])
     def test_campaign_batches(self, monkeypatch, run, config, calls, rows):
-        sizes = self.counted_run(monkeypatch, run, config)
+        sizes = self.counted_power(monkeypatch)
+        run(config)
         assert (len(sizes), sum(sizes)) == (calls, rows)
         assert len(sizes) <= 15
 
     def test_wide_snr_grid(self, monkeypatch):
-        # 320 rows from -60 to 90 dB, whose budgets span 15 decades: the
-        # estimate must still bring every row within the first width.
-        sizes = self.counted_run(monkeypatch, run_snr_sweep, ExperimentConfig(
+        # 320 rows from -60 to 90 dB, whose budgets span 15 decades; the
+        # lowest put the root just below a row's top threshold mu_hi.
+        sizes = self.counted_power(monkeypatch)
+        run_snr_sweep(ExperimentConfig(
             n_t=4, n_r=4, n_e=4, trials=20, seed=0,
             snr_db_grid=tuple(range(-60, 91, 10))))
-        assert (len(sizes), sum(sizes)) == (24, 8000)
+        assert (len(sizes), sum(sizes)) == (14, 2749)
 
-    def test_row_without_anchors_adds_no_batch_rounds(self, monkeypatch):
-        # S5's 35 rows and one whose column powers span 222 decades: it gets
-        # no batch anchors and takes solve_mu alone. A batched full
-        # bisection of that row makes 374 calls over 13 290 rows.
+    def test_extreme_row_adds_few_batch_rounds(self, monkeypatch):
+        # S5's 35 rows, which take 9 calls over 265 rows alone, and one
+        # whose column powers span 222 decades.
         config = ExperimentConfig(n_t=4, n_r=4, n_e=4, trials=5,
                                   snr_db_grid=(0, 5, 10, 15, 20, 25, 30))
         budgets = experiments._snr_budgets(config.snr_db_grid)
@@ -656,32 +592,24 @@ class TestBatchEvaluationCount:
         sizes = self.counted_power(monkeypatch)
         p, mu, effective = _solve_batch(c, d, a,
                                         np.append(np.tile(budgets, 5), 1.0))
-        assert (len(sizes), sum(sizes)) == (11, 222)
+        assert (len(sizes), sum(sizes)) == (13, 278)
         alloc = solve_mu(extreme, 1.0)
         assert np.array_equal(p[-1], alloc.p)
         assert mu[-1] == alloc.mu
         assert effective[-1] == alloc.effective_power
 
-    def test_undecided_bracket_takes_solve_mu(self, monkeypatch):
-        # Row 0 radiates exactly its budget at mu_hi / 2, the bracket's
-        # first candidate, which lies inside its anchor window; row 1 is an
-        # ordinary row. An evaluated bracket round makes 7 calls over 16.
-        solved = []
-        scalar = allocation.solve_mu
-
-        def counted(gains, budget):
-            solved.append(gains.c.tolist())
-            return scalar(gains, budget)
-
-        monkeypatch.setattr(allocation, "solve_mu", counted)
+    def test_water_filling_row_stops_at_its_start(self, monkeypatch):
+        # Row 0 (c = 1, d = 0) radiates exactly its budget at its start
+        # level 1 / (1 + 1) = mu_hi / 2, and leaves after one evaluation;
+        # row 1 is an ordinary row.
         sizes = self.counted_power(monkeypatch)
         c = np.array([[1.0], [0.8]])
         p, mu, effective = _solve_batch(c, 1.0 - c, np.ones((2, 1)),
                                         np.ones(2))
-        assert solved == [[1.0]]
-        assert (len(sizes), sum(sizes)) == (5, 12)
+        assert sizes == [2, 1, 1, 1, 1, 2]
+        assert mu[0] == 0.5 and effective[0] == 1.0
         for r in range(2):
-            alloc = scalar(single_gain(c[r, 0]), 1.0)
+            alloc = solve_mu(single_gain(c[r, 0]), 1.0)
             assert np.array_equal(p[r], alloc.p)
             assert mu[r] == alloc.mu
             assert effective[r] == alloc.effective_power

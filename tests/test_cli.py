@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -17,6 +18,8 @@ from gsvdcap.cli import build_parser, main, parse_range
 
 DATA = Path(__file__).resolve().parent / "data"
 README = (DATA.parents[1] / "README.md").read_text(encoding="utf-8")
+# The benchmark's own copies of the reference campaigns.
+BENCH_REFERENCE = DATA.parents[1] / "perfbench" / "reference"
 
 
 def assert_printed_in_readme(out):
@@ -265,34 +268,35 @@ class TestSweeps:
 
 
 # SHA-256 of the CSVs of the 10-trial, seed-1 reference campaigns: the same
-# bytes as perfbench/reference/.
+# bytes as tests/data/reference/, which CI compares with the installed entry
+# point's output.
 REFERENCE_CAMPAIGNS = [
     (["sweep-fraction", "--nt", "5", "--nr", "5", "--ne", "4", "--power",
       "100", "--rho-grid", "0:0.01:1"],
-     {"fraction_trials.csv": "33a85f52a0b5cd78bfc5f71554ef17c3"
-                             "d83d38753cf7e5fb3d20beca51e773d8",
-      "fraction_aggregate.csv": "6eec4f68e584c82824310f3e76c9caaf"
-                                "0ab030a312ba94b9701bd03aa7fb46aa"}),
+     {"fraction_trials.csv": "56e3f903dfd2550688135ea0f2a7a91b"
+                             "5b221fe774e157948554bb00946c7b14",
+      "fraction_aggregate.csv": "00ebe9aaa92764105bb56daa5b1e972c"
+                                "42e1df307c1f71e14f662378e656a104"}),
     (["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4", "--snr-db",
       "0:5:30"],
-     {"snr_trials.csv": "251253e5bdab04d3751b683badfd0660"
-                        "4cbaa1b1939f7057737f1aae2ffa991d",
-      "snr_aggregate.csv": "b57aad86032f518cb31ac8f473ada43d"
-                           "3b718bcd618f7988bc5c257f517dc124"}),
+     {"snr_trials.csv": "55cf2ce0a8b272513840b5693067583f"
+                        "55ce0a7813039b96aeef045d2f90a059",
+      "snr_aggregate.csv": "906ea7ab3d00553b609a2cb4178a7e79"
+                           "4c3eb69ba3edcfaa50c01e1ec6acc5aa"}),
 ]
 # The README's two campaigns, --trials 100 --seed 1. The SNR campaign solves
 # its 700 (trial, budget) rows in one batch.
 README_CAMPAIGNS = [
     (REFERENCE_CAMPAIGNS[0][0],
-     {"fraction_trials.csv": "614b024884924d178e03772ace69bea8"
-                             "075b677e7bffb98399ada7b88397ca3b",
-      "fraction_aggregate.csv": "35dc621f015b50ee8a19c3dfc2952328"
-                                "37472248deff732c5911086c203971f2"}),
+     {"fraction_trials.csv": "cdd40aba51b243aca6ebeafe14e1c38f"
+                             "06cf90db9e941b3b4508a746e4af6a9e",
+      "fraction_aggregate.csv": "ff82bc497a867bb9564947cc27efc655"
+                                "905bfba914054ff24b882424af0d0f5a"}),
     (REFERENCE_CAMPAIGNS[1][0],
-     {"snr_trials.csv": "84e485f69207a82a76f5f5459c40321e"
-                        "9427d1f8f9ac3de0cc57f3b15b918d6a",
-      "snr_aggregate.csv": "aee2b9b1e74f158877c72b4f6ce7d41e"
-                           "72574499a17c09a9963ca0946395ce8d"}),
+     {"snr_trials.csv": "24f458513da26c37cb5443924a392448"
+                        "d7784dad5d6d0b4dc6e09ee35bed5302",
+      "snr_aggregate.csv": "059737e00528b4ffe39bc61d3763bdb3"
+                           "e3e46b49b82551161577244b38d658e5"}),
 ]
 
 
@@ -303,6 +307,24 @@ class TestReferenceBytes:
                             "--out", str(tmp_path)]) == 0
         assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in digests} == digests
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in REFERENCE_CAMPAIGNS],
+                             ids=["fraction", "snr"])
+    def test_reference_campaigns_stay_near_the_benchmark(self, argv, tmp_path):
+        # perfbench accepts a run within 1e-8 bits of its reference CSVs on
+        # every field; the package keeps within 1e-9 of them.
+        assert main(argv + ["--trials", "10", "--seed", "1",
+                            "--out", str(tmp_path)]) == 0
+        campaign = argv[0].removeprefix("sweep-")
+        references = sorted((BENCH_REFERENCE / campaign).glob("*.csv"))
+        assert len(references) == 2
+        for reference in references:
+            want, got = (list(csv.reader(path.open(newline="")))
+                         for path in (reference, tmp_path / reference.name))
+            assert got[0] == want[0] and len(got) == len(want)
+            assert max(abs(float(x) - float(y))
+                       for w, g in zip(want[1:], got[1:])
+                       for x, y in zip(w, g, strict=True)) <= 1e-9
 
     @pytest.mark.parametrize("argv, digests", README_CAMPAIGNS)
     def test_readme_campaign_csv_digests(self, argv, digests, tmp_path,
@@ -327,8 +349,8 @@ class TestReferenceBytes:
                     == (DATA / "snr_symbol" / name).read_bytes())
 
     def test_wide_snr_grid_csv_bytes(self, tmp_path):
-        # -60 to 90 dB, where the solver's anchor estimate has the most
-        # ground to cover. CI compares the installed entry point's output
+        # -60 to 90 dB, where the solver's start level has the most ground
+        # to cover. CI compares the installed entry point's output
         # with the same files.
         assert main(["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
                      "--snr-db=-60:10:90", "--trials", "10", "--seed", "1",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gsvdcap import (
     cli,
     gsvd,
     linalg,
+    load_matrix,
     sample_channel,
     subchannel_gains,
     verify_factors,
@@ -226,6 +228,21 @@ class TestSubchannelGains:
             g = subchannel_gains(gsvd(random_pair(n_t, n_r, n_e, seed=400 + k)))
             assert np.array_equal(g.c + g.d, np.ones(g.q))
             assert np.all(g.a > 0)
+
+    def test_eavesdropper_null_direction_has_exact_gains(self):
+        # The allocate example pair: gsvd cuts ddiag[3] to zero, while its
+        # cosine rounds a little short of 1. Both paths give that direction
+        # c = 1 and d = 0 exactly, not d = 1 - c = 2.2e-16.
+        data = Path(__file__).resolve().parent / "data"
+        pair = ChannelPair(hr=load_matrix(data / "allocate_hr.json"),
+                           he=load_matrix(data / "allocate_he.json"))
+        factors = gsvd(pair)
+        assert factors.ddiag[3] == 0.0
+        g = subchannel_gains(factors)
+        _, c, d, _ = _stacked_gains(np.vstack([pair.hr, pair.he])[None],
+                                    pair.n_r)
+        for cs, ds in ((g.c, g.d), (c[0], d[0])):
+            assert cs[3] == 1.0 and ds[3] == 0.0
 
     def test_validation(self):
         from gsvdcap import SubchannelGains
