@@ -178,12 +178,7 @@ def _cosine_sine(u, sig, v, n_r):
     """
     q = sig.shape[-1]
     u1, u2 = u[..., :n_r, :], u[..., n_r:, :]
-    try:
-        pmat, sdesc, wh = np.linalg.svd(u1, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise linalg.FactorizationError(
-            f"SVD of the receiver block did not converge: {exc}"
-        ) from exc
+    pmat, sdesc, wh = linalg._svd(u1, True, "SVD of the receiver block")
     w = wh.conj().swapaxes(-1, -2)[..., ::-1]
     cdiag = np.zeros(sig.shape)
     cdiag[..., q - sdesc.shape[-1]:] = np.minimum(sdesc[..., ::-1], 1.0)

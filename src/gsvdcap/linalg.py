@@ -10,6 +10,10 @@ same ravel and the same two real dot products, so the same bits. The
 one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
 take it.
 
+Every SVD the package computes (svd, _stacked_svd and gsvd's receiver
+block) is one _svd call, so a LAPACK convergence failure follows one
+rule: FactorizationError naming the SVD, chained to the LinAlgError.
+
 Every threshold the package applies on its own (to count rank, classify
 a direction, stop the budget search or accept an input) is defined
 once, in the table below, and read from here by the module that applies
@@ -143,6 +147,16 @@ def as_matrix(values):
     return m
 
 
+def _svd(m, full_matrices=False, name="SVD"):
+    """numpy's (U, s, V^H) of one matrix or a stack, thin unless
+    full_matrices, unchecked; a LAPACK convergence failure becomes
+    FactorizationError("{name} did not converge: ...")."""
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"{name} did not converge: {exc}") from exc
+
+
 def svd(m):
     """Thin SVD ``M = U diag(s) V^H``, singular values descending.
 
@@ -151,10 +165,7 @@ def svd(m):
     surfaces as FactorizationError.
     """
     m = as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _svd(m)
     residual = _fro(m - (u * s) @ vh)
     if residual > FACTOR_TOL * max(1.0, _fro(m)):
         raise FactorizationError(
@@ -176,10 +187,7 @@ def _stacked_svd(m):
     matrices, which are not re-validated: U, s and V gain the stack's
     leading axes, and one matrix that misses the tolerance fails the
     stack."""
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _svd(m)
     frob = (-2, -1)
     residual = np.linalg.norm(m - (u * s[..., None, :]) @ vh, axis=frob)
     bad = residual > FACTOR_TOL * np.maximum(1.0, np.linalg.norm(m, axis=frob))

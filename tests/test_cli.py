@@ -364,9 +364,12 @@ class TestReadmeOutput:
     @pytest.mark.parametrize("command", [
         "gsvd-check --nt 4 --nr 3 --ne 3 --trials 20 --seed 7",
         "oracle-verify --q 3 --trials 10 --budget 10 --seed 5 --resolution 60",
-    ], ids=["gsvd-check", "oracle-verify"])
-    def test_printed_lines_are_in_readme(self, command, capsys):
+        "allocate --hr tests/data/allocate_hr.json "
+        "--he tests/data/allocate_he.json --power 10",
+    ], ids=["gsvd-check", "oracle-verify", "allocate"])
+    def test_printed_lines_are_in_readme(self, command, monkeypatch, capsys):
         assert f"gsvdcap {command}\n" in README
+        monkeypatch.chdir(DATA.parents[1])  # the README's paths are relative
         assert main(command.split()) == 0
         assert_printed_in_readme(capsys.readouterr().out)
 

@@ -216,6 +216,52 @@ class TestRankLoss:
         assert capsys.readouterr().err == f"error: {_RANK_LOSS}\n"
 
 
+def _svd_fails(monkeypatch, failing):
+    """Make np.linalg.svd raise LAPACK's LinAlgError on the calls whose
+    full_matrices equals failing: the thin calls (False) or the full ones
+    (True) only."""
+    svd = np.linalg.svd
+
+    def fake(a, full_matrices=True, **kwargs):
+        if full_matrices == failing:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fake)
+
+
+THIN = "SVD did not converge: SVD did not converge"
+RECEIVER = ("SVD of the receiver block did not converge: "
+            "SVD did not converge")
+
+
+class TestSvdNonConvergence:
+    @pytest.mark.parametrize("full_matrices, text", [
+        (False, THIN), (True, RECEIVER)], ids=["thin", "receiver-block"])
+    def test_one_pair_and_stacked_paths_raise(self, monkeypatch,
+                                              full_matrices, text):
+        pair = random_pair(5, 5, 4, seed=42)
+        h = np.vstack([pair.hr, pair.he])[None]
+        _svd_fails(monkeypatch, full_matrices)
+        calls = [lambda: gsvd(pair), lambda: _stacked_gains(h, pair.n_r)]
+        if not full_matrices:
+            calls.append(lambda: linalg.svd(h[0]))
+        for call in calls:
+            with pytest.raises(FactorizationError) as info:
+                call()
+            assert str(info.value) == text
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_campaign_exits_with_one_error_line(self, monkeypatch, tmp_path,
+                                                capsys):
+        _svd_fails(monkeypatch, False)
+        code = cli.main(["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
+                         "--snr-db", "0:10:20", "--trials", "2", "--seed", "5",
+                         "--out", str(tmp_path / "snr")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {THIN}\n"
+
+
 class TestSubchannelGains:
     def test_identity_pair_splits_evenly(self):
         pair = pair_from_arrays(np.eye(2), np.eye(2))
