@@ -8,12 +8,14 @@ comparing the closed-form optimum against a secure-set uniform baseline.
 Both run on one columnar engine and emit deterministic CSV: trials are
 sampled, factored, classified and swept a chunk at a time in stacked array
 calls, then the optimum of every (trial, budget) pair is one batched
-bisection over fixed row chunks, and records, aggregates and the trial CSV
-come from (trials, grid) arrays. Every stacked row equals the one-pair path
-sample_channel -> gsvd -> subchannel_gains -> classify_subspaces bit for
-bit, errors included: a trial whose draw fails gsvd's rank test raises
-DegenerateChannelError, naming the trial. Campaigns run in one thread; the
-threads argument is accepted and ignored.
+Newton solve on the water level over fixed row chunks, and records,
+aggregates and the trial CSV come from (trials, grid) arrays. Every stacked
+row equals the one-pair path sample_channel -> gsvd -> subchannel_gains ->
+classify_subspaces bit for bit, errors included: a trial whose draw fails
+gsvd's rank test raises DegenerateChannelError, naming the trial. Campaigns
+run in one thread; the threads argument is accepted and ignored. Every
+file goes through linalg._opened, so a rerun into an existing directory
+rewrites its CSVs in place.
 """
 
 from __future__ import annotations

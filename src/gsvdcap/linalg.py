@@ -50,7 +50,10 @@ range. Nothing truncates: 1.7, 2.0, True and "3" are all refused.
 Every file the package reads or writes (matrices, configs, campaign CSVs)
 passes one rule too, _opened beside _check_int: UTF-8 text with
 newline="", and an OSError from the open or the body becomes one naming
-the path. _load_json adds the decode rule: bytes that are not UTF-8 or
+the path. A write rewrites the file in place: opened without truncation,
+then truncated at the end of what was written, and only if it is a
+regular file, so a device or FIFO takes the bytes as open(path, "w")
+gives them. _load_json adds the decode rule: bytes that are not UTF-8 or
 not JSON are a ValueError naming the path.
 """
 
@@ -59,6 +62,8 @@ from __future__ import annotations
 import contextlib
 import json
 import numbers
+import os
+import stat
 
 import numpy as np
 
@@ -106,11 +111,27 @@ def _int_text(n):
 
 @contextlib.contextmanager
 def _opened(path, mode, what):
-    """open(path, mode) as UTF-8 text with newline=""; an OSError from the
-    open or the body becomes "cannot read|write {what}{path}: {exc}"."""
+    """path opened for mode "r" or "w" as UTF-8 text with newline="".
+
+    "w" rewrites the file in place: it is opened (created with 0o666 less
+    the umask if absent) without truncation, and after the body, even one
+    that raises, a regular file is truncated at the final position. The
+    inode, permission bits and symlink target stay, and the bytes are
+    those of open(path, "w"), without ext4's flush of a file truncated
+    to zero at its close. A device or FIFO, which cannot be truncated,
+    takes the bytes as written. An OSError from the open or the body
+    becomes "cannot read|write {what}{path}: {exc}".
+    """
     try:
-        with open(path, mode, encoding="utf-8", newline="") as fh:
-            yield fh
+        # The opener takes open()'s own flags for mode, less O_TRUNC.
+        with open(path, mode, encoding="utf-8", newline="",
+                  opener=lambda name, flags: os.open(
+                      name, flags & ~os.O_TRUNC, 0o666)) as fh:
+            try:
+                yield fh
+            finally:
+                if mode == "w" and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
     except OSError as exc:
         verb = "read" if mode == "r" else "write"
         raise OSError(f"cannot {verb} {what}{path}: {exc}") from exc

@@ -198,6 +198,19 @@ class TestSweeps:
         assert len(records) == 6
         assert (out / "snr_aggregate.csv").exists()
 
+    def test_rerun_on_a_shrinking_grid_leaves_no_stale_bytes(self, tmp_path):
+        # As CI's rerun step: a 7-point grid, then a 4-point one over it,
+        # must give the bytes of the 4-point grid written fresh.
+        argv = ["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
+                "--trials", "10", "--seed", "1"]
+        rerun, fresh = str(tmp_path / "rerun"), str(tmp_path / "fresh")
+        assert main(argv + ["--snr-db", "0:5:30", "--out", rerun]) == 0
+        assert main(argv + ["--snr-db", "0:10:30", "--out", rerun]) == 0
+        assert main(argv + ["--snr-db", "0:10:30", "--out", fresh]) == 0
+        for name in ("snr_trials.csv", "snr_aggregate.csv"):
+            assert ((tmp_path / "rerun" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
     def test_thread_count_leaves_bytes_unchanged(self, tmp_path):
         args = ["sweep-fraction", "--nt", "5", "--nr", "5", "--ne", "4",
                 "--power", "100", "--trials", "4", "--seed", "11",

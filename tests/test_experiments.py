@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import os
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -567,6 +569,26 @@ class TestCsv:
         assert path.stat().st_mode & 0o777 == 0o640
         assert path.stat().st_ino == inode
         assert read_trial_csv(path) == self.records()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="POSIX FIFOs")
+    def test_fifo_reader_receives_the_whole_file(self, tmp_path):
+        # A pipe takes the bytes and cannot be truncated.
+        fifo = tmp_path / "trials.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # A daemon, so a writer that fails before it opens the FIFO leaves
+        # the reader blocked in its open without holding up the run.
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_csv(self.records(), fifo, param_column="rho")
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        fresh = tmp_path / "fresh.csv"
+        write_csv(self.records(), fresh, param_column="rho")
+        assert received == [fresh.read_bytes()]
 
     def test_new_file_is_created(self, tmp_path):
         path = tmp_path / "new.csv"

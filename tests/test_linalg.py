@@ -1,6 +1,7 @@
 """Unit tests for the matrix utility layer."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -238,6 +239,28 @@ class TestFileRule:
         with pytest.raises(OSError, match=(
                 f"^cannot {action} {re.escape(str(path))}: \\[Errno 2\\] ")):
             call(path)
+
+    @pytest.mark.parametrize("save, load, longer, shorter", [
+        (linalg.save_matrix, linalg.load_matrix, seeded(6, 6, 1), seeded(1, 2, 2)),
+        (save_config, load_config,
+         ExperimentConfig(**CONFIG, rho_grid=tuple(k / 100 for k in range(101))),
+         ExperimentConfig(**CONFIG, snr_db_grid=(0.0,)))],
+        ids=["save_matrix", "save_config"])
+    def test_rewriting_a_longer_file_leaves_no_stale_tail(
+            self, save, load, longer, shorter, tmp_path):
+        # A stale tail after the JSON value would fail to load.
+        path, fresh = tmp_path / "f.json", tmp_path / "fresh.json"
+        save(longer, path)
+        save(shorter, path)
+        save(shorter, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        back = load(path)
+        assert (np.array_equal(back, shorter) if isinstance(back, np.ndarray)
+                else back == shorter)
+
+    def test_save_matrix_to_the_null_device(self):
+        # A character device takes the bytes and cannot be truncated.
+        linalg.save_matrix(seeded(3, 3, 4), os.devnull)
 
     def test_error_in_the_body_names_the_path(self, tmp_path):
         path = tmp_path / "f.csv"
