@@ -299,17 +299,17 @@ def _solve_batch(c, d, a, budgets):
     # Rows with no secure entry never open: silence at mu = 1.0, as in
     # solve_mu.
     live = secure.any(axis=1)
-    mu_hi = np.where(live, np.max(cd / a, axis=1), 1.0)
+    mu_hi = np.where(live, (cd / a).max(axis=1), 1.0)
     floor = np.ldexp(mu_hi, -_HALVING_CAP)
     floor[floor == 0.0] = math.ulp(0.0)
     tol = linalg.BUDGET_TOL * budgets
     level = _rowdot(a, np.where(secure, 1.0 / cd, 0.0))
     mu = np.maximum(np.minimum(secure.sum(axis=1) / (budgets + level),
                                0.5 * mu_hi), floor)
-    lo, hi = np.zeros_like(mu), mu_hi.copy()
-    best, best_gap = mu_hi.copy(), np.full_like(mu, math.inf)
+    lo, hi = np.zeros(mu.shape), mu_hi.copy()
+    best, best_gap = mu_hi.copy(), np.full(mu.shape, math.inf)
     unreachable = np.zeros(mu.shape, dtype=bool)
-    rows = np.flatnonzero(live)
+    rows = live.nonzero()[0]
     for _ in range(_HALVING_CAP):
         if not rows.size:
             break
@@ -335,7 +335,7 @@ def _solve_batch(c, d, a, budgets):
     else:
         raise RuntimeError("power-budget solve failed to converge")
     if unreachable.any():
-        raise _unreachable(budgets[np.argmax(unreachable)])
+        raise _unreachable(budgets[unreachable.argmax()])
     p, effective, _ = _batch_power(cd, fcd, a_den, a, best)
     return p, best, effective
 

@@ -63,9 +63,9 @@ class RateCurve:
         rates = np.asarray(self.rate_bits, dtype=float)
         if param.shape != rates.shape or param.ndim != 1:
             raise ValueError("param and rate_bits must be 1-D of equal length")
-        if param.size and np.any(np.diff(param) <= 0):
-            raise ValueError("param grid must be strictly increasing")
-        if np.any(rates < 0) or not np.all(np.isfinite(rates)):
+        if not (np.isfinite(param).all() and (param[1:] > param[:-1]).all()):
+            raise ValueError("param grid must be finite and strictly increasing")
+        if (rates < 0).any() or not np.isfinite(rates).all():
             raise ValueError("rates must be finite and nonnegative")
         object.__setattr__(self, "param", param)
         object.__setattr__(self, "rate_bits", rates)
@@ -140,7 +140,7 @@ def _spread(mask, share, a, mode):
     (..., rows, q)."""
     if mode == "transmit":
         # Equal radiated power per direction.
-        count = np.maximum(np.count_nonzero(mask, axis=-1), 1)
+        count = np.maximum(mask.sum(axis=-1), 1)
         p = share / count[..., None, None] / a[..., None, :]
     elif mode == "symbol":
         # Equal symbol power per direction, scaled to radiate `share`.
@@ -168,15 +168,15 @@ def _uniform_powers(c, d, a, budget, rho, mode, secure_only):
     axes: (..., rho, q). S1 and S2 are the gains' own _subspace_masks."""
     s1, s2 = _subspace_masks(c, d)
     _check_budget(budget)
-    if not np.all((rho >= 0.0) & (rho <= 1.0)):
+    if not ((rho >= 0.0) & (rho <= 1.0)).all():
         raise ValueError("rho must lie in [0, 1]")
-    has1, has2 = np.any(s1, axis=-1), np.any(s2, axis=-1)
-    if not np.all(has1 | has2):
+    has1, has2 = s1.any(axis=-1), s2.any(axis=-1)
+    if not (has1 | has2).all():
         raise ValueError("no usable transmit directions")
     target2 = s2
     if secure_only:
         secure = s2 & (c > d)
-        target2 = np.where(np.any(secure, axis=-1, keepdims=True), secure, s2)
+        target2 = np.where(secure.any(axis=-1, keepdims=True), secure, s2)
     rho = np.where(has1[..., None], np.where(has2[..., None], rho, 0.0), 1.0)
     rho = rho[..., None]
     # A zero share spreads to exact zeros, so every row can fill both sets.

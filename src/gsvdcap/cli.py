@@ -5,6 +5,12 @@ Subcommands: gsvd-check (factor invariants on random pairs), allocate
 sweep-snr (Monte Carlo campaigns writing CSV), oracle-verify (closed form
 against the grid search). Results go to stdout or files; diagnostics go to
 stderr. Exit codes: 0 success, 1 numerical/verification failure, 2 usage.
+
+main parses a known subcommand with that subcommand's own parser, the one
+argparse's two-level parse would hand it to, and gives leftover arguments
+to the top-level parser's error, as that parse does; anything else (no
+argument, -h, an unknown command) goes through the top-level parser. Usage
+messages and exit codes are the same either way.
 """
 
 from __future__ import annotations
@@ -143,6 +149,9 @@ def build_parser():
         description="Secrecy capacity of the Gaussian MIMO wiretap channel "
                     "under GSVD beamforming.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # main's map from subcommand name to its parser; set here, not by
+    # argparse.
+    parser._commands = sub.choices
 
     p = sub.add_parser("gsvd-check",
                        help="verify factorization invariants on random pairs")
@@ -263,7 +272,8 @@ def _cmd_sweep(args):
         raise MemoryError(
             f"a campaign of {args.trials} trials x {points} grid points does "
             "not fit in memory") from None
-    os.makedirs(args.out, exist_ok=True)
+    if not os.path.isdir(args.out):
+        os.makedirs(args.out, exist_ok=True)
     trials_path = os.path.join(args.out, f"{args.campaign}_trials.csv")
     agg_path = os.path.join(args.out, f"{args.campaign}_aggregate.csv")
     experiments.write_campaign_csv(result, trials_path, column)
@@ -271,7 +281,7 @@ def _cmd_sweep(args):
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {agg_path}", file=sys.stderr)
     if fraction:
-        best = int(np.argmax(result.curve.rate_bits))
+        best = int(result.curve.rate_bits.argmax())
         print(f"mean optimal rate {result.mean_optimal[0]:.6g} "
               f"bits; best uniform rho {result.curve.param[best]:.4g} "
               f"({result.curve.rate_bits[best]:.6g} bits)", file=sys.stderr)
@@ -299,7 +309,14 @@ def _cmd_oracle_verify(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:

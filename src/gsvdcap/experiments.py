@@ -113,7 +113,7 @@ class ExperimentConfig:
         if self.snr_db_grid is not None:
             with np.errstate(over="ignore", under="ignore"):
                 budgets = _snr_budgets(self.snr_db_grid)
-            if not np.all((budgets > 0) & (budgets < math.inf)):
+            if not ((budgets > 0) & (budgets < math.inf)).all():
                 raise ValueError(
                     "snr_db_grid points must give budgets 10**(snr_db/10) "
                     "that are positive and finite")
@@ -282,9 +282,10 @@ def _run_campaign(config, grid, uniform_rates, budgets):
         rows = np.arange(start, min(start + chunk, trials))
         h = _draw(config, rows)
         rank, *gains = _stacked_gains(h, config.n_r)
-        if np.any(rank < q):
+        short = rank < q
+        if short.any():
             # gsvd's DegenerateChannelError, naming the trial.
-            bad = np.argmax(rank < q)
+            bad = short.argmax()
             error = DegenerateChannelError(int(rank[bad]), q)
             error.args = (f"trial {rows[bad]}: {error}",)
             raise error
@@ -297,8 +298,7 @@ def _run_campaign(config, grid, uniform_rates, budgets):
     columns = _aggregates(grid, uniform, optimal)
     return CampaignResult(
         grid=grid, uniform=uniform, optimal=optimal, q=np.full(trials, q),
-        dim_s1=np.count_nonzero(s1, axis=1),
-        dim_s2=np.count_nonzero(s2, axis=1),
+        dim_s1=s1.sum(axis=1), dim_s2=s2.sum(axis=1),
         curve=RateCurve(param=grid, rate_bits=columns["mean_uniform"]),
         **columns)
 
@@ -365,16 +365,28 @@ def run_snr_sweep(config, mode="transmit", threads=None):
 def _aggregates(grid, uniform, optimal):
     """CampaignResult's mean_uniform, se_uniform, mean_optimal and
     se_optimal: (grid,) across-trial means and standard errors, reduced
-    along the rows of contiguous (grid, trials) arrays."""
+    along the rows of contiguous (grid, trials) arrays.
+
+    Each column is one pass of the ufunc steps of numpy's own mean(axis=1)
+    and std(axis=1, ddof=1): the row sum over trials, then the centred
+    squares summed over trials - 1, so the bits are theirs. A column
+    narrower than the grid (a budget-fixed optimum) is broadcast.
+    """
     trials = uniform.shape[0]
     columns = {}
     for name, rates in (("uniform", uniform), ("optimal", optimal)):
         by_point = np.ascontiguousarray(rates.T)
-        mean = by_point.mean(axis=1)
-        se = (by_point.std(axis=1, ddof=1) / math.sqrt(trials) if trials > 1
-              else np.zeros_like(mean))
-        columns["mean_" + name] = np.broadcast_to(mean, grid.shape)
-        columns["se_" + name] = np.broadcast_to(se, grid.shape)
+        mean = by_point.sum(axis=1, keepdims=True) / trials
+        if trials > 1:
+            dev = by_point - mean
+            dev *= dev
+            se = np.sqrt(dev.sum(axis=1) / (trials - 1)) / math.sqrt(trials)
+        else:
+            se = np.zeros(by_point.shape[0])
+        mean = mean[:, 0]
+        if mean.shape != grid.shape:
+            mean, se = (np.broadcast_to(x, grid.shape) for x in (mean, se))
+        columns["mean_" + name], columns["se_" + name] = mean, se
     return columns
 
 

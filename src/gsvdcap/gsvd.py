@@ -295,23 +295,23 @@ def _stacked_gains(h, n_r):
     the cosine-sine step is the same _cosine_sine call, and the grouped QR
     below stands in for gsvd's Psi_e construction.
     """
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     u, sig, v = linalg._stacked_svd(h)
     rank = linalg.rank_with_tol(sig, linalg.RANK_TOL)
     full = rank == sig.shape[1]
-    if not np.all(full):
+    if not full.all():
         u, sig, v = u[full], sig[full], v[full]
     cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)[1:]
     # gsvd orthonormalizes the live columns of m by QR, so a zero R
     # diagonal there is a rank loss. QR runs per group of equal live masks.
-    todo = np.any(live, axis=1)
-    while np.any(todo):
-        mask = live[np.argmax(todo)]
-        group = todo & np.all(live == mask, axis=1)
+    todo = live.any(axis=1)
+    while todo.any():
+        mask = live[todo.argmax()]
+        group = todo & (live == mask).all(axis=1)
         todo &= ~group
         r = np.linalg.qr(m[group][:, :, mask], mode="r")
-        if np.any(np.diagonal(r, axis1=1, axis2=2) == 0):
+        if (r.diagonal(axis1=1, axis2=2) == 0).any():
             raise linalg.FactorizationError(_RANK_LOSS)
     c, d, a = _gains(cdiag, ddiag, a)
     _check_gains(c, d, a)

@@ -8,7 +8,9 @@ here is pure and thread-safe.
 _fro is ``np.linalg.norm(x)`` of a complex array without the dispatch: the
 same ravel and the same two real dot products, so the same bits. The
 one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
-take it.
+take it. _stacked_svd's residuals take _stacked_fro, which is
+``np.linalg.norm(x, axis=(-2, -1))``'s own expression written out, so the
+same bits again.
 
 Every SVD the package computes (svd, _stacked_svd and gsvd's receiver
 block) is one _svd call, so a LAPACK convergence failure follows one
@@ -203,18 +205,23 @@ def _fro(x):
     return np.sqrt(re.dot(re) + im.dot(im))
 
 
+def _stacked_fro(x):
+    """Frobenius norms of a (..., rows, cols) complex stack,
+    np.linalg.norm(x, axis=(-2, -1))'s own expression."""
+    return np.sqrt((x.conj() * x).real.sum(axis=(-2, -1)))
+
+
 def _stacked_svd(m):
     """svd of every matrix of a (..., rows, cols) stack of finite complex
     matrices, which are not re-validated: U, s and V gain the stack's
     leading axes, and one matrix that misses the tolerance fails the
     stack."""
     u, s, vh = _svd(m)
-    frob = (-2, -1)
-    residual = np.linalg.norm(m - (u * s[..., None, :]) @ vh, axis=frob)
-    bad = residual > FACTOR_TOL * np.maximum(1.0, np.linalg.norm(m, axis=frob))
-    if np.any(bad):
+    residual = _stacked_fro(m - (u * s[..., None, :]) @ vh)
+    bad = residual > FACTOR_TOL * np.maximum(1.0, _stacked_fro(m))
+    if bad.any():
         raise FactorizationError(
-            f"SVD reconstruction residual {np.max(residual[bad]):.3e} "
+            f"SVD reconstruction residual {residual[bad].max():.3e} "
             "exceeds tolerance"
         )
     return u, s, vh.conj().swapaxes(-1, -2)
@@ -228,7 +235,7 @@ def rank_with_tol(s, tol):
     if s.size == 0:
         return 0
     top = np.maximum(s.max(axis=-1, keepdims=True), RANK_FLOOR)
-    count = np.count_nonzero(s > tol * top, axis=-1)
+    count = (s > tol * top).sum(axis=-1)
     return int(count) if s.ndim == 1 else count
 
 

@@ -346,9 +346,13 @@ class TestReadmeExample:
 
 
 class TestRateCurve:
-    def test_requires_increasing_param(self):
+    @pytest.mark.parametrize("param", [
+        [0.0, 0.0, 1.0], [math.inf, math.inf], [math.nan, math.nan],
+        [0.0, math.nan], [1.0, math.inf]],
+        ids=["repeated", "inf-inf", "nan-nan", "trailing-nan", "trailing-inf"])
+    def test_requires_increasing_param(self, param):
         with pytest.raises(ValueError, match="increasing"):
-            RateCurve(param=[0.0, 0.0, 1.0], rate_bits=[0.0, 0.0, 0.0])
+            RateCurve(param=param, rate_bits=[0.0] * len(param))
 
     def test_requires_nonnegative_rates(self):
         with pytest.raises(ValueError):

@@ -446,6 +446,35 @@ class TestOracleVerify:
             "where the grid beat the closed form\n")
 
 
+class TestOneParse:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4", "--trials", "1",
+         "--seed", "0"],
+        ["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4", "--trials", "1",
+         "--seed", "0", "--snr-db", "0:10:20", "--bogus"],
+        ["sweep-fraction", "-h"],
+    ], ids=["no-argument", "unknown-command", "missing-flag",
+            "unrecognized-argument", "subcommand-help"])
+    def test_main_prints_what_the_two_level_parse_prints(self, argv, tmp_path,
+                                                        monkeypatch, capsys):
+        # main parses a subcommand with its own parser; its usage errors and
+        # help must stay those of the top-level parser's parse_args.
+        monkeypatch.setenv("COLUMNS", "80")
+        if argv and argv[0] == "sweep-snr":
+            argv = argv + ["--out", str(tmp_path)]
+
+        def run(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        assert run(main) == run(build_parser().parse_args)
+        assert not any(tmp_path.iterdir())
+
+
 class TestUsageErrors:
     def assert_usage_exit(self, argv):
         with pytest.raises(SystemExit) as exc:

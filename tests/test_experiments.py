@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gsvdcap.experiments as experiments
 from gsvdcap import (
@@ -347,6 +348,35 @@ class TestFractionExperiment:
         assert [vars(r) for r in serial.records] == [
             vars(r) for r in parallel.records
         ]
+
+
+class TestAggregates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_columns_are_numpy_mean_and_standard_error(self, data):
+        # The reference is numpy's mean and std over the rows of the
+        # contiguous (grid, trials) table, broadcast over the grid for the
+        # budget-fixed optimum, with zero standard errors at one trial.
+        trials = data.draw(st.integers(1, 300), label="trials")
+        points = data.draw(st.integers(1, 12), label="points")
+        rate = st.floats(min_value=0.0, max_value=1e6)
+        uniform = data.draw(arrays(float, (trials, points), elements=rate))
+        optimal = data.draw(arrays(float, (trials, 1), elements=rate))
+        grid = np.arange(points, dtype=float)
+        columns = experiments._aggregates(grid, uniform, optimal)
+        for name, rates in (("uniform", uniform), ("optimal", optimal)):
+            by_point = np.ascontiguousarray(rates.T)
+            mean = by_point.mean(axis=1)
+            se = (by_point.std(axis=1, ddof=1) / math.sqrt(trials)
+                  if trials > 1 else np.zeros(mean.shape))
+            for key, want in (("mean_", mean), ("se_", se)):
+                got = columns[key + name]
+                assert got.shape == grid.shape
+                assert got.tobytes() == np.broadcast_to(
+                    want, grid.shape).tobytes()
+        if trials == 1:
+            assert not columns["se_uniform"].any()
+            assert not columns["se_optimal"].any()
 
 
 class TestSnrSweep:
