@@ -16,6 +16,8 @@ through the same _spread. Both work on boolean set masks over the last
 axis, so one pair's gains and a stack of trials' gains run the same
 code. _rate_bits is the one rate expression, over the last axis of any
 stack of allocations, and _clamp the one rule that floors rates at zero.
+A budget whose even spread overflows the power of a direction that gets
+power is refused by name (_finite), with no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -137,17 +139,29 @@ def _spread(mask, share, a, mode):
     """Powers that radiate `share` evenly over the entries of mask, zero
     elsewhere. mask and a run over the last axis and may carry leading
     axes; share holds one share per row, shaped (..., rows, 1). Returns
-    (..., rows, q)."""
-    if mode == "transmit":
-        # Equal radiated power per direction.
-        count = np.maximum(mask.sum(axis=-1), 1)
-        p = share / count[..., None, None] / a[..., None, :]
-    elif mode == "symbol":
-        # Equal symbol power per direction, scaled to radiate `share`.
-        p = share / _subset_sums(a, mask)[..., None, None]
-    else:
-        raise ValueError(f"unknown uniform mode {mode!r}")
+    (..., rows, q). A share too large for its columns leaves inf on the
+    entries it overflows, with no warning: see _finite."""
+    with np.errstate(over="ignore"):
+        if mode == "transmit":
+            # Equal radiated power per direction.
+            count = np.maximum(mask.sum(axis=-1), 1)
+            p = share / count[..., None, None] / a[..., None, :]
+        elif mode == "symbol":
+            # Equal symbol power per direction, scaled to radiate `share`.
+            p = share / _subset_sums(a, mask)[..., None, None]
+        else:
+            raise ValueError(f"unknown uniform mode {mode!r}")
     return np.where(mask[..., None, :], p, 0.0)
+
+
+def _finite(p, budget):
+    """p, unless a power that _spread kept overflowed: then the ValueError
+    of a budget too large for these gains, naming it. Powers are never
+    negative, so one max, with no temporary array, finds an inf or NaN."""
+    if not p.max(initial=0.0) < np.inf:
+        raise ValueError(f"power budget {budget:g} is too large for these "
+                         "gains: a uniform power is not a finite number")
+    return p
 
 
 def _subset_sums(a, mask):
@@ -182,7 +196,7 @@ def _uniform_powers(c, d, a, budget, rho, mode, secure_only):
     # A zero share spreads to exact zeros, so every row can fill both sets.
     p1 = _spread(s1, (1.0 - rho) * budget, a, mode)
     p2 = _spread(target2, rho * budget, a, mode)
-    return np.where(target2[..., None, :], p2, p1)
+    return _finite(np.where(target2[..., None, :], p2, p1), budget)
 
 
 def uniform_allocation(gains, budget, rho, mode="transmit",
@@ -213,8 +227,8 @@ def uniform_secure_allocation(gains, budget, mode="transmit"):
     all-zero allocation when nothing is secure.
     """
     _check_budget(budget)
-    p = _spread(gains.c > gains.d, np.array([[budget]], dtype=float),
-                gains.a, mode)[0]
+    p = _finite(_spread(gains.c > gains.d, np.array([[budget]], dtype=float),
+                        gains.a, mode)[0], budget)
     return PowerAllocation(p=p, mu=None, effective_power=float(gains.a @ p))
 
 
@@ -231,13 +245,7 @@ def fraction_sweep(gains, budget, rho_grid, mode="transmit",
     grid = np.asarray(rho_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("rho grid must be a nonempty 1-D array")
-    rates = _fraction_rates(gains.c, gains.d, gains.a, budget, grid, mode,
-                            secure_only)
-    return RateCurve(param=grid, rate_bits=rates)
-
-
-def _fraction_rates(c, d, a, budget, grid, mode, secure_only=True):
-    """fraction_sweep's clamped rates over the last axis of the gains,
-    which may carry leading axes: (..., grid)."""
-    p = _uniform_powers(c, d, a, budget, grid, mode, secure_only)
-    return _clamp(_rate_bits(p, c[..., None, :], d[..., None, :]))
+    p = _uniform_powers(gains.c, gains.d, gains.a, budget, grid, mode,
+                        secure_only)
+    return RateCurve(param=grid,
+                     rate_bits=_clamp(_rate_bits(p, gains.c, gains.d)))

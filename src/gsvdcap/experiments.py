@@ -5,14 +5,17 @@ own Philox stream, so trial t is byte-for-byte identical whatever else the
 campaign holds. Two campaigns are provided: a sweep over the uniform
 baseline's power-split fraction rho at fixed budget, and a sweep over SNR
 comparing the closed-form optimum against a secure-set uniform baseline.
-Both run on one columnar engine and emit deterministic CSV: trials are
-sampled, factored, classified and swept a chunk at a time in stacked array
-calls, then the optimum of every (trial, budget) pair is one batched
-Newton solve on the water level over fixed row chunks, and records,
-aggregates and the trial CSV come from (trials, grid) arrays. Every stacked
+Both run on one columnar engine and emit deterministic CSV. The engine
+makes one pass over the trials, a chunk at a time, in stacked array calls:
+each chunk is drawn and factored, the optimum of its (trial, budget) pairs
+is a batched Newton solve on the water level in blocks of at most
+_SOLVE_CHUNK rows, and only then is the chunk's uniform baseline swept and
+its S1/S2 directions counted. Records, aggregates and the trial CSV come
+from the (trials, grid) arrays the chunks fill. Every stacked
 row equals the one-pair path sample_channel -> gsvd -> subchannel_gains ->
 classify_subspaces bit for bit, errors included: a trial whose draw fails
-gsvd's rank test raises DegenerateChannelError, naming the trial. Campaigns
+gsvd's rank test raises DegenerateChannelError, naming the trial, and a
+chunk's fault is raised before any later chunk is drawn. Campaigns
 run in one thread; the threads argument is accepted and ignored. Every
 file goes through linalg._opened, so a rerun into an existing directory
 rewrites its CSVs in place.
@@ -36,8 +39,8 @@ import numpy as np
 # stay bound because perfbench/tracer.py wraps them under this module's
 # names.
 from .allocation import _check_budget, _solve_batch, solve_mu  # noqa: F401
-from .capacity import (RateCurve, _clamp, _fraction_rates,  # noqa: F401
-                       _rate_bits, _spread, _subspace_masks,
+from .capacity import (RateCurve, _clamp, _rate_bits,  # noqa: F401
+                       _spread, _subspace_masks, _uniform_powers,
                        classify_subspaces, fraction_sweep, secrecy_rate,
                        uniform_secure_allocation)
 from .gsvd import (ChannelPair, DegenerateChannelError,  # noqa: F401
@@ -50,10 +53,11 @@ _U64 = 2**64 - 1
 # Trials index bits 8-63 of the Philox key (see _key): every trial is below.
 _TRIAL_LIMIT = 2**56
 _local = threading.local()  # each thread's keyed generator, see _generator
-# Trials sampled, factored and swept per stacked call: at most _TRIAL_CHUNK,
-# and at most _CHUNK_CELLS (trial, grid point) cells, so the sweep's
-# (trials, grid, q) stacks stay small on a wide grid. Rows of (trial,
-# budget) pairs per batched solve: _SOLVE_CHUNK, a speed constant.
+# Trials per chunk of the campaign's one pass: at most _TRIAL_CHUNK, and at
+# most _CHUNK_CELLS (trial, grid point) cells, so the sweep's (trials, grid,
+# q) stacks stay small on a wide grid. Rows of (trial, budget) pairs per
+# batched solve: at most _SOLVE_CHUNK, a memory bound. Larger blocks solve
+# no faster, but one 70 001-row solve quadruples a wide grid's peak memory.
 _TRIAL_CHUNK = 256
 _CHUNK_CELLS = 2**15
 _SOLVE_CHUNK = 1024
@@ -89,6 +93,10 @@ class ExperimentConfig:
             _check_int(name, getattr(self, name), 1)
         _check_int("trials", self.trials, 1, _TRIAL_LIMIT + 1)
         _check_int("seed", self.seed, 0, 2**64)
+        for name in ("sigma_r2", "sigma_e2", "budget"):
+            # Python and numpy count booleans as numbers; a config does not.
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         for name in ("sigma_r2", "sigma_e2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
@@ -101,6 +109,9 @@ class ExperimentConfig:
             if isinstance(grid, (str, bytes, bytearray)):
                 raise ValueError(f"{name} must be a sequence of numbers, not "
                                  f"{type(grid).__name__} {grid!r}")
+            grid = tuple(grid)
+            if any(isinstance(g, (bool, np.bool_)) for g in grid):
+                raise ValueError(f"{name} entries must be numbers, not bools")
             grid = tuple(float(g) for g in grid)
             if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be nonempty and strictly increasing")
@@ -261,27 +272,27 @@ def _draw(config, trials):
     return z.reshape(len(trials), -1, config.n_t)
 
 
-def _run_campaign(config, grid, uniform_rates, budgets):
-    """Factor the trials chunk by chunk, solve the optimum at each of
-    budgets for every trial in batches, then take the uniform-baseline
-    rates over the grid chunk by chunk.
+def _run_campaign(config, grid, uniform_powers, budgets):
+    """Run the trials in one pass, a chunk at a time: draw and factor the
+    chunk, solve its optimum at each of budgets, then sweep its uniform
+    baseline over the grid and count its S1/S2 directions.
 
-    uniform_rates(c, d, a) returns the uniform-baseline rates of a chunk of
-    trials, from their (trials, q) gains: one row per trial, one column per
-    grid point. The optimum has one column per budget, and is solved before
-    the baselines so that a budget no multiplier reaches fails before a
-    baseline overflows on it. The S1/S2 masks are taken once, over every
-    trial, for dim_s1 and dim_s2.
+    uniform_powers(c, d, a) returns the uniform-baseline powers of a chunk
+    of trials, from their (trials, q) gains: (trials, grid, q), one row
+    per grid point, whose clamped rates the engine takes. The optimum has
+    one column per budget, and is solved before the chunk's baselines so
+    that a budget no multiplier reaches fails before a baseline overflows
+    on it. No gain array outlives its chunk.
     """
     trials = config.trials
     q = min(config.n_t, config.n_r + config.n_e)
-    c, d, a = (np.empty((trials, q)) for _ in range(3))
     uniform = np.empty((trials, grid.size))
+    optimal = np.empty((trials, budgets.size))
+    dims = np.empty((2, trials), dtype=np.intp)
     chunk = max(1, min(_TRIAL_CHUNK, _CHUNK_CELLS // grid.size))
     for start in range(0, trials, chunk):
         rows = np.arange(start, min(start + chunk, trials))
-        h = _draw(config, rows)
-        rank, *gains = _stacked_gains(h, config.n_r)
+        rank, c, d, a = _stacked_gains(_draw(config, rows), config.n_r)
         short = rank < q
         if short.any():
             # gsvd's DegenerateChannelError, naming the trial.
@@ -289,16 +300,14 @@ def _run_campaign(config, grid, uniform_rates, budgets):
             error = DegenerateChannelError(int(rank[bad]), q)
             error.args = (f"trial {rows[bad]}: {error}",)
             raise error
-        c[rows], d[rows], a[rows] = gains
-    optimal = _optimal_rates(c, d, a, budgets)
-    for start in range(0, trials, chunk):
-        rows = slice(start, start + chunk)
-        uniform[rows] = uniform_rates(c[rows], d[rows], a[rows])
-    s1, s2 = _subspace_masks(c, d)
+        optimal[rows] = _optimal_rates(c, d, a, budgets)
+        uniform[rows] = _clamp(_rate_bits(uniform_powers(c, d, a),
+                                          c[:, None, :], d[:, None, :]))
+        dims[:, rows] = [m.sum(axis=1) for m in _subspace_masks(c, d)]
     columns = _aggregates(grid, uniform, optimal)
     return CampaignResult(
         grid=grid, uniform=uniform, optimal=optimal, q=np.full(trials, q),
-        dim_s1=s1.sum(axis=1), dim_s2=s2.sum(axis=1),
+        dim_s1=dims[0], dim_s2=dims[1],
         curve=RateCurve(param=grid, rate_bits=columns["mean_uniform"]),
         **columns)
 
@@ -331,10 +340,10 @@ def run_fraction_experiment(config, mode="transmit", threads=None):
             "degenerates to the all-S2 split", stacklevel=2)
     grid = np.asarray(config.rho_grid, dtype=float)
 
-    def uniform_rates(c, d, a):
-        return _fraction_rates(c, d, a, config.budget, grid, mode)
+    def uniform_powers(c, d, a):
+        return _uniform_powers(c, d, a, config.budget, grid, mode, True)
 
-    return _run_campaign(config, grid, uniform_rates,
+    return _run_campaign(config, grid, uniform_powers,
                          np.array([config.budget], dtype=float))
 
 
@@ -355,11 +364,10 @@ def run_snr_sweep(config, mode="transmit", threads=None):
     grid = np.asarray(config.snr_db_grid, dtype=float)
     budgets = _snr_budgets(grid)
 
-    def uniform_rates(c, d, a):
-        p = _spread(c > d, budgets[:, None], a, mode)
-        return _clamp(_rate_bits(p, c[:, None, :], d[:, None, :]))
+    def uniform_powers(c, d, a):
+        return _spread(c > d, budgets[:, None], a, mode)
 
-    return _run_campaign(config, grid, uniform_rates, budgets)
+    return _run_campaign(config, grid, uniform_powers, budgets)
 
 
 def _aggregates(grid, uniform, optimal):

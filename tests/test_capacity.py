@@ -263,6 +263,45 @@ class TestUniformSecureAllocation:
                     baseline(budget)
 
 
+class TestOverflowingBudget:
+    """A budget whose even spread overflows a kept direction's power is
+    refused by name, with no RuntimeWarning (pyproject turns one into a
+    failure); one a decade lower keeps its bits."""
+
+    CASES = {
+        # 1e306 / 2 / 1e-3 overflows; 1e305 / 2 / 1e-3 = 5e307 does not.
+        "transmit": SubchannelGains(c=[0.9, 0.9], d=[0.1, 0.1],
+                                    a=[1e-3, 1.0]),
+        # 1e306 / (1e-3 + 2e-3) overflows.
+        "symbol": SubchannelGains(c=[0.9, 0.9], d=[0.1, 0.1],
+                                  a=[1e-3, 2e-3]),
+    }
+    BASELINES = {
+        "fraction_sweep": lambda g, b, mode: fraction_sweep(
+            g, b, [0.0, 1.0], mode).rate_bits,
+        "uniform_allocation": lambda g, b, mode: uniform_allocation(
+            g, b, 0.5, mode).p,
+        "uniform_secure_allocation": lambda g, b, mode:
+            uniform_secure_allocation(g, b, mode).p,
+    }
+
+    @pytest.mark.parametrize("mode", CASES)
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_refused_naming_the_budget(self, baseline, mode):
+        with pytest.raises(ValueError, match=re.escape(
+                "power budget 1e+306 is too large for these gains")):
+            self.BASELINES[baseline](self.CASES[mode], 1e306, mode)
+
+    @pytest.mark.parametrize("baseline, expected", [
+        ("fraction_sweep", [6.339850002884611, 6.339850002884611]),
+        ("uniform_allocation", [5e307, 5e304]),
+        ("uniform_secure_allocation", [5e307, 5e304])])
+    def test_a_decade_lower_keeps_its_bits(self, baseline, expected):
+        out = self.BASELINES[baseline](self.CASES["transmit"], 1e305,
+                                       "transmit")
+        assert out.tolist() == expected
+
+
 class TestSubsetSums:
     @pytest.mark.parametrize("q", [3, 8, 12, 16, 40])
     def test_each_row_sums_its_own_subset(self, q):

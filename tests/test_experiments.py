@@ -1,5 +1,6 @@
 """Unit tests for channel sampling, campaigns, and CSV plumbing."""
 
+import contextlib
 import hashlib
 import math
 import os
@@ -17,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 import gsvdcap.experiments as experiments
 from gsvdcap import (
+    ChannelPair,
     DegenerateChannelError,
     ExperimentConfig,
     PowerAllocation,
@@ -108,6 +110,13 @@ class TestExperimentConfig:
         ("rho_grid", bytearray(b"0"))])
     def test_rejects_values_that_would_fail_later(self, field, value):
         with pytest.raises(ValueError, match=field):
+            fraction_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma_r2", True), ("sigma_e2", False), ("budget", True),
+        ("rho_grid", (False, True)), ("snr_db_grid", (0.0, np.True_))])
+    def test_float_fields_reject_booleans(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} .*bools?$"):
             fraction_config(**{field: value})
 
 
@@ -526,6 +535,80 @@ class TestScalarReference:
                     gains, partition, cfg.budget, rho, mode, True))
 
 
+class TestChunkInvariance:
+    """The chunk constants decide only how the engine batches its work:
+    every split of the trials, grid cells and solve rows gives the one-pair
+    bits, and a fault in a later chunk raises what that trial raises alone.
+    """
+
+    GRIDS = {"fraction": {"budget": 10.0,
+                          "rho_grid": (0.0, 0.3, 0.5, 0.9, 1.0)},
+             "snr": {"snr_db_grid": SNR_GRID}}
+    CHUNKS = (st.integers(1, 5), st.integers(1, 40), st.integers(1, 8))
+
+    @staticmethod
+    @contextlib.contextmanager
+    def chunked(trial_chunk, cells, solve_chunk):
+        """The three chunk constants, patched until the context exits."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_TRIAL_CHUNK", trial_chunk)
+            mp.setattr(experiments, "_CHUNK_CELLS", cells)
+            mp.setattr(experiments, "_SOLVE_CHUNK", solve_chunk)
+            yield mp
+
+    @pytest.mark.parametrize("mode", ["transmit", "symbol"])
+    @pytest.mark.parametrize("campaign", ["fraction", "snr"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(*CHUNKS, st.integers(2, 9))
+    def test_every_split_gives_the_one_pair_bits(
+            self, campaign, mode, trial_chunk, cells, solve_chunk, trials):
+        cfg = ExperimentConfig(n_t=5, n_r=4, n_e=3, trials=trials, seed=26,
+                               **self.GRIDS[campaign])
+        with self.chunked(trial_chunk, cells, solve_chunk):
+            TestScalarReference.check(cfg, mode)
+
+    @pytest.mark.parametrize("fault, scale", [("degenerate", 0.0),
+                                              ("unreachable", 1e150)])
+    @pytest.mark.parametrize("campaign", ["fraction", "snr"])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(*CHUNKS, st.integers(1, 4), st.integers(0, 3))
+    def test_a_fault_in_a_later_chunk_raises_as_alone(
+            self, campaign, fault, scale, trial_chunk, cells, solve_chunk,
+            after, offset):
+        # Budget 1e30 is reachable on a unit-variance draw. A draw scaled
+        # by 1e150 has column powers near 1e-300, and no representable
+        # multiplier radiates 1e30 on them; a zero draw has rank 0.
+        grid = ({"budget": 1e30, "rho_grid": (0.0, 1.0)}
+                if campaign == "fraction" else {"snr_db_grid": (0.0, 300.0)})
+        # Both grids have two points, so a chunk holds this many trials.
+        chunk = max(1, min(trial_chunk, cells // 2))
+        bad = chunk + offset % after
+        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=2, trials=chunk + after,
+                               seed=27, **grid)
+        real_draw = experiments._draw
+
+        def planted(config, trials):
+            h = real_draw(config, trials)
+            h[np.asarray(trials) == bad] *= scale
+            return h
+
+        h = planted(cfg, [bad])[0]
+        with pytest.raises(ValueError) as alone:
+            gains = subchannel_gains(gsvd(ChannelPair(hr=h[:3], he=h[3:])))
+            solve_mu(gains, 1e30)
+        expected = (f"trial {bad}: {alone.value}" if fault == "degenerate"
+                    else str(alone.value))
+        assert type(alone.value) is (DegenerateChannelError
+                                     if fault == "degenerate" else ValueError)
+        run = run_fraction_experiment if campaign == "fraction" else run_snr_sweep
+        with self.chunked(trial_chunk, cells, solve_chunk) as mp:
+            mp.setattr(experiments, "_draw", planted)
+            with pytest.raises(type(alone.value)) as info:
+                run(cfg)
+        assert type(info.value) is type(alone.value)
+        assert str(info.value) == expected
+
+
 class TestCsv:
     def records(self):
         return [
@@ -807,6 +890,17 @@ class TestConfigIo:
         path.write_text(f'{{"n_t": 4, "n_r": 4, "n_e": 4, "{field}": {text}}}',
                         encoding="utf-8")
         with pytest.raises(ValueError, match=field):
+            load_config(path)
+
+    @pytest.mark.parametrize("field, text", [
+        ("sigma_r2", "true"), ("sigma_e2", "false"), ("budget", "true"),
+        ("rho_grid", "[false, true]"), ("snr_db_grid", "[0, true]")])
+    def test_booleans_rejected(self, field, text, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"n_t": 3, "n_r": 2, "n_e": 2, "{field}": {text}}}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: bad config: {field} ")):
             load_config(path)
 
     def test_invalid_json_rejected(self, tmp_path):
