@@ -12,7 +12,9 @@ gsvd factors one pair. Campaigns take _stacked_gains instead, which keeps
 only the subchannel gains of a whole stack of pairs, with the same checks,
 in array calls. Both run the second SVD and what follows from it through
 one shared step, _cosine_sine, written on stacks; each keeps its own first
-SVD, rank test and Psi_e orthonormalization.
+SVD and rank test. Psi_r and Psi_e feed no gain, allocation or rate, so
+gsvd builds them on their first read (verify_factors reads them) and
+_stacked_gains never does.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ class GsvdFactors:
     cdiag: length-q receiver diagonal, ascending, entries in [0, 1].
     ddiag: length-q eavesdropper diagonal, descending, cdiag**2 + ddiag**2 = 1.
     C and D are not built; verify_factors places the diagonals in them.
+    The factors gsvd returns build psi_r and psi_e on the first read of
+    either, which raises FactorizationError if the eavesdropper block
+    lost rank; see _LazyFactors.
     """
 
     a: np.ndarray
@@ -93,6 +98,35 @@ class GsvdFactors:
     @property
     def q(self):
         return self.cdiag.shape[0]
+
+
+class _Unitary:
+    """psi_r or psi_e of _LazyFactors, a non-data descriptor: the first
+    read of either builds both with _unitaries and stores them in the
+    instance dict, which later reads find before the descriptor. Two
+    threads reading first at once may both build; both store the same
+    arrays."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, factors, owner=None):
+        if factors is None:
+            return self
+        parts = factors.__dict__
+        parts["psi_r"], parts["psi_e"] = _unitaries(
+            parts["_pmat"], parts["_m"], parts["_live"])
+        return parts[self.name]
+
+
+class _LazyFactors(GsvdFactors):
+    """The GsvdFactors gsvd returns: a, cdiag and ddiag, plus the parts
+    psi_r and psi_e are built from (_pmat, _m, _live), arrays all, so the
+    factors pickle and copy before the first read as after it.
+    dataclasses.replace and GsvdFactors' constructor store every field."""
+
+    psi_r = _Unitary()
+    psi_e = _Unitary()
 
 
 @dataclass(frozen=True)
@@ -205,7 +239,9 @@ def gsvd(channels):
     Raises:
         DegenerateChannelError: stacked rank below q = min(n_t, n_r + n_e).
         FactorizationError: an SVD failed, or the computed eavesdropper
-            diagonal is not a clean descending prefix.
+            diagonal is not a clean descending prefix. The QR that
+            orthonormalizes Psi_e runs on the first read of psi_r or
+            psi_e, which raises its rank loss.
     """
     hr, he = channels.hr, channels.he
     n_r, n_t = hr.shape
@@ -220,6 +256,21 @@ def gsvd(channels):
             linalg.rank_with_tol(sig, linalg.RANK_TOL), q)
 
     pmat, cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)
+    factors = object.__new__(_LazyFactors)
+    factors.__dict__.update(a=a, cdiag=cdiag, ddiag=ddiag,
+                            _pmat=pmat, _m=m, _live=live)
+    return factors
+
+
+def _unitaries(pmat, m, live):
+    """gsvd's Psi_r and Psi_e, from the parts of _cosine_sine it keeps:
+    pmat, the rotated eavesdropper block m and its live mask.
+
+    Raises:
+        FactorizationError: the QR of m's live columns has a zero R
+            diagonal, so the eavesdropper block lost rank.
+    """
+    n_r, (n_e, q) = pmat.shape[0], m.shape
     t = min(n_r, q)
     psi_r = (pmat[:, ::-1].copy() if t == n_r else
              np.concatenate([pmat[:, :t][:, ::-1], pmat[:, t:]], axis=1))
@@ -249,7 +300,7 @@ def gsvd(channels):
         psi_e[:, slot] = qfac[:, :k]
         psi_e[:, ~slot] = qfac[:, k:]
 
-    return GsvdFactors(a=a, psi_r=psi_r, psi_e=psi_e, cdiag=cdiag, ddiag=ddiag)
+    return psi_r, psi_e
 
 
 def _gains(cdiag, ddiag, a):
@@ -288,12 +339,16 @@ def _stacked_gains(h, n_r):
     rank holds the T stacked ranks gsvd's rank test counts, and c, d, a the
     gains of the pairs of full rank q, one row each, equal bit for bit to
     the one-pair calls. A pair that fails the rank test is dropped where gsvd
-    raises DegenerateChannelError; every other check of gsvd and
-    SubchannelGains raises its own exception for the whole stack.
+    raises DegenerateChannelError.
 
     This is gsvd's arithmetic, operation for operation, written on stacks:
-    the cosine-sine step is the same _cosine_sine call, and the grouped QR
-    below stands in for gsvd's Psi_e construction.
+    the cosine-sine step is the same _cosine_sine call. No Psi is built,
+    as gsvd builds none until one is read.
+
+    Raises:
+        ValueError: a non-finite entry, or gains SubchannelGains rejects.
+        FactorizationError: as gsvd, for the whole stack: an SVD failed,
+            or an eavesdropper diagonal is not a clean descending prefix.
     """
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
@@ -302,17 +357,7 @@ def _stacked_gains(h, n_r):
     full = rank == sig.shape[1]
     if not full.all():
         u, sig, v = u[full], sig[full], v[full]
-    cdiag, m, ddiag, live, a = _cosine_sine(u, sig, v, n_r)[1:]
-    # gsvd orthonormalizes the live columns of m by QR, so a zero R
-    # diagonal there is a rank loss. QR runs per group of equal live masks.
-    todo = live.any(axis=1)
-    while todo.any():
-        mask = live[todo.argmax()]
-        group = todo & (live == mask).all(axis=1)
-        todo &= ~group
-        r = np.linalg.qr(m[group][:, :, mask], mode="r")
-        if (r.diagonal(axis1=1, axis2=2) == 0).any():
-            raise linalg.FactorizationError(_RANK_LOSS)
+    _, cdiag, _, ddiag, _, a = _cosine_sine(u, sig, v, n_r)
     c, d, a = _gains(cdiag, ddiag, a)
     _check_gains(c, d, a)
     return rank, c, d, a
@@ -353,10 +398,14 @@ def verify_factors(factors, channels, tol=None):
     delta_e[:, :k] -= psi_e[:, :k] * ddiag[:k]
     res_r, res_e = rel(delta_r, hr), rel(delta_e, he)
     uni_r, uni_e = unitarity(psi_r), unitarity(psi_e)
-    cs = float(np.abs(cdiag**2 + ddiag**2 - 1.0).max())
+    # abs(cdiag**2 + ddiag**2 - 1).max() and the ordering flags, on
+    # Python floats in numpy's operation order; a NaN stays NaN.
+    cl, dl = cdiag.tolist(), ddiag.tolist()
+    gaps = [abs(c * c + d * d - 1.0) for c, d in zip(cl, dl)]
+    cs = math.nan if any(map(math.isnan, gaps)) else max(gaps)
     slack = linalg.ORDER_SLACK
-    ordering = bool((cdiag[1:] - cdiag[:-1] >= -slack).all()
-                    and (ddiag[1:] - ddiag[:-1] <= slack).all())
+    ordering = (all(y - x >= -slack for x, y in zip(cl, cl[1:]))
+                and all(y - x <= slack for x, y in zip(dl, dl[1:])))
     return FactorCheck(
         residual_receiver=res_r,
         residual_eavesdropper=res_e,

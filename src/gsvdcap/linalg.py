@@ -6,11 +6,11 @@ Matrices are plain 2-D ``numpy.ndarray`` values with dtype complex128; use
 here is pure and thread-safe.
 
 _fro is ``np.linalg.norm(x)`` of a complex array without the dispatch: the
-same ravel and the same two real dot products, so the same bits. The
-one-pair residuals (svd's reconstruction check and gsvd.verify_factors)
-take it. _stacked_svd's residuals take _stacked_fro, which is
-``np.linalg.norm(x, axis=(-2, -1))``'s own expression written out, so the
-same bits again.
+same ravel, the same two real dot products and a correctly rounded root,
+so the same bits. The one-pair residuals (svd's reconstruction check and
+gsvd.verify_factors) take it. _stacked_svd's residuals take _stacked_fro,
+which is ``np.linalg.norm(x, axis=(-2, -1))``'s own expression written
+out, so the same bits again.
 
 Every SVD the package computes (svd, _stacked_svd and gsvd's receiver
 block) is one _svd call, so a LAPACK convergence failure follows one
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import os
 import stat
@@ -199,10 +200,10 @@ def svd(m):
 
 def _fro(x):
     """Frobenius norm of a complex array, np.linalg.norm's axis=None
-    branch verbatim."""
+    branch with the root taken by math.sqrt, which rounds as np.sqrt."""
     x = x.ravel(order="K")
     re, im = x.real, x.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    return np.float64(math.sqrt(re.dot(re) + im.dot(im)))
 
 
 def _stacked_fro(x):

@@ -139,6 +139,16 @@ class TestAllocate:
         out = capsys.readouterr().out.encode()
         assert out == (DATA / "allocate_power10.txt").read_bytes()
 
+    def test_seeded_pair_json_bytes(self, capsys):
+        # Every gain, power, mu, effective power and rate at full
+        # precision; CI compares the installed entry point's output too.
+        code = main(["allocate", "--hr", str(DATA / "allocate_hr.json"),
+                     "--he", str(DATA / "allocate_he.json"), "--power", "10",
+                     "--json"])
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (DATA / "allocate_power10.json").read_bytes()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         hr, _ = identity_files(tmp_path)
         code = main(["allocate", "--hr", hr, "--he",

@@ -1,7 +1,11 @@
 """Unit tests for the joint channel factorization."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +20,16 @@ from gsvdcap import (
     ExperimentConfig,
     FactorCheck,
     FactorizationError,
+    GsvdFactors,
     classify_subspaces,
     cli,
     gsvd,
+    input_covariance,
     linalg,
     load_matrix,
     sample_channel,
+    secrecy_rate,
+    solve_mu,
     subchannel_gains,
     verify_factors,
 )
@@ -30,6 +38,8 @@ from gsvdcap.gsvd import _RANK_LOSS, _stacked_gains
 from gsvdcap.linalg import NULLSPACE_TOL
 
 from conftest import pair_from_arrays, random_pair
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def tied_cosine_pair(seed, scale):
@@ -197,23 +207,126 @@ def _zero_r_diagonal(monkeypatch):
 
 
 class TestRankLoss:
-    def test_one_pair_and_stacked_paths_raise(self, monkeypatch):
+    """The QR that orthonormalizes Psi_e runs on the first read of psi_r or
+    psi_e, so that read, verify_factors and gsvd-check raise its rank loss.
+    gsvd returns normally, and campaigns, which read no Psi, never see it."""
+
+    def test_first_read_and_verify_raise(self, monkeypatch):
         pair = random_pair(5, 5, 4, seed=42)
         _zero_r_diagonal(monkeypatch)
+        f = gsvd(pair)
         with pytest.raises(FactorizationError, match=_RANK_LOSS):
-            gsvd(pair)
-        h = np.vstack([pair.hr, pair.he])[None]
+            f.psi_e
         with pytest.raises(FactorizationError, match=_RANK_LOSS):
-            _stacked_gains(h, pair.n_r)
+            verify_factors(f, pair)
 
-    def test_campaign_exits_with_the_message(self, monkeypatch, tmp_path,
-                                             capsys):
+    def test_gsvd_check_exits_with_the_message(self, monkeypatch, capsys):
         _zero_r_diagonal(monkeypatch)
-        code = cli.main(["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
-                         "--snr-db", "0:10:20", "--trials", "2", "--seed", "5",
-                         "--out", str(tmp_path / "snr")])
+        code = cli.main(["gsvd-check", "--nt", "5", "--nr", "5", "--ne", "4",
+                         "--trials", "1", "--seed", "42"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {_RANK_LOSS}\n"
+
+    def test_campaign_writes_the_same_bytes(self, monkeypatch, tmp_path):
+        argv = ["sweep-snr", "--nt", "4", "--nr", "4", "--ne", "4",
+                "--snr-db", "0:10:20", "--trials", "2", "--seed", "5", "--out"]
+        assert cli.main(argv + [str(tmp_path / "plain")]) == 0
+        _zero_r_diagonal(monkeypatch)
+        assert cli.main(argv + [str(tmp_path / "fake")]) == 0
+        for name in ("snr_trials.csv", "snr_aggregate.csv"):
+            assert ((tmp_path / "fake" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+
+def _count_qr(monkeypatch):
+    """A list that gains one entry per np.linalg.qr call."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def _field_bytes(f):
+    return [(x.dtype, x.shape, x.tobytes()) for x in
+            (f.a, f.psi_r, f.psi_e, f.cdiag, f.ddiag)]
+
+
+class TestOnDemandUnitaries:
+    """gsvd builds Psi_r and Psi_e, one QR, on the first read of either:
+    the allocate chain and the campaigns' stacked gains never pay for it."""
+
+    def test_allocate_chain_makes_no_qr_call(self, monkeypatch):
+        calls = _count_qr(monkeypatch)
+        pair = ChannelPair(load_matrix(DATA / "allocate_hr.json"),
+                           load_matrix(DATA / "allocate_he.json"))
+        f = gsvd(pair)
+        gains = subchannel_gains(f)
+        alloc = solve_mu(gains, 10.0)
+        secrecy_rate(gains, alloc)
+        input_covariance(f, alloc)
+        assert calls == []
+
+    def test_stacked_gains_make_no_qr_call(self, monkeypatch):
+        calls = _count_qr(monkeypatch)
+        cfg = ExperimentConfig(n_t=5, n_r=5, n_e=4, trials=20, seed=1)
+        _stacked_gains(experiments._draw(cfg, np.arange(cfg.trials)), cfg.n_r)
+        assert calls == []
+
+    def test_first_read_builds_both(self, monkeypatch):
+        calls = _count_qr(monkeypatch)
+        f = gsvd(random_pair(5, 5, 4, seed=1))
+        assert calls == []
+        f.psi_r
+        assert len(calls) == 1
+        f.psi_e
+        f.psi_r
+        assert len(calls) == 1
+
+    def test_verify_factors_builds_once(self, monkeypatch):
+        calls = _count_qr(monkeypatch)
+        pair = random_pair(5, 5, 4, seed=1)
+        verify_factors(gsvd(pair), pair)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)),
+        copy.deepcopy,
+        dataclasses.replace,
+        lambda f: GsvdFactors(**{k.name: getattr(f, k.name)
+                                 for k in dataclasses.fields(f)}),
+    ], ids=["pickle", "deepcopy", "replace", "constructor"])
+    def test_copies_keep_every_bit(self, clone, read):
+        pair = random_pair(4, 3, 3, seed=2)
+        f = gsvd(pair)
+        if read:
+            f.psi_e
+        assert _field_bytes(clone(f)) == _field_bytes(gsvd(pair))
+
+    def test_threads_reading_first_see_the_same_bits(self):
+        # Threads that read at once may each build; all must see one value.
+        pairs = [random_pair(5, 5, 4, seed=1, trial=t) for t in range(50)]
+        expected = [_field_bytes(gsvd(pair)) for pair in pairs]
+        shared = [gsvd(pair) for pair in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                seen = list(pool.map(lambda _: [_field_bytes(f) for f in shared],
+                                     range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [expected] * 4
+
+    def test_fields_stay_frozen(self):
+        f = gsvd(random_pair(4, 3, 3, seed=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.psi_r = np.eye(3)
 
 
 def _svd_fails(monkeypatch, failing):
@@ -279,9 +392,8 @@ class TestSubchannelGains:
         # The allocate example pair: gsvd cuts ddiag[3] to zero, while its
         # cosine rounds a little short of 1. Both paths give that direction
         # c = 1 and d = 0 exactly, not d = 1 - c = 2.2e-16.
-        data = Path(__file__).resolve().parent / "data"
-        pair = ChannelPair(hr=load_matrix(data / "allocate_hr.json"),
-                           he=load_matrix(data / "allocate_he.json"))
+        pair = ChannelPair(hr=load_matrix(DATA / "allocate_hr.json"),
+                           he=load_matrix(DATA / "allocate_he.json"))
         factors = gsvd(pair)
         assert factors.ddiag[3] == 0.0
         g = subchannel_gains(factors)
@@ -367,6 +479,16 @@ class TestVerifyFactors:
         check = verify_factors(broken, pair)
         assert np.isnan(check.max_residual)
         assert not check.passed(1e-8)
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_nan_diagonal_entry_stays_nan(self, slot):
+        pair = random_pair(4, 3, 3, seed=44)
+        f = gsvd(pair)
+        ddiag = f.ddiag.copy()
+        ddiag[slot] = np.nan
+        check = verify_factors(dataclasses.replace(f, ddiag=ddiag), pair)
+        assert np.isnan(check.cs_identity)
+        assert not check.ordering_ok
 
     @pytest.mark.parametrize("length", [1, 3, 5])
     def test_ddiag_length_must_match_cdiag(self, length):
