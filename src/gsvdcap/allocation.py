@@ -7,10 +7,12 @@ multiplier mu prices radiated power, and one root finder matches the
 budget sum_i a_i p_i = P. Power is zero at mu_hi = max (c - d)/a and
 strictly decreasing in mu below it.
 
-Validation happens at the boundary, once per call: SubchannelGains checks
-the gains when it is built, and power_for_mu and solve_mu check the
-multiplier or budget on entry. solve_mu turns the gains into Python floats
-once, keeps the secure entries, and builds one PowerAllocation at the end;
+Validation happens at the boundary, once per call: gains are checked once
+where they are made (SubchannelGains' constructor, or subchannel_gains on
+Python floats), and power_for_mu and solve_mu check the multiplier or
+budget on entry. solve_mu turns the gains into Python floats once, keeps
+the secure entries, and builds one PowerAllocation at the end through
+_allocation, which runs the constructor's conditions once on Python floats;
 between, nothing is checked.
 
 The closed-form root is written twice, once per layout, on the same terms
@@ -207,6 +209,23 @@ def _unreachable(budget):
                       "representable multiplier reaches on these gains")
 
 
+def _allocation(p, mu, effective):
+    """PowerAllocation(p, mu, effective) for solve_mu's float64 p and
+    Python-float mu and effective power: the constructor's conditions, in
+    its order and with its messages, run once on Python floats."""
+    if p.ndim != 1:
+        raise ValueError("p must be a 1-D array")
+    if not all(0.0 <= x < math.inf for x in p.tolist()):
+        raise ValueError("powers must be finite and nonnegative")
+    if not mu > 0:
+        raise ValueError("mu must be positive when present")
+    if not effective >= 0:
+        raise ValueError("effective_power must be nonnegative")
+    alloc = object.__new__(PowerAllocation)
+    alloc.__dict__.update(p=p, mu=mu, effective_power=effective)
+    return alloc
+
+
 def solve_mu(gains, budget):
     """Find mu so the closed-form allocation radiates the whole budget.
 
@@ -227,7 +246,7 @@ def solve_mu(gains, budget):
               enumerate(zip(gains.c.tolist(), gains.d.tolist(),
                             gains.a.tolist())) if c > d]
     if not secure:
-        return PowerAllocation(p=np.zeros(q), mu=1.0, effective_power=0.0)
+        return _allocation(np.zeros(q), 1.0, 0.0)
     a, cd, inverse = gains.a, np.zeros(q), np.zeros(q)
     for i, _, cdi, _ in secure:
         cd[i], inverse[i] = cdi, 1.0 / cdi
@@ -261,8 +280,7 @@ def solve_mu(gains, budget):
             mu = step
         else:
             raise RuntimeError("power-budget solve failed to converge")
-    p, mu, effective = best
-    return PowerAllocation(p=p, mu=mu, effective_power=effective)
+    return _allocation(*best)
 
 
 def _rowdot(x, y):

@@ -15,6 +15,11 @@ one shared step, _cosine_sine, written on stacks; each keeps its own first
 SVD and rank test. Psi_r and Psi_e feed no gain, allocation or rate, so
 gsvd builds them on their first read (verify_factors reads them) and
 _stacked_gains never does.
+
+The gain rule is written twice, as allocation writes its root: _gains and
+_check_gains on arrays, for _stacked_gains and dtypes other than float64,
+and subchannel_gains on Python floats for one pair, in the same operation
+order and with the same checks, so both give the same bits or error.
 """
 
 from __future__ import annotations
@@ -304,8 +309,9 @@ def _unitaries(pmat, m, live):
 
 
 def _gains(cdiag, ddiag, a):
-    """subchannel_gains' (c, d, a) arrays, over the last axis of the
-    diagonals and the beamformer columns, for one pair or a stack."""
+    """The gain rule's (c, d, a) arrays, over the last axis of the
+    diagonals and the beamformer columns, for one pair or a stack;
+    subchannel_gains writes it again on Python floats."""
     c = np.minimum(cdiag**2, 1.0)
     d = np.minimum(ddiag**2, 1.0)
     # Clean up roundoff so pairs sum to 1 exactly where one side dominates.
@@ -328,8 +334,46 @@ def _gains(cdiag, ddiag, a):
 
 
 def subchannel_gains(factors):
-    """Squared diagonals and beamformer column powers of a factorization."""
-    return SubchannelGains(*_gains(factors.cdiag, factors.ddiag, factors.a))
+    """Squared diagonals and beamformer column powers of a factorization.
+
+    For float64 diagonals (gsvd makes no other), _gains' rule and then
+    _check_gains' checks run once, each in its order, on Python floats,
+    and a keeps its array expression: the result equals
+    SubchannelGains(*_gains(...)) bit for bit, or the same error is
+    raised. Other dtypes take that array path.
+
+    Raises:
+        ValueError: cdiag and ddiag are not 1-D of one length, a does not
+            have one column per entry, or the gains break a bound.
+    """
+    cdiag, ddiag = factors.cdiag, factors.ddiag
+    a = np.asarray((np.abs(factors.a) ** 2).sum(axis=-2), dtype=float)
+    if cdiag.ndim != 1 or not cdiag.shape == ddiag.shape == a.shape:
+        raise ValueError("c, d, a must be 1-D arrays of equal length")
+    if not cdiag.dtype == ddiag.dtype == np.float64:
+        return SubchannelGains(*_gains(cdiag, ddiag, factors.a))
+    cl, dl, tie = [], [], linalg.TIE_TOL
+    for x, y in zip(cdiag.tolist(), ddiag.tolist()):
+        c, d = min(x * x, 1.0), min(y * y, 1.0)
+        if c < 0.5:
+            c = 1.0 - d
+        else:
+            d = 1.0 - c
+        if y == 0.0:
+            c, d = 1.0, 0.0
+        if abs(c - d) <= tie:
+            c = d = 0.5
+        cl.append(c)
+        dl.append(d)
+    if not all(0.0 <= c <= 1.0 and 0.0 <= d <= 1.0 for c, d in zip(cl, dl)):
+        raise ValueError("gains must lie in [0, 1]")
+    if any(abs(c + d - 1.0) > linalg.GAIN_SUM_TOL for c, d in zip(cl, dl)):
+        raise ValueError("gain pairs must satisfy c + d = 1")
+    if not ((a > 0) & (a < np.inf)).all():
+        raise ValueError("beamformer column power a must be positive and finite")
+    gains = object.__new__(SubchannelGains)
+    gains.__dict__.update(c=np.array(cl), d=np.array(dl), a=a)
+    return gains
 
 
 def _stacked_gains(h, n_r):

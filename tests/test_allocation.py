@@ -1,9 +1,14 @@
 """Unit tests for the closed-form power allocation."""
 
+import copy
+import dataclasses
 import hashlib
+import importlib
 import math
+import pickle
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from gsvdcap import (
     gsvd,
     input_covariance,
     largest_root,
+    load_matrix,
     power_for_mu,
     run_fraction_experiment,
     run_snr_sweep,
@@ -31,6 +37,8 @@ from gsvdcap.allocation import _solve_batch
 from gsvdcap.gsvd import _stacked_gains
 
 from conftest import gains_st, random_pair
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # Reference values computed with an independent high-precision bisection on
 # the marginal-rate function before the closed form existed.
@@ -272,6 +280,107 @@ class TestSolveMu:
         alloc = solve_mu(gains, 50.0)
         assert alloc.p[0] == 0.0 and alloc.p[1] == 0.0
         assert alloc.p[2] > 0
+
+
+def _outcome(make):
+    """make()'s p bytes, mu and effective power, or its exception's type
+    and message."""
+    try:
+        alloc = make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return alloc.p.dtype, alloc.p.tobytes(), alloc.mu, alloc.effective_power
+
+
+class TestCheckedResult:
+    """solve_mu builds its PowerAllocation without the constructor, after
+    running the constructor's conditions once on Python floats."""
+
+    @pytest.mark.parametrize("p, mu, effective", [
+        ([1.0, 0.0], 0.5, 1.0), ([0.0], 1.0, 0.0), ([-1e-3], 1.0, 0.0),
+        ([2.0, math.nan], 1.0, 2.0), ([math.inf], 1.0, 1.0),
+        ([-math.inf], 1.0, 1.0), ([-0.0], 1.0, -0.0), ([[1.0]], 1.0, 1.0),
+        ([1.0], 0.0, 1.0), ([1.0], math.nan, 1.0), ([1.0], 1.0, -1.0),
+        ([1.0], 1.0, math.nan), ([-1.0], 0.0, -1.0), ([[-1.0]], 0.0, -1.0),
+        ([1.0], -2.0, math.nan)])
+    def test_conditions_match_the_constructor(self, p, mu, effective):
+        ours = _outcome(lambda: allocation._allocation(
+            np.array(p), mu, effective))
+        assert ours == _outcome(lambda: PowerAllocation(p, mu, effective))
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_a_bad_evaluated_power_is_refused(self, monkeypatch, bad):
+        power = allocation._power
+
+        def corrupt(secure, a, cd, mu):
+            p, f, slope = power(secure, a, cd, mu)
+            p = p.copy()
+            p[0] = bad
+            return p, f, slope
+
+        monkeypatch.setattr(allocation, "_power", corrupt)
+        gains = SubchannelGains(c=[0.6, 0.8], d=[0.4, 0.2], a=[1.0, 2.0])
+        with pytest.raises(ValueError,
+                           match="^powers must be finite and nonnegative$"):
+            solve_mu(gains, 10.0)
+
+
+def _allocate_chain(hr_file, he_file):
+    """The allocate command's library calls at a 10 W budget."""
+    pair = ChannelPair(load_matrix(DATA / hr_file), load_matrix(DATA / he_file))
+    gains = subchannel_gains(gsvd(pair))
+    alloc = solve_mu(gains, 10.0)
+    secrecy_rate(gains, alloc)
+    return gains, alloc
+
+
+def _fields(obj):
+    return [(type(v), v.tobytes() if isinstance(v, np.ndarray) else v)
+            for v in dataclasses.astuple(obj)]
+
+
+class TestBuiltWithoutConstructor:
+    """subchannel_gains and solve_mu check once and then build their
+    results with object.__new__: the one-pair chain runs no constructor
+    check, and the results behave as constructed ones do."""
+
+    HE = ["allocate_he.json", "allocate_hr.json"]  # secure, and all tied
+
+    @pytest.mark.parametrize("he_file", HE, ids=["secure", "tied"])
+    def test_allocate_chain_checks_nothing_twice(self, monkeypatch, he_file):
+        gsvd_module = importlib.import_module("gsvdcap.gsvd")
+        checks, posts = [], []
+        check, post = gsvd_module._check_gains, PowerAllocation.__post_init__
+
+        def counted_check(*args):
+            checks.append(None)
+            return check(*args)
+
+        def counted_post(self):
+            posts.append(None)
+            return post(self)
+
+        monkeypatch.setattr(gsvd_module, "_check_gains", counted_check)
+        monkeypatch.setattr(PowerAllocation, "__post_init__", counted_post)
+        _allocate_chain("allocate_hr.json", he_file)
+        assert (len(checks), len(posts)) == (0, 0)
+
+    @pytest.mark.parametrize("he_file", HE, ids=["secure", "tied"])
+    @pytest.mark.parametrize("clone", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+        dataclasses.replace], ids=["pickle", "deepcopy", "replace"])
+    def test_copies_keep_every_bit(self, clone, he_file):
+        for obj in _allocate_chain("allocate_hr.json", he_file):
+            copied = clone(obj)
+            assert type(copied) is type(obj)
+            assert _fields(copied) == _fields(obj)
+
+    def test_fields_stay_frozen(self):
+        gains, alloc = _allocate_chain("allocate_hr.json", "allocate_he.json")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gains.c = np.zeros(gains.q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alloc.mu = 2.0
 
 
 class TestOneCore:

@@ -149,6 +149,16 @@ class TestAllocate:
         out = capsys.readouterr().out.encode()
         assert out == (DATA / "allocate_power10.json").read_bytes()
 
+    def test_identical_channels_json_bytes(self, capsys):
+        # Every direction ties, snaps to c = d = 0.5 and stays silent; CI
+        # compares the installed entry point's output too.
+        code = main(["allocate", "--json", "--hr",
+                     str(DATA / "allocate_hr.json"), "--he",
+                     str(DATA / "allocate_hr.json"), "--power", "10"])
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert out == (DATA / "allocate_tied.json").read_bytes()
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         hr, _ = identity_files(tmp_path)
         code = main(["allocate", "--hr", hr, "--he",

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +22,7 @@ from gsvdcap import (
     FactorCheck,
     FactorizationError,
     GsvdFactors,
+    SubchannelGains,
     classify_subspaces,
     cli,
     gsvd,
@@ -34,8 +36,8 @@ from gsvdcap import (
     verify_factors,
 )
 from gsvdcap.capacity import _subspace_masks
-from gsvdcap.gsvd import _RANK_LOSS, _stacked_gains
-from gsvdcap.linalg import NULLSPACE_TOL
+from gsvdcap.gsvd import _RANK_LOSS, _gains, _stacked_gains
+from gsvdcap.linalg import NULLSPACE_TOL, TIE_TOL
 
 from conftest import pair_from_arrays, random_pair
 
@@ -422,6 +424,136 @@ class TestSubchannelGains:
 
         with pytest.raises(ValueError):
             SubchannelGains(c=[c], d=[d], a=[a])
+
+    @pytest.mark.parametrize("ddiag", [
+        np.array([0.5]), np.array([0.5, 0.6]), np.array([0.5, 0.6, 0.7, 0.8]),
+        np.array([[0.8, 0.6, 0.44]])], ids=["1", "2", "4", "2-D"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rejects_diagonals_of_unequal_length(self, ddiag, dtype):
+        # A length-1 ddiag once broadcast over a length-3 cdiag into gains
+        # of a factorization that does not exist.
+        f = GsvdFactors(a=np.eye(3), psi_r=np.eye(2), psi_e=np.eye(2),
+                        cdiag=np.array([0.6, 0.8, 0.9], dtype=dtype),
+                        ddiag=ddiag.astype(dtype))
+        with pytest.raises(ValueError,
+                           match="^c, d, a must be 1-D arrays of equal length$"):
+            subchannel_gains(f)
+
+
+def _gains_outcome(make):
+    """The dtype, shape and bytes of make()'s c, d and a, or its
+    exception's type and message."""
+    try:
+        g = make()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(x.dtype, x.shape, x.tobytes()) for x in (g.c, g.d, g.a)]
+
+
+def _both_rules(cdiag, ddiag, a):
+    """subchannel_gains' outcome and the array rule's, on factors with
+    these diagonals and beamformer."""
+    f = GsvdFactors(a=a, psi_r=np.eye(1), psi_e=np.eye(1), cdiag=cdiag,
+                    ddiag=ddiag)
+    return (_gains_outcome(lambda: subchannel_gains(f)),
+            _gains_outcome(lambda: SubchannelGains(*_gains(cdiag, ddiag, a))))
+
+
+_HALF = math.sqrt(0.5)
+# Diagonal entries at the rule's edges: 0, 1, 0.5 and sqrt(0.5) (where
+# c = x**2 meets the complement's 0.5 threshold) one ulp either side, -0.0
+# and NaN.
+_diagonal_entry = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, math.nextafter(0.5, 0.0),
+                     math.nextafter(0.5, 1.0), _HALF,
+                     math.nextafter(_HALF, 0.0), math.nextafter(_HALF, 1.0),
+                     math.nan]))
+
+
+@st.composite
+def _diagonal_pair(draw):
+    """(cdiag, ddiag) entries: free, on the unit circle, with squares about
+    TIE_TOL apart, or with an eavesdropper-null ddiag of exactly 0."""
+    kind = draw(st.sampled_from(["free", "unit", "tie", "null"]))
+    if kind == "free":
+        return draw(_diagonal_entry), draw(_diagonal_entry)
+    if kind == "unit":
+        x = draw(_diagonal_entry)
+        return x, math.sqrt(1.0 - x * x)
+    if kind == "tie":
+        gap = draw(st.floats(min_value=0.0, max_value=3.0)) * TIE_TOL
+        pair = math.sqrt(0.5 + 0.5 * gap), math.sqrt(0.5 - 0.5 * gap)
+        return pair[::-1] if draw(st.booleans()) else pair
+    return draw(st.floats(min_value=0.99, max_value=1.0)), 0.0
+
+
+# Beamformer columns (two rows each): generic, zero, infinite or NaN.
+_column = st.one_of(
+    st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+              st.floats(min_value=-3.0, max_value=3.0)),
+    st.sampled_from([(0.0, 0.0), (math.inf, 0.0), (0.5, -math.inf),
+                     (math.nan, 1.0)]))
+
+
+class TestGainRuleOnFloats:
+    """subchannel_gains writes _gains' rule and _check_gains' checks on
+    Python floats; the two must agree bit for bit, or raise the same error."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(data=st.data(),
+           pairs=st.lists(_diagonal_pair(), min_size=1, max_size=8))
+    def test_python_floats_equal_the_array_rule(self, data, pairs):
+        columns = data.draw(st.lists(_column, min_size=len(pairs),
+                                     max_size=len(pairs)))
+        cdiag, ddiag = np.array(pairs).T.copy()
+        ours, arrays = _both_rules(cdiag, ddiag, np.array(columns).T.copy())
+        assert ours == arrays
+
+    @pytest.mark.parametrize("cdiag, ddiag, columns, message", [
+        # A NaN diagonal at entry 1 outranks a zero column at entry 0.
+        ([0.6, math.nan], [0.8, 0.3], [(0.0, 0.0), (1.0, 0.0)], "[0, 1]"),
+        ([0.6, 0.9], [math.nan, 0.1], [(math.inf, 0.0), (1.0, 0.0)], "[0, 1]"),
+        ([0.6, 0.8], [0.8, 0.6], [(1.0, 0.0), (math.nan, 0.0)], "positive"),
+        ([0.6, 0.8], [0.8, 0.6], [(1.0, 0.0), (0.0, 0.0)], "positive"),
+        ([0.6, 0.8], [0.8, 0.6], [(1.0, 0.0), (2.0, 0.0)], None),
+    ])
+    def test_multi_entry_faults_keep_their_order(self, cdiag, ddiag, columns,
+                                                 message):
+        ours, arrays = _both_rules(np.array(cdiag), np.array(ddiag),
+                                   np.array(columns).T.copy())
+        assert ours == arrays
+        assert (message is None) == isinstance(ours, list)
+        if message is not None:
+            assert message in ours[1]
+
+    def test_sum_check_runs_between_the_bounds_and_a(self, monkeypatch):
+        # After the complement every finite pair sums to 1 within an ulp,
+        # so only a negative tolerance shows the sum check and its place.
+        monkeypatch.setattr(linalg, "GAIN_SUM_TOL", -1.0)
+        zero = np.array([(1.0, 0.0), (0.0, 0.0)]).T.copy()
+        cases = [(np.array([0.6, 0.8]), np.array([0.8, 0.6]),
+                  "gain pairs must satisfy c + d = 1"),
+                 (np.array([0.6, math.nan]), np.array([0.8, 0.6]),
+                  "gains must lie in [0, 1]")]
+        for cdiag, ddiag, message in cases:
+            ours, arrays = _both_rules(cdiag, ddiag, zero)
+            assert ours == arrays == (ValueError, message)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float16])
+    def test_other_dtypes_take_the_array_rule(self, dtype):
+        cdiag = np.array([0.0, 0.6, 1.0]).astype(dtype)
+        ddiag = np.array([1.0, 0.8, 0.0]).astype(dtype)
+        ours, arrays = _both_rules(cdiag, ddiag, np.eye(3))
+        assert ours == arrays
+        assert isinstance(ours, list)
+
+    def test_seeded_pairs_equal_the_array_rule(self, shape_classes):
+        for k, (n_t, n_r, n_e) in enumerate(shape_classes):
+            for trial in range(5):
+                f = gsvd(random_pair(n_t, n_r, n_e, seed=7, trial=trial))
+                ours, arrays = _both_rules(f.cdiag, f.ddiag, f.a)
+                assert ours == arrays
 
 
 class TestVerifyFactors:
