@@ -11,9 +11,9 @@ Validation happens at the boundary, once per call: gains are checked once
 where they are made (SubchannelGains' constructor, or subchannel_gains on
 Python floats), and power_for_mu and solve_mu check the multiplier or
 budget on entry. solve_mu turns the gains into Python floats once, keeps
-the secure entries, and builds one PowerAllocation at the end through
-_allocation, which runs the constructor's conditions once on Python floats;
-between, nothing is checked.
+the secure entries, and builds one PowerAllocation at the end, whose
+constructor checks the powers on Python floats; between, nothing is
+checked.
 
 The closed-form root is written twice, once per layout, on the same terms
 cd = c - d, fcd = 4.0 * c * d and mu_a = mu * a in the same operation order:
@@ -96,7 +96,8 @@ class PowerAllocation:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1:
             raise ValueError("p must be a 1-D array")
-        if (p < 0).any() or not np.isfinite(p).all():
+        # One entry per subchannel, so the check runs on Python floats.
+        if not all(0.0 <= x < math.inf for x in p.tolist()):
             raise ValueError("powers must be finite and nonnegative")
         if self.mu is not None and not self.mu > 0:
             raise ValueError("mu must be positive when present")
@@ -209,23 +210,6 @@ def _unreachable(budget):
                       "representable multiplier reaches on these gains")
 
 
-def _allocation(p, mu, effective):
-    """PowerAllocation(p, mu, effective) for solve_mu's float64 p and
-    Python-float mu and effective power: the constructor's conditions, in
-    its order and with its messages, run once on Python floats."""
-    if p.ndim != 1:
-        raise ValueError("p must be a 1-D array")
-    if not all(0.0 <= x < math.inf for x in p.tolist()):
-        raise ValueError("powers must be finite and nonnegative")
-    if not mu > 0:
-        raise ValueError("mu must be positive when present")
-    if not effective >= 0:
-        raise ValueError("effective_power must be nonnegative")
-    alloc = object.__new__(PowerAllocation)
-    alloc.__dict__.update(p=p, mu=mu, effective_power=effective)
-    return alloc
-
-
 def solve_mu(gains, budget):
     """Find mu so the closed-form allocation radiates the whole budget.
 
@@ -246,7 +230,7 @@ def solve_mu(gains, budget):
               enumerate(zip(gains.c.tolist(), gains.d.tolist(),
                             gains.a.tolist())) if c > d]
     if not secure:
-        return _allocation(np.zeros(q), 1.0, 0.0)
+        return PowerAllocation(p=np.zeros(q), mu=1.0, effective_power=0.0)
     a, cd, inverse = gains.a, np.zeros(q), np.zeros(q)
     for i, _, cdi, _ in secure:
         cd[i], inverse[i] = cdi, 1.0 / cdi
@@ -280,7 +264,8 @@ def solve_mu(gains, budget):
             mu = step
         else:
             raise RuntimeError("power-budget solve failed to converge")
-    return _allocation(*best)
+    p, mu, effective = best
+    return PowerAllocation(p=p, mu=mu, effective_power=effective)
 
 
 def _rowdot(x, y):

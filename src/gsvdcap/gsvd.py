@@ -17,9 +17,9 @@ gsvd builds them on their first read (verify_factors reads them) and
 _stacked_gains never does.
 
 The gain rule is written twice, as allocation writes its root: _gains and
-_check_gains on arrays, for _stacked_gains and dtypes other than float64,
-and subchannel_gains on Python floats for one pair, in the same operation
-order and with the same checks, so both give the same bits or error.
+_check_gains on arrays, for _stacked_gains, and subchannel_gains on Python
+floats for one pair, in the same operation order and with the same
+checks, so both give the same bits or error.
 """
 
 from __future__ import annotations
@@ -336,22 +336,21 @@ def _gains(cdiag, ddiag, a):
 def subchannel_gains(factors):
     """Squared diagonals and beamformer column powers of a factorization.
 
-    For float64 diagonals (gsvd makes no other), _gains' rule and then
-    _check_gains' checks run once, each in its order, on Python floats,
-    and a keeps its array expression: the result equals
-    SubchannelGains(*_gains(...)) bit for bit, or the same error is
-    raised. Other dtypes take that array path.
+    The diagonals are taken as float64 (gsvd makes no other dtype).
+    _gains' rule and then _check_gains' checks run once, each in its
+    order, on Python floats, and a keeps its array expression: the result
+    equals SubchannelGains(*_gains(...)) bit for bit, or the same error is
+    raised.
 
     Raises:
         ValueError: cdiag and ddiag are not 1-D of one length, a does not
             have one column per entry, or the gains break a bound.
     """
-    cdiag, ddiag = factors.cdiag, factors.ddiag
+    cdiag = np.asarray(factors.cdiag, dtype=float)
+    ddiag = np.asarray(factors.ddiag, dtype=float)
     a = np.asarray((np.abs(factors.a) ** 2).sum(axis=-2), dtype=float)
     if cdiag.ndim != 1 or not cdiag.shape == ddiag.shape == a.shape:
         raise ValueError("c, d, a must be 1-D arrays of equal length")
-    if not cdiag.dtype == ddiag.dtype == np.float64:
-        return SubchannelGains(*_gains(cdiag, ddiag, factors.a))
     cl, dl, tie = [], [], linalg.TIE_TOL
     for x, y in zip(cdiag.tolist(), ddiag.tolist()):
         c, d = min(x * x, 1.0), min(y * y, 1.0)

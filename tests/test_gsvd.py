@@ -540,13 +540,17 @@ class TestGainRuleOnFloats:
             ours, arrays = _both_rules(cdiag, ddiag, zero)
             assert ours == arrays == (ValueError, message)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float16])
-    def test_other_dtypes_take_the_array_rule(self, dtype):
-        cdiag = np.array([0.0, 0.6, 1.0]).astype(dtype)
-        ddiag = np.array([1.0, 0.8, 0.0]).astype(dtype)
-        ours, arrays = _both_rules(cdiag, ddiag, np.eye(3))
-        assert ours == arrays
-        assert isinstance(ours, list)
+    @pytest.mark.parametrize("convert", [
+        list, lambda x: x.astype(np.float32), lambda x: x.astype(np.int64)],
+        ids=["list", "float32", "int64"])
+    def test_diagonals_are_taken_as_float64(self, convert):
+        cdiag = convert(np.array([0.0, 0.6, 1.0]))
+        ddiag = convert(np.array([1.0, 0.8, 0.0]))
+        f = GsvdFactors(a=np.eye(3), psi_r=np.eye(1), psi_e=np.eye(1),
+                        cdiag=cdiag, ddiag=ddiag)
+        wide = [np.asarray(x, dtype=float) for x in (cdiag, ddiag)]
+        assert (_gains_outcome(lambda: subchannel_gains(f))
+                == _both_rules(*wide, np.eye(3))[1])
 
     def test_seeded_pairs_equal_the_array_rule(self, shape_classes):
         for k, (n_t, n_r, n_e) in enumerate(shape_classes):
