@@ -49,8 +49,8 @@ from .linalg import _check_int, _load_json, _opened
 
 _STREAM_HR = 0
 _STREAM_HE = 1
-_U64 = 2**64 - 1
-# Trials index bits 8-63 of the Philox key (see _key): every trial is below.
+# Trials index bits 8-63 of the Philox key (see _generator): every trial is
+# below.
 _TRIAL_LIMIT = 2**56
 _local = threading.local()  # each thread's keyed generator, see _generator
 # Trials per chunk of the campaign's one pass: at most _TRIAL_CHUNK, and at
@@ -208,14 +208,6 @@ class CampaignResult:
         ]
 
 
-def _key(seed, trial, stream):
-    """The Philox key of one (seed, trial, stream) matrix draw: the seed in
-    bits 64-127, the trial in bits 8-63 and the stream in bits 0-7. A trial
-    at or above _TRIAL_LIMIT would spill into the seed's bits; callers
-    check seed and trial with linalg._check_int first."""
-    return (int(seed) << 64) | (int(trial) << 8) | stream
-
-
 def _box_muller(u1, u2):
     """Complex standard normals from uniforms: radius = sqrt(-2 log1p(-u1))
     (so u1 = 0 is safe), and the two resulting standard normals become the
@@ -225,20 +217,29 @@ def _box_muller(u1, u2):
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
-def _generator(key):
-    """This thread's generator, restarted at the Philox key.
+def _generator(seed):
+    """This thread's Philox bit generator, its Generator and a fresh Philox
+    state, with the seed written into the high word of the state's key.
 
-    Restoring a fresh Philox state with the key swapped in gives the stream
-    that Philox(key=key) starts, at a tenth of the cost of building one.
-    Each thread keeps its own generator, so concurrent draws stay apart.
+    A draw keys each matrix by (seed, trial, stream): the seed in key bits
+    64-127, the trial in bits 8-63 and the stream in bits 0-7. Writing
+    (trial << 8) | stream into the key's low word and restoring the state
+    restarts the generator at the stream Philox(key=that key) starts, at a
+    tenth of the cost of building one. The state holds Python lists, which
+    the state setter reads faster than the arrays the getter returns. A
+    trial at or above _TRIAL_LIMIT would spill into the seed's word;
+    callers check seed and trial with linalg._check_int first. Each thread
+    keeps its own generator, so concurrent draws stay apart.
     """
     if not hasattr(_local, "generator"):
         bits = np.random.Philox(key=0)
-        _local.generator = bits, np.random.Generator(bits), bits.state
+        fresh = bits.state
+        fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        _local.generator = bits, np.random.Generator(bits), fresh
     bits, gen, fresh = _local.generator
-    fresh["state"]["key"] = np.array([key & _U64, key >> 64], dtype=np.uint64)
-    bits.state = fresh
-    return gen
+    fresh["state"]["key"][1] = int(seed)
+    return bits, gen, fresh
 
 
 def sample_channel(config, trial):
@@ -253,23 +254,28 @@ def sample_channel(config, trial):
 def _draw(config, trials):
     """The channel pairs [hr; he] of the given trials as one
     (len(trials), n_r + n_e, n_t) complex stack, hr CN(0, sigma_r2) and he
-    CN(0, sigma_e2) i.i.d.: this thread's generator, restarted at each
-    (seed, trial, stream) key, fills that matrix's uniforms u1, u2 as flat
-    arrays, Box-Muller runs once over the stack, and each stream's slice is
-    scaled in place by sqrt(sigma / 2). Callers check the trials."""
-    split = config.n_r * config.n_t
-    size = split + config.n_e * config.n_t
-    u1, u2 = np.empty((2, len(trials), size))
-    for row, trial in enumerate(trials):
-        for stream, part in ((_STREAM_HR, slice(0, split)),
-                             (_STREAM_HE, slice(split, size))):
-            gen = _generator(_key(config.seed, trial, stream))
-            gen.random(out=u1[row, part])
-            gen.random(out=u2[row, part])
-    z = _box_muller(u1, u2)
+    CN(0, sigma_e2) i.i.d. This thread's generator, restarted at each
+    (trial, stream) key, fills that matrix's uniforms u1 and u2 in one
+    call, into a (trials, 2, n) block per stream; Box-Muller runs once
+    over the stack, and each stream's slice is scaled in place by
+    sqrt(sigma / 2). Callers check the trials."""
+    bits, gen, fresh = _generator(config.seed)
+    key = fresh["state"]["key"]
+    words = [int(trial) << 8 for trial in trials]
+    split, rest = config.n_r * config.n_t, config.n_e * config.n_t
+    blocks = []
+    for stream, n in ((_STREAM_HR, split), (_STREAM_HE, rest)):
+        u = np.empty((len(words), 2, n))
+        for row, word in enumerate(words):
+            key[0] = word | stream
+            bits.state = fresh
+            gen.random(out=u[row])
+        blocks.append(u)
+    u = np.concatenate(blocks, axis=2)
+    z = _box_muller(u[:, 0], u[:, 1])
     z[:, :split] *= math.sqrt(config.sigma_r2 / 2.0)
     z[:, split:] *= math.sqrt(config.sigma_e2 / 2.0)
-    return z.reshape(len(trials), -1, config.n_t)
+    return z.reshape(len(words), -1, config.n_t)
 
 
 def _run_campaign(config, grid, uniform_powers, budgets):

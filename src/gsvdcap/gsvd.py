@@ -288,13 +288,15 @@ def _unitaries(pmat, m, live):
     # information and any orthonormal choice reconstructs equally well). A
     # complete QR also spans the complement: its trailing columns fill the
     # dead slots.
-    k = np.count_nonzero(live)
-    prefix = live[:k].all()  # ddiag descends, so the live slots come first
+    # The mask and rank tests read Python values: q is at most a few dozen.
+    flags = live.tolist()
+    k = flags.count(True)
+    prefix = False not in flags[:k]  # ddiag descends: live slots come first
     qfac, rfac = np.linalg.qr(m[:, :k] if prefix else m[:, live],
                               mode="complete")
     phases = rfac.diagonal()
     mags = np.abs(phases)
-    if (mags == 0).any():
+    if 0.0 in mags.tolist():
         raise linalg.FactorizationError(_RANK_LOSS)
     qfac[:, :k] *= phases / mags
     psi_e = qfac
@@ -449,7 +451,11 @@ def verify_factors(factors, channels, tol=None):
     slack = linalg.ORDER_SLACK
     ordering = (all(y - x >= -slack for x, y in zip(cl, cl[1:]))
                 and all(y - x <= slack for x, y in zip(dl, dl[1:])))
-    return FactorCheck(
+    # Every field is already a Python float or bool, so the check is built
+    # without the constructor's per-field frozen setattr, as gsvd builds
+    # its factors.
+    check = object.__new__(FactorCheck)
+    check.__dict__.update(
         residual_receiver=res_r,
         residual_eavesdropper=res_e,
         unitarity_receiver=uni_r,
@@ -457,3 +463,4 @@ def verify_factors(factors, channels, tol=None):
         cs_identity=cs,
         ordering_ok=ordering,
     )
+    return check

@@ -224,7 +224,9 @@ def random_gains(q, seed, trial=0):
     linalg._check_int("q", q, 1)
     linalg._check_int("seed", seed, 0, 2**64)
     linalg._check_int("trial", trial, 0, experiments._TRIAL_LIMIT)
-    gen = experiments._generator(experiments._key(seed, trial, _RNG_STREAM))
+    bits, gen, fresh = experiments._generator(seed)
+    fresh["state"]["key"][0] = (int(trial) << 8) | _RNG_STREAM
+    bits.state = fresh
     c = 0.02 + 0.96 * gen.random(q)
     a = np.exp(gen.random(q) * math.log(25.0)) * 0.2
     return SubchannelGains(c=np.sort(c), d=1.0 - np.sort(c), a=a)

@@ -226,6 +226,79 @@ class TestConcurrentSampling:
         assert threaded == serial
 
 
+def defined_draw(config, trials):
+    """_draw by its definition: a new Philox generator per (trial, stream)
+    key, 2n uniforms off it, u1 then u2, Box-Muller and the stream's
+    scale, one matrix at a time."""
+    rows = []
+    for trial in trials:
+        parts = []
+        for stream, n, sigma in ((0, config.n_r * config.n_t, config.sigma_r2),
+                                 (1, config.n_e * config.n_t, config.sigma_e2)):
+            key = (config.seed << 64) | (trial << 8) | stream
+            u = np.random.Generator(np.random.Philox(key=key)).random(2 * n)
+            radius = np.sqrt(-2.0 * np.log1p(-u[:n]))
+            angle = 2.0 * np.pi * u[n:]
+            z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+            z *= math.sqrt(sigma / 2.0)
+            parts.append(z)
+        rows.append(np.concatenate(parts))
+    return np.array(rows).reshape(len(trials), -1, config.n_t)
+
+
+class TestDrawDefinition:
+    @pytest.mark.parametrize("size", [1, 10, 257])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_stack_equals_the_definition(self, seed, size):
+        # Both key words and the u1/u2 order: the trials run up to the last
+        # one the key holds, and the streams differ in size and variance.
+        trials = [(k * 0x9E3779B97F4A7C15) % 2**56 for k in range(size - 1)]
+        trials.append(2**56 - 1)
+        cfg = ExperimentConfig(n_t=3, n_r=2, n_e=4, seed=seed,
+                               sigma_r2=0.5, sigma_e2=3.0)
+        h = experiments._draw(cfg, trials)
+        assert h.tobytes() == defined_draw(cfg, trials).tobytes()
+
+    def test_one_pair_equals_the_definition(self):
+        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=2, seed=2**64 - 1)
+        pair = sample_channel(cfg, 2**56 - 1)
+        h = defined_draw(cfg, [2**56 - 1])[0]
+        assert pair.hr.tobytes() + pair.he.tobytes() == h.tobytes()
+
+
+class TestDrawWork:
+    """Exact fill counts: one Generator.random call per (trial, stream)."""
+
+    @staticmethod
+    def fills(monkeypatch, draw):
+        # Cython methods raise no sys.setprofile event, so a counting
+        # Generator subclass stands in; a fresh thread builds its own
+        # generator, whatever helper hands it out.
+        calls = []
+
+        class Counting(np.random.Generator):
+            def random(self, *args, **kwargs):
+                calls.append(1)
+                return super().random(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        result = []
+        thread = threading.Thread(target=lambda: result.append(draw()))
+        thread.start()
+        thread.join()
+        assert result, "the draw raised"
+        return len(calls)
+
+    def test_stack_makes_one_fill_per_stream(self, monkeypatch):
+        cfg = ExperimentConfig(n_t=3, n_r=2, n_e=4, seed=5)
+        assert self.fills(
+            monkeypatch, lambda: experiments._draw(cfg, range(10))) == 20
+
+    def test_sample_channel_makes_two_fills(self, monkeypatch):
+        cfg = ExperimentConfig(n_t=3, n_r=2, n_e=4, seed=5)
+        assert self.fills(monkeypatch, lambda: sample_channel(cfg, 7)) == 2
+
+
 class TestFractionExperiment:
     def test_records_and_invariants(self):
         cfg = fraction_config()

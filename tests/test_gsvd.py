@@ -600,6 +600,23 @@ class TestVerifyFactors:
         ]
         assert check.max_residual == max(fields)
 
+    def test_check_pickles_compares_and_stays_frozen(self):
+        # verify_factors builds its check without the constructor; it must
+        # still be the dataclass the constructor makes.
+        pair = random_pair(5, 5, 4, seed=46)
+        check = verify_factors(gsvd(pair), pair)
+        built = FactorCheck(**dataclasses.asdict(check))
+        assert vars(check) == vars(built)
+        assert [type(v) for v in dataclasses.astuple(check)] == [float] * 5 + [bool]
+        for clone in (pickle.loads(pickle.dumps(check)), copy.deepcopy(check),
+                      dataclasses.replace(check)):
+            assert clone == check == built
+            assert pickle.dumps(clone) == pickle.dumps(built)
+        assert hash(check) == hash(built)
+        assert check != dataclasses.replace(check, ordering_ok=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            check.cs_identity = 0.0
+
     @pytest.mark.parametrize("field", range(5))
     def test_any_nan_residual_is_the_max(self, field):
         residuals = [1e-15] * 5
