@@ -285,8 +285,8 @@ class TestDrawWork:
         result = []
         thread = threading.Thread(target=lambda: result.append(draw()))
         thread.start()
-        thread.join()
-        assert result, "the draw raised"
+        thread.join(timeout=60)
+        assert not thread.is_alive() and result, "the draw hung or raised"
         return len(calls)
 
     def test_stack_makes_one_fill_per_stream(self, monkeypatch):

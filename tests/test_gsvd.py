@@ -193,15 +193,16 @@ class TestDegeneracy:
         assert issubclass(DegenerateChannelError, ValueError)
 
 
-def _zero_r_diagonal(monkeypatch):
+def _zero_r_diagonal(monkeypatch, which=slice(None)):
     """Make np.linalg.qr return an R with a zero diagonal, as it would for
-    an eavesdropper block that lost rank."""
+    an eavesdropper block that lost rank: every diagonal entry, or the
+    entries which picks."""
     qr = np.linalg.qr
 
     def fake(a, mode="reduced"):
         out = qr(a, mode=mode)
         r = out if mode == "r" else out[1]
-        k = np.arange(min(r.shape[-2:]))
+        k = np.arange(min(r.shape[-2:]))[which]
         r[..., k, k] = 0.0
         return out
 
@@ -221,6 +222,13 @@ class TestRankLoss:
             f.psi_e
         with pytest.raises(FactorizationError, match=_RANK_LOSS):
             verify_factors(f, pair)
+
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_one_zero_diagonal_entry_raises(self, monkeypatch, which):
+        pair = random_pair(5, 5, 4, seed=42)
+        _zero_r_diagonal(monkeypatch, which)
+        with pytest.raises(FactorizationError, match=_RANK_LOSS):
+            gsvd(pair).psi_e
 
     def test_gsvd_check_exits_with_the_message(self, monkeypatch, capsys):
         _zero_r_diagonal(monkeypatch)
