@@ -259,12 +259,6 @@ class TestDrawDefinition:
         h = experiments._draw(cfg, trials)
         assert h.tobytes() == defined_draw(cfg, trials).tobytes()
 
-    def test_one_pair_equals_the_definition(self):
-        cfg = ExperimentConfig(n_t=4, n_r=3, n_e=2, seed=2**64 - 1)
-        pair = sample_channel(cfg, 2**56 - 1)
-        h = defined_draw(cfg, [2**56 - 1])[0]
-        assert pair.hr.tobytes() + pair.he.tobytes() == h.tobytes()
-
 
 class TestDrawWork:
     """Exact fill counts: one Generator.random call per (trial, stream)."""

@@ -615,7 +615,8 @@ class TestVerifyFactors:
         check = verify_factors(gsvd(pair), pair)
         built = FactorCheck(**dataclasses.asdict(check))
         assert vars(check) == vars(built)
-        assert [type(v) for v in dataclasses.astuple(check)] == [float] * 5 + [bool]
+        types = [type(v) for v in dataclasses.astuple(check)]
+        assert types == [float] * 5 + [bool]
         for clone in (pickle.loads(pickle.dumps(check)), copy.deepcopy(check),
                       dataclasses.replace(check)):
             assert clone == check == built
